@@ -202,8 +202,9 @@ impl DevicePrecompute {
 /// later rank).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ComponentPartition {
-    /// Device → component rank, for every device in at least one dense set.
-    component: BTreeMap<DeviceId, u32>,
+    /// `(device, component rank)` for every device in at least one dense
+    /// set, in ascending device order.
+    component: Vec<(DeviceId, u32)>,
     /// Number of distinct components.
     count: usize,
 }
@@ -214,63 +215,58 @@ impl ComponentPartition {
     /// slices may be freshly computed, cached, or a mixture, exactly as
     /// with [`AnalyzerCore::from_parts`]. Duplicate device entries are
     /// harmless (their sets just union again).
+    ///
+    /// A union-find over the sorted, deduplicated index of every device the
+    /// parts name: node `i` is the `i`-th smallest device, and unions root
+    /// toward the smaller node, so every root is the smallest member of its
+    /// component. A device belongs to each of its dense motions, so
+    /// joining every member of a set to the part's own device `j` merges
+    /// `set ∪ {j}`, whichever way the slices were produced.
     pub fn from_dense_sets<'a>(
         parts: impl IntoIterator<Item = (DeviceId, &'a [DeviceSet])>,
     ) -> Self {
-        // Union-find over device ids, path-halving on lookup.
-        let mut parent: BTreeMap<DeviceId, DeviceId> = BTreeMap::new();
-        fn find(parent: &mut BTreeMap<DeviceId, DeviceId>, mut x: DeviceId) -> DeviceId {
-            loop {
-                let p = parent[&x];
-                if p == x {
-                    return x;
-                }
-                let gp = parent[&p];
-                parent.insert(x, gp);
-                x = gp;
+        let parts: Vec<(DeviceId, &'a [DeviceSet])> = parts
+            .into_iter()
+            .filter(|(_, sets)| !sets.is_empty())
+            .collect();
+        let mut devices: Vec<DeviceId> = Vec::new();
+        for &(j, sets) in &parts {
+            devices.push(j);
+            for set in sets {
+                devices.extend_from_slice(set.as_slice());
             }
         }
-        for (j, sets) in parts {
+        devices.sort_unstable();
+        devices.dedup();
+        let node = |d: DeviceId| devices.binary_search(&d).ok().map(|i| i as u32);
+        let mut parent: Vec<u32> = (0..devices.len() as u32).collect();
+        for &(j, sets) in &parts {
+            let Some(anchor) = node(j) else { continue };
             for set in sets {
-                // j belongs to each of its dense motions by construction,
-                // but anchor on the set's own members so slices merged for
-                // a device absent from its set still partition correctly.
-                let mut anchor: Option<DeviceId> = None;
-                for member in set.iter().chain(std::iter::once(j)) {
-                    parent.entry(member).or_insert(member);
-                    match anchor {
-                        None => anchor = Some(member),
-                        Some(a) => {
-                            let ra = find(&mut parent, a);
-                            let rb = find(&mut parent, member);
-                            if ra != rb {
-                                // Root toward the smaller id: keeps the
-                                // forest independent of union order.
-                                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                                parent.insert(hi, lo);
-                            }
-                        }
+                for &member in set.as_slice() {
+                    if let Some(m) = node(member) {
+                        union_toward_smaller(&mut parent, anchor, m);
                     }
                 }
             }
         }
-        // Number components by smallest member id: iterate devices in
-        // ascending order and hand each unseen root the next rank.
-        let devices: Vec<DeviceId> = parent.keys().copied().collect();
-        let mut rank_of_root: BTreeMap<DeviceId, u32> = BTreeMap::new();
-        let mut component = BTreeMap::new();
+        // Number components by smallest member id: a node that is its own
+        // root opens the next rank, and every other node's root is smaller,
+        // so its rank is already known.
+        let mut ranks: Vec<u32> = Vec::with_capacity(devices.len());
         let mut count = 0u32;
-        for j in devices {
-            let root = find(&mut parent, j);
-            let rank = *rank_of_root.entry(root).or_insert_with(|| {
-                let r = count;
+        for i in 0..devices.len() as u32 {
+            let root = find_root(&mut parent, i);
+            let rank = if root == i {
                 count += 1;
-                r
-            });
-            component.insert(j, rank);
+                count - 1
+            } else {
+                ranks.get(root as usize).copied().unwrap_or(0)
+            };
+            ranks.push(rank);
         }
         ComponentPartition {
-            component,
+            component: devices.into_iter().zip(ranks).collect(),
             count: count as usize,
         }
     }
@@ -278,7 +274,11 @@ impl ComponentPartition {
     /// The component of `j`, or `None` when `j` is in no dense motion
     /// (every isolated device; massive devices always resolve to `Some`).
     pub fn component_of(&self, j: DeviceId) -> Option<u32> {
-        self.component.get(&j).copied()
+        self.component
+            .binary_search_by_key(&j, |&(d, _)| d)
+            .ok()
+            .and_then(|i| self.component.get(i))
+            .map(|&(_, c)| c)
     }
 
     /// Number of distinct components this epoch.
@@ -293,7 +293,35 @@ impl ComponentPartition {
 
     /// Every (device, component) assignment in ascending device order.
     pub fn iter(&self) -> impl Iterator<Item = (DeviceId, u32)> + '_ {
-        self.component.iter().map(|(&j, &c)| (j, c))
+        self.component.iter().copied()
+    }
+}
+
+/// Union-find root of node `x`, halving the path on the way up. Nodes
+/// outside `parent` are their own roots.
+fn find_root(parent: &mut [u32], mut x: u32) -> u32 {
+    while let Some(&p) = parent.get(x as usize) {
+        if p == x {
+            break;
+        }
+        let grandparent = parent.get(p as usize).copied().unwrap_or(p);
+        if let Some(slot) = parent.get_mut(x as usize) {
+            *slot = grandparent;
+        }
+        x = grandparent;
+    }
+    x
+}
+
+/// Joins the trees of `a` and `b` under the smaller root, so every root
+/// stays the smallest node of its tree whatever the union order.
+fn union_toward_smaller(parent: &mut [u32], a: u32, b: u32) {
+    let (ra, rb) = (find_root(parent, a), find_root(parent, b));
+    let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+    if lo != hi {
+        if let Some(slot) = parent.get_mut(hi as usize) {
+            *slot = lo;
+        }
     }
 }
 
@@ -1170,6 +1198,101 @@ mod tests {
         assert_eq!(sequential, from_slices);
         let merged = Analyzer::from_parts(&t, params(3), parts).component_partition();
         assert_eq!(sequential, merged);
+    }
+
+    /// The reference partition kernel: a union-find over a `BTreeMap`
+    /// parent map, unioning each set with its part's device. Returns every
+    /// `(device, rank)` in ascending device order and the component count.
+    fn oracle_partition(parts: &[(DeviceId, Vec<DeviceSet>)]) -> (Vec<(DeviceId, u32)>, usize) {
+        let mut parent: BTreeMap<DeviceId, DeviceId> = BTreeMap::new();
+        fn find(parent: &mut BTreeMap<DeviceId, DeviceId>, mut x: DeviceId) -> DeviceId {
+            loop {
+                let p = parent[&x];
+                if p == x {
+                    return x;
+                }
+                let gp = parent[&p];
+                parent.insert(x, gp);
+                x = gp;
+            }
+        }
+        for (j, sets) in parts {
+            for set in sets {
+                let mut anchor: Option<DeviceId> = None;
+                for member in set.iter().chain(std::iter::once(*j)) {
+                    parent.entry(member).or_insert(member);
+                    match anchor {
+                        None => anchor = Some(member),
+                        Some(a) => {
+                            let ra = find(&mut parent, a);
+                            let rb = find(&mut parent, member);
+                            if ra != rb {
+                                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+                                parent.insert(hi, lo);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let devices: Vec<DeviceId> = parent.keys().copied().collect();
+        let mut rank_of_root: BTreeMap<DeviceId, u32> = BTreeMap::new();
+        let mut component = Vec::new();
+        let mut count = 0u32;
+        for j in devices {
+            let root = find(&mut parent, j);
+            let rank = *rank_of_root.entry(root).or_insert_with(|| {
+                count += 1;
+                count - 1
+            });
+            component.push((j, rank));
+        }
+        (component, count as usize)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The union-find kernel agrees with the reference on random
+        /// dense-set families, whatever order the parts arrive in.
+        #[test]
+        fn partition_kernel_matches_the_reference(
+            family in proptest::collection::vec(
+                (0u32..48, proptest::collection::vec(
+                    proptest::collection::vec(0u32..48, 0..7), 0..4)),
+                0..24),
+            rotate in 0usize..24,
+            reverse in 0u8..2,
+        ) {
+            let mut parts: Vec<(DeviceId, Vec<DeviceSet>)> = family
+                .into_iter()
+                .map(|(j, sets)| {
+                    (
+                        DeviceId(j),
+                        sets.into_iter()
+                            .map(|set| set.into_iter().map(DeviceId).collect())
+                            .collect(),
+                    )
+                })
+                .collect();
+            let expected = oracle_partition(&parts);
+            if !parts.is_empty() {
+                let by = rotate % parts.len();
+                parts.rotate_left(by);
+            }
+            if reverse == 1 {
+                parts.reverse();
+            }
+            let p = ComponentPartition::from_dense_sets(
+                parts.iter().map(|(j, sets)| (*j, sets.as_slice())),
+            );
+            let got: Vec<(DeviceId, u32)> = p.iter().collect();
+            proptest::prop_assert_eq!(&got, &expected.0);
+            proptest::prop_assert_eq!(p.count(), expected.1);
+            for &(j, c) in &expected.0 {
+                proptest::prop_assert_eq!(p.component_of(j), Some(c));
+            }
+        }
     }
 
     #[test]

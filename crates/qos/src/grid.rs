@@ -14,6 +14,44 @@ pub enum GridUpdate {
     Rebuilt,
 }
 
+/// The cell layout of a [`GridIndex`]: what a dimension and a minimum cell
+/// side determine before any position is indexed.
+///
+/// Every index built over `dim`-dimensional positions with cells no
+/// smaller than `min_cell_side` uses this layout, so
+/// [`CellGeometry::cell_index`] agrees with [`GridIndex::cell_index`] and
+/// callers can place positions in cells before the first build.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellGeometry {
+    cells_per_axis: usize,
+    cell_side: f64,
+}
+
+impl CellGeometry {
+    /// The layout for `dim` axes and cells no smaller than `min_cell_side`.
+    /// The axis resolution is capped so `cells_per_axis^dim` stays
+    /// affordable in higher dimensions (`dim` is small in practice: the
+    /// number of services).
+    pub fn new(dim: usize, min_cell_side: f64) -> Self {
+        let max_axis = match dim {
+            1 => 4096,
+            2 => 512,
+            3 => 64,
+            _ => 16,
+        };
+        let cells_per_axis = ((1.0 / min_cell_side).floor() as usize).clamp(1, max_axis);
+        CellGeometry {
+            cells_per_axis,
+            cell_side: 1.0 / cells_per_axis as f64,
+        }
+    }
+
+    /// Flattened index of the cell `coords` falls in.
+    pub fn cell_index(&self, coords: &[f64]) -> usize {
+        GridIndex::flatten(coords, self.cells_per_axis, self.cell_side)
+    }
+}
+
 /// Uniform-grid spatial index over a [`StatePair`].
 ///
 /// Buckets devices by their position at time `k-1` into hypercube cells of a
@@ -96,10 +134,10 @@ impl GridIndex {
             "cell side must be positive and finite"
         );
         let dim = pair.dim();
-        // Cap the axis resolution so `cells_per_axis^dim` stays affordable in
-        // higher dimensions (d is small in practice: number of services).
-        let cells_per_axis = ((1.0 / min_cell_side).floor() as usize).clamp(1, Self::max_axis(dim));
-        let cell_side = 1.0 / cells_per_axis as f64;
+        let CellGeometry {
+            cells_per_axis,
+            cell_side,
+        } = CellGeometry::new(dim, min_cell_side);
         let total_cells = cells_per_axis.pow(dim as u32);
         for bucket in &mut self.buckets {
             bucket.clear();
@@ -155,8 +193,7 @@ impl GridIndex {
             min_cell_side.is_finite() && min_cell_side > 0.0,
             "cell side must be positive and finite"
         );
-        let max_axis = Self::max_axis(pair.dim());
-        let cells_per_axis = ((1.0 / min_cell_side).floor() as usize).clamp(1, max_axis);
+        let cells_per_axis = CellGeometry::new(pair.dim(), min_cell_side).cells_per_axis;
         if pair.dim() != self.dim
             || cells_per_axis != self.cells_per_axis
             || pair.len() != self.population
@@ -202,17 +239,6 @@ impl GridIndex {
     /// Panics if `coords` has fewer axes than the indexed dimension.
     pub fn cell_index(&self, coords: &[f64]) -> usize {
         Self::flatten(coords, self.cells_per_axis, self.cell_side)
-    }
-
-    /// Axis-resolution cap for a given dimension, keeping
-    /// `cells_per_axis^dim` affordable.
-    fn max_axis(dim: usize) -> usize {
-        match dim {
-            1 => 4096,
-            2 => 512,
-            3 => 64,
-            _ => 16,
-        }
     }
 
     fn flatten(coords: &[f64], cells_per_axis: usize, cell_side: f64) -> usize {
@@ -370,8 +396,15 @@ impl GridIndex {
                 idx = idx * self.cells_per_axis + axis as usize;
             }
             if valid {
+                // The motion distance is the larger of the two instants'
+                // distances: test the before-distance first and compute
+                // the after-distance only for candidates that pass it.
+                let (before, after) = (pair.before(), pair.after());
                 for &cand in &self.buckets[idx] {
-                    if cand != j && pair.pairwise_motion_distance(j, cand) <= radius {
+                    if cand != j
+                        && before.distance(j, cand) <= radius
+                        && after.distance(j, cand) <= radius
+                    {
                         out.push(cand);
                     }
                 }
@@ -686,8 +719,8 @@ mod tests {
         index.apply_moves(&pair, 0.1, &lie);
     }
 
-    /// The axis-resolution cap engages for `min_cell_side` far below
-    /// `1 / max_axis(dim)`; a caller detecting cell crossings through
+    /// The axis-resolution cap engages for `min_cell_side` far below the
+    /// capped cell side; a caller detecting cell crossings through
     /// [`GridIndex::cell_index`] (the monitor's staged-move filter) must
     /// stay consistent with `apply_moves`' own capped geometry.
     #[test]
@@ -737,6 +770,31 @@ mod tests {
                     index.neighbors_both(&new, j, radius),
                     fresh.neighbors_both(&new, j, radius),
                     "device {j:?} at radius {radius}"
+                );
+            }
+        }
+    }
+
+    /// The layout derived before any build places every position in the
+    /// cell a built index uses, capped regime included.
+    #[test]
+    fn cell_geometry_agrees_with_a_built_index() {
+        for (dim, side) in [(1, 0.1), (2, 0.06), (2, 0.0001), (3, 0.001), (5, 0.2)] {
+            let rows: Vec<Vec<f64>> = (0..40)
+                .map(|i| {
+                    (0..dim)
+                        .map(|a| ((i * 7 + a * 13) % 41) as f64 / 40.0)
+                        .collect()
+                })
+                .collect();
+            let pair = pair_from(rows.clone(), rows.clone());
+            let index = GridIndex::build(&pair, side);
+            let geometry = CellGeometry::new(dim, side);
+            for row in &rows {
+                assert_eq!(
+                    geometry.cell_index(row),
+                    index.cell_index(row),
+                    "{dim} {side}"
                 );
             }
         }

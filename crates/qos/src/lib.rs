@@ -46,7 +46,7 @@ mod space;
 mod trajectory;
 
 pub use error::QosError;
-pub use grid::{GridIndex, GridUpdate};
+pub use grid::{CellGeometry, GridIndex, GridUpdate};
 pub use norm::{l1_distance, l2_distance, uniform_distance, Norm, NormKind};
 pub use point::{DeviceId, Point};
 pub use snapshot::{Snapshot, StatePair};

@@ -509,13 +509,18 @@ impl Monitor {
 
         // Phase 3 — settle ages and run the shared pipeline. Only slots
         // with a real update feed their detector (frozen semantics for
-        // bridged rows — see `StalenessPolicy`); the changed-row cells are
-        // computed here, while the previous snapshot is still intact, so
-        // characterization can invalidate exactly the neighbourhoods they
-        // touch.
-        let changed_cells = self.changed_cells_of(&changed, &current);
+        // bridged rows — see `StalenessPolicy`); the changed rows go along
+        // so characterization can invalidate exactly the neighbourhoods
+        // they touch.
         self.epoch.settle_epoch(&fed, n);
-        let report = self.advance(current, stragglers, SealDelta { fed, changed_cells })?;
+        let report = self.advance(
+            current,
+            stragglers,
+            SealDelta {
+                fed,
+                changed: &changed,
+            },
+        )?;
 
         // Phase 4 — record the delta for the next epoch: the recycled
         // buffer lags the new previous snapshot by exactly `changed`, and

@@ -13,7 +13,8 @@ use anomaly_core::{
 };
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
-    DeviceId, GridIndex, GridUpdate, Norm, NormKind, Point, QosSpace, Snapshot, StatePair,
+    CellGeometry, DeviceId, GridIndex, GridUpdate, Norm, NormKind, Point, QosSpace, Snapshot,
+    StatePair,
 };
 use anomaly_store::{Dec, Enc};
 // conformance: allow(C2, reason = "HashMap backs only the lookup-only key index; it is never iterated, so hash order cannot reach a report")
@@ -148,7 +149,7 @@ pub struct Monitor {
     /// ids) under incremental grid maintenance; entries are invalidated
     /// when their cell falls inside the [`INVALIDATION_RINGS`]-expanded
     /// dirty-cell neighbourhood.
-    char_cache: BTreeMap<u32, CacheEntry>,
+    char_cache: CharCache,
     /// Grid cells touched since the last characterized instant: cells of
     /// rows whose value changed, plus cells of devices whose detector flag
     /// flipped. Consumed (and re-seeded with the sealing epoch's own
@@ -219,19 +220,82 @@ struct CacheEntry {
     vicinity: usize,
 }
 
+/// The characterization cache: one [`CacheEntry`] per flagged device, plus
+/// the component partition of the last fully cached seal.
+///
+/// The partition is a function of the abnormal set and its devices' cached
+/// dense slices alone, so a seal that serves every verdict from the cache
+/// can reuse the previous one when neither changed. Invalidation is
+/// structural: every mutator that changes an entry drops the memo, so a
+/// memo that exists was built from the entries now in the cache, and the
+/// abnormal set is compared directly.
+#[derive(Default)]
+struct CharCache {
+    entries: BTreeMap<u32, CacheEntry>,
+    /// The abnormal set a partition was built for, and that partition.
+    partition: Option<(Vec<DeviceId>, Arc<ComponentPartition>)>,
+}
+
+impl CharCache {
+    fn get(&self, j: u32) -> Option<&CacheEntry> {
+        self.entries.get(&j)
+    }
+
+    fn insert(&mut self, j: u32, entry: CacheEntry) {
+        self.partition = None;
+        self.entries.insert(j, entry);
+    }
+
+    /// Triage: evicts every entry anchored in one of the `doomed` cells.
+    fn evict_cells(&mut self, doomed: &BTreeSet<usize>) {
+        let before = self.entries.len();
+        self.entries
+            .retain(|_, entry| !doomed.contains(&entry.cell));
+        if self.entries.len() != before {
+            self.partition = None;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.partition = None;
+        self.entries.clear();
+    }
+
+    /// The component partition of `abnormal` from its cached dense slices,
+    /// every device of which has an entry: the memo when it was built for
+    /// the same abnormal set, else a rebuild that becomes the memo.
+    fn partition_of(&mut self, abnormal: &[DeviceId]) -> Arc<ComponentPartition> {
+        if let Some((ids, partition)) = &self.partition {
+            if ids.as_slice() == abnormal {
+                return Arc::clone(partition);
+            }
+        }
+        let entries = &self.entries;
+        let partition = Arc::new(ComponentPartition::from_dense_sets(abnormal.iter().map(
+            |&j| {
+                let dense = entries
+                    .get(&j.0)
+                    .map(|entry| entry.precompute.dense())
+                    .unwrap_or(&[]);
+                (j, dense)
+            },
+        )));
+        self.partition = Some((abnormal.to_vec(), Arc::clone(&partition)));
+        partition
+    }
+}
+
 /// The per-epoch change summary [`Monitor::seal`] hands to
 /// [`Monitor::advance`]: which detectors receive a fresh observation and
-/// which vicinity-grid cells were touched by rows whose value actually
-/// changed. This is what makes the back half of `seal` scale with the
-/// churn instead of the population.
-pub(super) struct SealDelta {
+/// which rows actually changed value. This is what makes the back half of
+/// `seal` scale with the churn instead of the population.
+pub(super) struct SealDelta<'a> {
     /// Dense slots with a fresh update this epoch (`Fill::Update`); the
     /// detectors of every other slot stay frozen.
     pub(super) fed: Vec<u32>,
-    /// Old and new grid cell of every row whose value changed this epoch.
-    /// Empty when no grid exists yet, the epoch was not steady, or the
-    /// characterization cache is off — the cases where nobody consumes it.
-    pub(super) changed_cells: Vec<usize>,
+    /// Rows whose value changed this epoch. Empty when the epoch was not
+    /// steady: membership or shape changed, which clears the cache anyway.
+    pub(super) changed: &'a [DeviceId],
 }
 
 impl std::fmt::Debug for Monitor {
@@ -284,7 +348,7 @@ impl Monitor {
             pool: None,
             flag_state: Vec::with_capacity(capacity),
             flagged_slots: BTreeSet::new(),
-            char_cache: BTreeMap::new(),
+            char_cache: CharCache::default(),
             dirty_pending: BTreeSet::new(),
             cache_enabled,
             grid_maintenance,
@@ -502,26 +566,38 @@ impl Monitor {
     }
 
     /// Old and new vicinity-grid cell of every row that changed value this
-    /// epoch — the seed of the characterization cache's dirty set. Pure
-    /// cell geometry: indices depend only on the space dimension and the
-    /// window, both fixed for the monitor's lifetime, so they stay
-    /// comparable across grid rebuilds. Empty when no grid exists yet or
-    /// nothing would consume the result (cache off, or full-rebuild
-    /// maintenance, which forfeits incrementality).
-    pub(super) fn changed_cells_of(&self, changed: &[DeviceId], current: &Snapshot) -> Vec<usize> {
+    /// epoch — the seed of the characterization cache's dirty set, and the
+    /// echo that re-dirties those rows next epoch. Pure cell geometry:
+    /// indices depend only on the space dimension and the window, both
+    /// fixed for the monitor's lifetime, so they stay comparable across
+    /// grid rebuilds and exist before the first one.
+    ///
+    /// Empty when nothing would consume the result: the cache is off, or
+    /// full-rebuild maintenance forfeits incrementality, or no grid exists
+    /// yet and the epoch characterizes nothing. The cache fills only once a
+    /// grid exists, so until then only a characterizing epoch — the first
+    /// one, or the first after a restore — needs its echo.
+    fn changed_cells_of(
+        &self,
+        changed: &[DeviceId],
+        current: &Snapshot,
+        characterizing: bool,
+    ) -> Vec<usize> {
         if changed.is_empty()
             || !self.cache_enabled
             || self.grid_maintenance != GridMaintenance::Incremental
+            || (self.grid.is_none() && !characterizing)
         {
             return Vec::new();
         }
-        let (Some(grid), Some(prev)) = (self.grid.as_ref(), self.previous.as_ref()) else {
+        let Some(prev) = self.previous.as_ref() else {
             return Vec::new();
         };
+        let geometry = CellGeometry::new(self.services, self.params.window().max(1e-6));
         let mut cells = Vec::with_capacity(changed.len() * 2);
         for &id in changed {
-            cells.push(grid.cell_index(prev.position(id).coords()));
-            cells.push(grid.cell_index(current.position(id).coords()));
+            cells.push(geometry.cell_index(prev.position(id).coords()));
+            cells.push(geometry.cell_index(current.position(id).coords()));
         }
         cells
     }
@@ -539,7 +615,7 @@ impl Monitor {
     ) -> AnalyzerCore {
         if caching {
             for &j in table.ids() {
-                if let Some(entry) = self.char_cache.get(&j.0) {
+                if let Some(entry) = self.char_cache.get(j.0) {
                     parts.push((j, entry.precompute.clone()));
                 }
             }
@@ -763,7 +839,7 @@ impl Monitor {
         &mut self,
         current: Snapshot,
         stragglers: Stragglers,
-        delta: SealDelta,
+        delta: SealDelta<'_>,
     ) -> Result<Report, MonitorError> {
         let detection_start = Stopwatch::start();
         for &slot in &delta.fed {
@@ -796,8 +872,6 @@ impl Monitor {
                 *state = (flagged_now, verdict.score());
             }
         }
-        self.dirty_pending
-            .extend(delta.changed_cells.iter().copied());
         // A_k: every slot whose (possibly frozen) verdict is anomalous,
         // with its score — read off the incrementally maintained flagged
         // set (ascending, so the order matches a dense scan), O(|A_k|).
@@ -813,6 +887,8 @@ impl Monitor {
             flagged.push((i, score));
         }
         let detection = detection_start.elapsed();
+        let changed_cells = self.changed_cells_of(delta.changed, &current, !flagged.is_empty());
+        self.dirty_pending.extend(changed_cells.iter().copied());
 
         let instant = self.instant;
         self.instant += 1;
@@ -828,7 +904,7 @@ impl Monitor {
                     previous,
                     current,
                     &flagged,
-                    &delta.changed_cells,
+                    &changed_cells,
                     &mut verdicts,
                     &mut warming,
                 )?;
@@ -1004,15 +1080,14 @@ impl Monitor {
                     .as_ref()
                     .ok_or(MonitorError::internal("vicinity grid missing after update"))?;
                 let doomed = grid.expand_cells(&dirty, INVALIDATION_RINGS);
-                self.char_cache
-                    .retain(|_, entry| !doomed.contains(&entry.cell));
+                self.char_cache.evict_cells(&doomed);
             }
             // Echo: rows that changed this epoch change trajectory again
             // next epoch (moving → stationary), so their cells go straight
             // back into the dirty set for the next invalidation round.
             self.dirty_pending.extend(echo_cells.iter().copied());
             for &j in &abnormal {
-                match self.char_cache.get(&j.0) {
+                match self.char_cache.get(j.0) {
                     Some(entry) => rows.push(VerdictRow {
                         j,
                         characterization: entry.characterization,
@@ -1042,18 +1117,12 @@ impl Monitor {
             // Full cache hit: no trajectory table, no analyzer, no shard
             // plan. The characterization cost of the epoch is the grid
             // update plus one map lookup per flagged device. The spatial
-            // partition is recomputed from the cached dense slices —
-            // component ids are epoch-local ranks, so a cached id could go
-            // stale when an unrelated component vanishes, but the dense
-            // sets themselves are exactly as valid as the cached verdicts.
-            let partition = ComponentPartition::from_dense_sets(abnormal.iter().map(|&j| {
-                let dense = self
-                    .char_cache
-                    .get(&j.0)
-                    .map(|entry| entry.precompute.dense())
-                    .unwrap_or(&[]);
-                (j, dense)
-            }));
+            // partition comes from the cached dense slices — component ids
+            // are epoch-local ranks, so a cached id could go stale when an
+            // unrelated component vanishes, but the dense sets themselves
+            // are exactly as valid as the cached verdicts — and is reused
+            // while neither they nor the abnormal set change.
+            let partition = self.char_cache.partition_of(&abnormal);
             (pair, partition)
         } else {
             let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
@@ -1078,7 +1147,7 @@ impl Monitor {
                 // slices plus every cached one), so its partition is the
                 // epoch's global one — byte-identical to the cache-off
                 // reference path.
-                let partition = core.component_partition();
+                let partition = Arc::new(core.component_partition());
                 let grid = self
                     .grid
                     .as_ref()
@@ -1146,7 +1215,7 @@ impl Monitor {
                     }
                 }
                 let core = Arc::new(self.merged_core(&table, params, caching, fresh_parts));
-                let partition = core.component_partition();
+                let partition = Arc::new(core.component_partition());
                 let grid = Arc::clone(
                     self.grid
                         .as_ref()
@@ -1781,6 +1850,55 @@ mod tests {
             }
             other => panic!("expected an incremental update, got {other:?}"),
         }
+    }
+
+    /// Every flag flip evicts or inserts the flipping device's own entry,
+    /// so through the monitor's API the abnormal set never changes without
+    /// a cache write. The memo still compares it directly: a smaller
+    /// abnormal set over an untouched cache gets its own partition.
+    #[test]
+    fn cached_partition_follows_the_abnormal_set_without_a_cache_write() {
+        let table = TrajectoryTable::from_pairs_1d(&[
+            (0, 0.10, 0.50),
+            (1, 0.11, 0.51),
+            (2, 0.12, 0.52),
+            (3, 0.13, 0.53),
+            (4, 0.70, 0.10),
+            (5, 0.71, 0.11),
+            (6, 0.72, 0.12),
+            (7, 0.73, 0.13),
+        ]);
+        let params = Params::new(0.05, 3).unwrap();
+        let parts: Vec<(DeviceId, DevicePrecompute)> = table
+            .ids()
+            .iter()
+            .map(|&j| {
+                let pre =
+                    AnalyzerCore::precompute_device(&table, &params, j, DEFAULT_ENUMERATION_BUDGET);
+                (j, pre)
+            })
+            .collect();
+        let core = AnalyzerCore::from_parts(&table, params, parts.clone());
+        let mut cache = CharCache::default();
+        for (j, precompute) in parts {
+            let entry = CacheEntry {
+                cell: 0,
+                precompute,
+                characterization: core.characterize_full(&table, j),
+                vicinity: 0,
+            };
+            cache.insert(j.0, entry);
+        }
+        let all = table.ids().to_vec();
+        let both = cache.partition_of(&all);
+        assert_eq!(*both, core.component_partition());
+        assert_eq!(both.component_of(DeviceId(4)), Some(1));
+        assert!(Arc::ptr_eq(&both, &cache.partition_of(&all)), "memo reused");
+        let second: Vec<DeviceId> = all.iter().copied().filter(|j| j.0 >= 4).collect();
+        let only = cache.partition_of(&second);
+        assert_eq!(only.count(), 1);
+        assert_eq!(only.component_of(DeviceId(4)), Some(0));
+        assert_eq!(only.component_of(DeviceId(0)), None);
     }
 
     #[test]
