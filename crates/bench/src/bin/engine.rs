@@ -1,11 +1,11 @@
-//! Engine benchmark: sequential vs threaded characterization, full-rebuild
-//! vs incremental grid maintenance, on a large generated fleet.
+//! Engine benchmark: sequential vs threaded characterization on a large
+//! generated fleet.
 //!
-//! Feeds the same deterministic [`FleetSpec`] trace to four monitor
-//! configurations and reports wall-clock per configuration, writing the
-//! result to `BENCH_engine.json` (override with `ENGINE_BENCH_OUT`). All
-//! four configurations must produce identical verdicts — the run aborts
-//! otherwise — so the timings compare equal work.
+//! Feeds the same deterministic [`FleetSpec`] trace to both engines and
+//! reports wall-clock per engine, writing the result to
+//! `BENCH_engine.json` (override with `ENGINE_BENCH_OUT`). Both engines
+//! must produce identical verdicts — the run aborts otherwise — so the
+//! timings compare equal work.
 //!
 //! Knobs (environment variables):
 //!
@@ -16,7 +16,7 @@
 //!   wall-clock is reported (default 3)
 //! * `ENGINE_BENCH_OUT` — output path (default `BENCH_engine.json`)
 
-use anomaly_characterization::pipeline::{Engine, GridMaintenance, MonitorBuilder};
+use anomaly_characterization::pipeline::{Engine, MonitorBuilder};
 use anomaly_detectors::{ThresholdDetector, VectorDetector};
 use anomaly_simulator::fleet::{generate_fleet, FleetInstant, FleetSpec};
 use std::time::Instant;
@@ -25,7 +25,6 @@ use std::time::Instant;
 struct Config {
     name: &'static str,
     engine: Engine,
-    grid: GridMaintenance,
 }
 
 /// Timing and verdict counters of one configuration's run.
@@ -54,7 +53,6 @@ fn run(spec: &FleetSpec, trace: &[FleetInstant], config: &Config) -> Outcome {
     let mut monitor = MonitorBuilder::new()
         .services(services)
         .engine(config.engine)
-        .grid_maintenance(config.grid)
         .detector_factory(move |_| {
             Box::new(VectorDetector::homogeneous(services, || {
                 ThresholdDetector::with_delta(delta)
@@ -118,24 +116,12 @@ fn main() {
 
     let configs = [
         Config {
-            name: "sequential+rebuild",
+            name: "sequential",
             engine: Engine::Sequential,
-            grid: GridMaintenance::FullRebuild,
         },
         Config {
-            name: "sequential+incremental",
-            engine: Engine::Sequential,
-            grid: GridMaintenance::Incremental,
-        },
-        Config {
-            name: "threaded+rebuild",
+            name: "threaded",
             engine: Engine::Threaded { workers },
-            grid: GridMaintenance::FullRebuild,
-        },
-        Config {
-            name: "threaded+incremental",
-            engine: Engine::Threaded { workers },
-            grid: GridMaintenance::Incremental,
         },
     ];
 
@@ -175,12 +161,12 @@ fn main() {
     }
 
     let baseline = outcomes[0].total_millis;
-    let best = outcomes
+    let threaded = outcomes
         .last()
-        .expect("four configurations ran")
+        .expect("both configurations ran")
         .total_millis;
-    let speedup = baseline / best.max(1e-9);
-    eprintln!("threaded+incremental speedup over sequential+rebuild: {speedup:.2}x");
+    let speedup = baseline / threaded.max(1e-9);
+    eprintln!("threaded speedup over sequential: {speedup:.2}x");
 
     let configs_json: Vec<String> = outcomes
         .iter()
@@ -206,7 +192,7 @@ fn main() {
             "{{\"bench\":\"engine\",\"devices\":{},\"services\":{},",
             "\"flagged_per_instant\":{},\"steps\":{},\"workers\":{},",
             "\"seed\":{},\"configs\":[{}],",
-            "\"speedup_threaded_incremental_vs_sequential_rebuild\":{:.3}}}"
+            "\"speedup_threaded_vs_sequential\":{:.3}}}"
         ),
         spec.devices,
         spec.services,

@@ -38,9 +38,7 @@
 //!   median is the minimum per-repetition median (default 3)
 //! * `INGEST_BENCH_OUT` — output path (default `BENCH_ingest.json`)
 
-use anomaly_characterization::pipeline::{
-    GridMaintenance, Monitor, MonitorBuilder, StalenessPolicy,
-};
+use anomaly_characterization::pipeline::{Monitor, MonitorBuilder, StalenessPolicy};
 use anomaly_detectors::{ThresholdDetector, VectorDetector};
 use anomaly_qos::{GridUpdate, QosSpace, Snapshot};
 use std::time::Instant;
@@ -95,7 +93,6 @@ fn monitor(devices: usize) -> Monitor {
         .staleness(StalenessPolicy::CarryForward {
             max_age: u64::MAX - 1,
         })
-        .grid_maintenance(GridMaintenance::Incremental)
         .detector_factory(|_| {
             Box::new(VectorDetector::homogeneous(SERVICES, || {
                 ThresholdDetector::with_delta(0.15)

@@ -1,4 +1,4 @@
-use super::engine::{Engine, GridMaintenance};
+use super::engine::Engine;
 use super::error::MonitorError;
 use super::ingest::StalenessPolicy;
 use super::key::DeviceKey;
@@ -36,12 +36,10 @@ pub struct MonitorBuilder {
     capacity: usize,
     max_population: u64,
     engine: Engine,
-    grid_maintenance: GridMaintenance,
     staleness: StalenessPolicy,
     epoch_start: Option<u64>,
     history: usize,
     debounce: u64,
-    characterization_cache: bool,
     initial: Vec<DeviceKey>,
 }
 
@@ -56,12 +54,10 @@ impl std::fmt::Debug for MonitorBuilder {
             .field("capacity", &self.capacity)
             .field("max_population", &self.max_population)
             .field("engine", &self.engine)
-            .field("grid_maintenance", &self.grid_maintenance)
             .field("staleness", &self.staleness)
             .field("epoch_start", &self.epoch_start)
             .field("history", &self.history)
             .field("debounce", &self.debounce)
-            .field("characterization_cache", &self.characterization_cache)
             .field("initial_devices", &self.initial.len())
             .finish()
     }
@@ -86,28 +82,12 @@ impl MonitorBuilder {
             capacity: 0,
             max_population: MAX_FLEET,
             engine: Engine::Sequential,
-            grid_maintenance: GridMaintenance::Incremental,
             staleness: StalenessPolicy::Reject,
             epoch_start: None,
             history: 16,
             debounce: 0,
-            characterization_cache: true,
             initial: Vec::new(),
         }
-    }
-
-    /// Whether [`Monitor::seal`](Monitor::seal) may reuse per-device
-    /// characterization results across epochs for flagged devices whose
-    /// `4r`-neighbourhood provably did not change (on by default).
-    ///
-    /// Reports are byte-identical either way — the cache is invalidated by
-    /// the locality bound of Definition 1, not heuristically — so the only
-    /// reason to disable it is differential testing of the cache itself.
-    /// The cache is only ever active under
-    /// [`GridMaintenance::Incremental`]; `FullRebuild` forfeits it.
-    pub fn characterization_cache(mut self, enabled: bool) -> Self {
-        self.characterization_cache = enabled;
-        self
     }
 
     /// Capacity of the monitor's bounded history rings: the last `window`
@@ -174,13 +154,6 @@ impl MonitorBuilder {
     /// wall-clock timings differ.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// How the vicinity grid is kept current across instants
-    /// ([`GridMaintenance::Incremental`] by default).
-    pub fn grid_maintenance(mut self, mode: GridMaintenance) -> Self {
-        self.grid_maintenance = mode;
         self
     }
 
@@ -313,12 +286,10 @@ impl MonitorBuilder {
             self.capacity,
             self.max_population,
             self.engine,
-            self.grid_maintenance,
             self.staleness,
             self.epoch_start.unwrap_or(0),
             self.history,
             self.debounce,
-            self.characterization_cache,
         );
         for key in self.initial {
             monitor.join(key)?;

@@ -31,14 +31,14 @@ pub enum Engine {
     /// threads (plain `std::thread` + channels; no runtime, no extra
     /// dependencies). The pool is spawned lazily on the first epoch that
     /// needs it and its threads stay parked between epochs, so the
-    /// per-seal cost is two channel round-trips per shard rather than two
-    /// `thread::scope` spawn/join rounds. Shards are grid-locality aware
-    /// ([`anomaly_core::ShardPlan`]): each worker gets a balanced,
-    /// spatially-coherent slice of the flagged set.
+    /// per-seal cost is two channel round-trips per shard. Shards are
+    /// grid-locality aware ([`anomaly_core::ShardPlan`]): each worker gets
+    /// a balanced, spatially-coherent slice of the flagged set.
     ///
-    /// `workers == 0` and `workers == 1` behave like [`Engine::Sequential`]
-    /// (no threads are spawned), and the worker count is capped at the
-    /// number of flagged devices.
+    /// The *shard* count is `workers` capped at the number of devices
+    /// needing fresh characterization; an epoch with a single shard runs
+    /// on the calling thread. `workers == 0` and `workers == 1` therefore
+    /// behave like [`Engine::Sequential`] (no threads are spawned).
     Threaded {
         /// Upper bound on concurrent worker threads.
         workers: usize,
@@ -64,32 +64,13 @@ impl Engine {
     }
 }
 
-/// How the monitor keeps its vicinity [`GridIndex`](anomaly_qos::GridIndex)
-/// current across sampling instants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GridMaintenance {
-    /// Diff the newly indexed snapshot against the previous one and
-    /// re-bucket only the devices whose grid cell changed
-    /// ([`GridIndex::apply_moves`](anomaly_qos::GridIndex::apply_moves));
-    /// falls back to a full rebuild automatically when the cohort size or
-    /// the cell resolution changes. The default: on a mostly-calm fleet the
-    /// per-instant index cost is proportional to the churn, not the
-    /// population.
-    #[default]
-    Incremental,
-    /// Rebuild the index from scratch every instant (the pre-engine
-    /// behaviour; kept for benchmarking and as a paranoid fallback).
-    FullRebuild,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_sequential_and_incremental() {
+    fn default_is_sequential() {
         assert_eq!(Engine::default(), Engine::Sequential);
-        assert_eq!(GridMaintenance::default(), GridMaintenance::Incremental);
     }
 
     #[test]

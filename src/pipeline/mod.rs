@@ -81,7 +81,7 @@ mod report;
 mod timings;
 
 pub use builder::{MonitorBuilder, MAX_FLEET};
-pub use engine::{Engine, GridMaintenance};
+pub use engine::Engine;
 pub use error::MonitorError;
 pub use events::{
     AnomalyEvent, ClassTransition, EventDelta, EventDeltaKind, EventId, EventTracker,

@@ -1,4 +1,4 @@
-use super::engine::{Engine, GridMaintenance};
+use super::engine::Engine;
 use super::error::MonitorError;
 use super::events::{AnomalyEvent, EventDelta, EventTracker};
 use super::ingest::{EpochState, StalenessPolicy};
@@ -9,7 +9,7 @@ use super::report::{DeviceVerdict, Report, ReportSummary, Stragglers};
 use super::timings::Stopwatch;
 use anomaly_core::{
     AnalyzerCore, Characterization, ComponentPartition, DevicePrecompute, Params, ShardPlan,
-    TrajectoryTable, DEFAULT_ENUMERATION_BUDGET,
+    TrajectoryTable,
 };
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
@@ -146,21 +146,16 @@ pub struct Monitor {
     flagged_slots: BTreeSet<u32>,
     /// Per-device characterization cache, keyed by dense id. Valid only
     /// while the fleet stays steady (no churn: dense ids are the cohort
-    /// ids) under incremental grid maintenance; entries are invalidated
-    /// when their cell falls inside the [`INVALIDATION_RINGS`]-expanded
-    /// dirty-cell neighbourhood.
+    /// ids); entries are invalidated when their cell falls inside the
+    /// [`INVALIDATION_RINGS`]-expanded dirty-cell neighbourhood.
     char_cache: CharCache,
     /// Grid cells touched since the last characterized instant: cells of
     /// rows whose value changed, plus cells of devices whose detector flag
     /// flipped. Consumed (and re-seeded with the sealing epoch's own
     /// changed cells) at every characterized instant.
     dirty_pending: BTreeSet<usize>,
-    /// Builder knob: `false` forces a full recompute every instant (the
-    /// reference path the cache is byte-compared against).
-    cache_enabled: bool,
-    /// Grid update policy across instants.
-    grid_maintenance: GridMaintenance,
-    /// Reusable vicinity-query buffer for the sequential path.
+    /// Vicinity-query scratch buffer of the jobs that run on the calling
+    /// thread (pool workers keep their own).
     neighbor_buf: Vec<DeviceId>,
     instant: u64,
     /// The open streaming epoch: pending per-device updates and
@@ -323,12 +318,10 @@ impl Monitor {
         capacity: usize,
         max_population: u64,
         engine: Engine,
-        grid_maintenance: GridMaintenance,
         staleness: StalenessPolicy,
         epoch_start: u64,
         history: usize,
         debounce: u64,
-        cache_enabled: bool,
     ) -> Self {
         Monitor {
             params,
@@ -350,8 +343,6 @@ impl Monitor {
             flagged_slots: BTreeSet::new(),
             char_cache: CharCache::default(),
             dirty_pending: BTreeSet::new(),
-            cache_enabled,
-            grid_maintenance,
             neighbor_buf: Vec::new(),
             instant: epoch_start,
             epoch: EpochState::with_capacity(capacity),
@@ -368,11 +359,6 @@ impl Monitor {
     /// The execution strategy for the characterization phase.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// The vicinity-grid maintenance policy.
-    pub fn grid_maintenance(&self) -> GridMaintenance {
-        self.grid_maintenance
     }
 
     /// How the most recent characterized instant brought the vicinity grid
@@ -525,15 +511,11 @@ impl Monitor {
     }
 
     /// Whether a changed row is worth recording as a grid move candidate:
-    /// only incremental maintenance ever replays moves, and once the grid
-    /// exists only cell-crossing ones need re-bucketing (the cell geometry
-    /// is fixed for the monitor's lifetime — `window` never changes).
-    /// Lets the sealing path skip the two `Point` clones per changed row
-    /// whenever they would be discarded.
+    /// once the grid exists only cell-crossing ones need re-bucketing (the
+    /// cell geometry is fixed for the monitor's lifetime — `window` never
+    /// changes). Lets the sealing path skip the two `Point` clones per
+    /// changed row whenever they would be discarded.
     pub(super) fn wants_grid_move(&self, old: &Point, new: &Point) -> bool {
-        if self.grid_maintenance != GridMaintenance::Incremental {
-            return false;
-        }
         match &self.grid {
             Some(grid) => grid.cell_index(old.coords()) != grid.cell_index(new.coords()),
             None => true,
@@ -546,7 +528,7 @@ impl Monitor {
     /// re-bucketing — so the staged batch stays proportional to the real
     /// churn.
     pub(super) fn stage_grid_moves(&mut self, moves: Vec<(DeviceId, Point, Point)>) {
-        if !self.grid_full_synced || self.grid_maintenance != GridMaintenance::Incremental {
+        if !self.grid_full_synced {
             return;
         }
         let Some(grid) = &self.grid else { return };
@@ -557,14 +539,6 @@ impl Monitor {
         }
     }
 
-    /// Whether the per-device characterization cache is enabled (the
-    /// [`MonitorBuilder::characterization_cache`](super::MonitorBuilder::characterization_cache)
-    /// knob). Reports are byte-identical either way; only seal latency
-    /// differs.
-    pub fn characterization_cache(&self) -> bool {
-        self.cache_enabled
-    }
-
     /// Old and new vicinity-grid cell of every row that changed value this
     /// epoch — the seed of the characterization cache's dirty set, and the
     /// echo that re-dirties those rows next epoch. Pure cell geometry:
@@ -572,22 +546,17 @@ impl Monitor {
     /// fixed for the monitor's lifetime, so they stay comparable across
     /// grid rebuilds and exist before the first one.
     ///
-    /// Empty when nothing would consume the result: the cache is off, or
-    /// full-rebuild maintenance forfeits incrementality, or no grid exists
-    /// yet and the epoch characterizes nothing. The cache fills only once a
-    /// grid exists, so until then only a characterizing epoch — the first
-    /// one, or the first after a restore — needs its echo.
+    /// Empty when nothing would consume the result: no grid exists yet and
+    /// the epoch characterizes nothing. The cache fills only once a grid
+    /// exists, so until then only a characterizing epoch — the first one,
+    /// or the first after a restore — needs its echo.
     fn changed_cells_of(
         &self,
         changed: &[DeviceId],
         current: &Snapshot,
         characterizing: bool,
     ) -> Vec<usize> {
-        if changed.is_empty()
-            || !self.cache_enabled
-            || self.grid_maintenance != GridMaintenance::Incremental
-            || (self.grid.is_none() && !characterizing)
-        {
+        if changed.is_empty() || (self.grid.is_none() && !characterizing) {
             return Vec::new();
         }
         let Some(prev) = self.previous.as_ref() else {
@@ -603,24 +572,47 @@ impl Monitor {
     }
 
     /// Assembles the interval's characterization engine from the freshly
-    /// computed precompute slices plus — when the cache is live — the
-    /// stored slices of every cache-served device. Together the parts
-    /// cover the abnormal set exactly, whatever mix produced them.
+    /// computed precompute slices plus the stored slices of every
+    /// cache-served device. Together the parts cover the abnormal set
+    /// exactly, whatever mix produced them.
     fn merged_core(
         &self,
         table: &TrajectoryTable,
-        params: Params,
-        caching: bool,
         mut parts: Vec<(DeviceId, DevicePrecompute)>,
     ) -> AnalyzerCore {
-        if caching {
-            for &j in table.ids() {
-                if let Some(entry) = self.char_cache.get(j.0) {
-                    parts.push((j, entry.precompute.clone()));
-                }
+        for &j in table.ids() {
+            if let Some(entry) = self.char_cache.get(j.0) {
+                parts.push((j, entry.precompute.clone()));
             }
         }
-        AnalyzerCore::from_parts(table, params, parts)
+        AnalyzerCore::from_parts(table, self.params, parts)
+    }
+
+    /// Runs `jobs` and returns their outputs in submission order: inline
+    /// on the calling thread when `pooled` is false, else on the
+    /// persistent worker pool (spawned on first use).
+    ///
+    /// # Errors
+    ///
+    /// [`MonitorError::Internal`] when a pool worker panicked or hung up.
+    /// The failed pool has already been taken out of `self` and is dropped
+    /// (joining its workers) on the way out; the next pooled epoch spawns
+    /// a fresh one.
+    fn run_jobs(&mut self, jobs: Vec<Job>, pooled: bool) -> Result<Vec<JobOutput>, MonitorError> {
+        let workers = match self.engine {
+            Engine::Threaded { workers } if pooled => workers,
+            _ => {
+                let buf = &mut self.neighbor_buf;
+                return Ok(jobs.into_iter().map(|job| job.run(buf)).collect());
+            }
+        };
+        let mut pool = match self.pool.take() {
+            Some(pool) if pool.workers() == workers => pool,
+            _ => WorkerPool::spawn(workers),
+        };
+        let outputs = pool.run(jobs)?;
+        self.pool = Some(pool);
+        Ok(outputs)
     }
 
     /// Enrolls a device, building its detector with the configured factory.
@@ -1043,15 +1035,15 @@ impl Monitor {
         // falls back to a full rebuild.
         let window = self.params.window();
         let cell_side = window.max(1e-6);
-        self.last_grid_update = Some(match (&mut self.grid, self.grid_maintenance) {
-            (Some(grid), GridMaintenance::Incremental) if steady && self.grid_full_synced => {
+        self.last_grid_update = Some(match &mut self.grid {
+            Some(grid) if steady && self.grid_full_synced => {
                 Arc::make_mut(grid).apply_moves(&pair, cell_side, &self.grid_staged)
             }
-            (Some(grid), _) => {
+            Some(grid) => {
                 Arc::make_mut(grid).rebuild(&pair, cell_side);
                 GridUpdate::Rebuilt
             }
-            (grid @ None, _) => {
+            grid @ None => {
                 *grid = Some(Arc::new(GridIndex::build(&pair, cell_side)));
                 GridUpdate::Rebuilt
             }
@@ -1066,13 +1058,10 @@ impl Monitor {
         // provably unaffected and served without recomputation. Only a
         // steady interval can be served — under churn the cohort ids the
         // cache is keyed by no longer exist (`note_churn` already cleared
-        // it) — and only under incremental grid maintenance, which is the
-        // mode that tracks deltas at all.
-        let caching =
-            steady && self.cache_enabled && self.grid_maintenance == GridMaintenance::Incremental;
+        // it).
         let mut rows: Vec<VerdictRow> = Vec::with_capacity(abnormal.len());
         let mut fresh: Vec<DeviceId> = Vec::new();
-        if caching {
+        if steady {
             let dirty = std::mem::take(&mut self.dirty_pending);
             if !dirty.is_empty() {
                 let grid = self
@@ -1106,10 +1095,10 @@ impl Monitor {
         // embarrassingly parallel, per Definition 1's locality): per-device
         // motion precompute, merged with the cached slices into one
         // engine, then verdicts and vicinities for the fresh devices only.
-        // The merge is deterministic — parts are keyed by dense id — so
-        // the report is identical for every engine, worker count, and for
-        // the cache-off reference path.
-        let params = self.params;
+        // Both phases are the same jobs for every engine; only where they
+        // run differs. The merge is deterministic — parts are keyed by
+        // dense id — so the report is identical for every engine and
+        // worker count, and to a full recompute.
         let mut fresh_rows: Vec<(DeviceId, Characterization, usize)> =
             Vec::with_capacity(fresh.len());
         let mut fresh_pre: BTreeMap<u32, DevicePrecompute> = BTreeMap::new();
@@ -1125,50 +1114,15 @@ impl Monitor {
             let partition = self.char_cache.partition_of(&abnormal);
             (pair, partition)
         } else {
-            let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
+            let table = Arc::new(TrajectoryTable::from_state_pair(&pair, &abnormal));
+            // One shard runs inline; more go to the pool, split by the
+            // grid-locality-aware plan over the whole abnormal set,
+            // restricted to the fresh devices.
             let shard_count = self.engine.shard_count(fresh.len());
-            if shard_count <= 1 {
-                let mut fresh_parts: Vec<(DeviceId, DevicePrecompute)> =
-                    Vec::with_capacity(fresh.len());
-                for &j in &fresh {
-                    let pre = AnalyzerCore::precompute_device(
-                        &table,
-                        &params,
-                        j,
-                        DEFAULT_ENUMERATION_BUDGET,
-                    );
-                    if caching {
-                        fresh_pre.insert(j.0, pre.clone());
-                    }
-                    fresh_parts.push((j, pre));
-                }
-                let core = self.merged_core(&table, params, caching, fresh_parts);
-                // The merged core covers the whole abnormal set (fresh
-                // slices plus every cached one), so its partition is the
-                // epoch's global one — byte-identical to the cache-off
-                // reference path.
-                let partition = Arc::new(core.component_partition());
-                let grid = self
-                    .grid
-                    .as_ref()
-                    .ok_or(MonitorError::internal("vicinity grid missing after update"))?;
-                let buf = &mut self.neighbor_buf;
-                for &j in &fresh {
-                    grid.neighbors_both_into(&pair, j, window, buf);
-                    fresh_rows.push((j, core.characterize_full(&table, j), buf.len()));
-                }
-                (pair, partition)
-            } else {
-                // Threaded: ship both phases to the persistent worker
-                // pool. Shards come from the grid-locality-aware plan over
-                // the whole abnormal set, restricted to the fresh devices.
-                let workers = match self.engine {
-                    Engine::Threaded { workers } => workers,
-                    Engine::Sequential => 1,
-                };
-                let plan = ShardPlan::build(&table, window, shard_count);
-                let fresh_set: BTreeSet<DeviceId> = fresh.iter().copied().collect();
-                let shards: Vec<Vec<DeviceId>> = plan
+            let pooled = shard_count > 1;
+            let shards: Vec<Vec<DeviceId>> = if pooled {
+                let fresh_set: BTreeSet<DeviceId> = fresh.into_iter().collect();
+                ShardPlan::build(&table, window, shard_count)
                     .shards()
                     .iter()
                     .map(|shard| {
@@ -1179,86 +1133,79 @@ impl Monitor {
                             .collect::<Vec<DeviceId>>()
                     })
                     .filter(|shard| !shard.is_empty())
-                    .collect();
-                let mut pool = match self.pool.take() {
-                    Some(pool) if pool.workers() == workers => pool,
-                    _ => WorkerPool::spawn(workers),
-                };
-                let table = Arc::new(table);
-                let jobs: Vec<Job> = shards
-                    .iter()
-                    .map(|shard| Job::Precompute {
-                        table: Arc::clone(&table),
-                        params,
-                        shard: shard.clone(),
-                    })
-                    .collect();
-                // A pool failure propagates as a typed internal error; the
-                // poisoned pool was already taken out of `self` and is
-                // dropped (joining its workers) on the way out.
-                let outputs = pool.run(jobs)?;
-                let mut fresh_parts: Vec<(DeviceId, DevicePrecompute)> =
-                    Vec::with_capacity(fresh.len());
-                for output in outputs {
-                    match output {
-                        JobOutput::Parts(parts) => fresh_parts.extend(parts),
-                        JobOutput::Verdicts(_) => {
-                            return Err(MonitorError::internal(
-                                "precompute phase returned verdict output",
-                            ))
-                        }
+                    .collect()
+            } else {
+                vec![fresh]
+            };
+            let jobs: Vec<Job> = shards
+                .iter()
+                .map(|shard| Job::Precompute {
+                    table: Arc::clone(&table),
+                    params: self.params,
+                    shard: shard.clone(),
+                })
+                .collect();
+            let mut fresh_parts: Vec<(DeviceId, DevicePrecompute)> = Vec::new();
+            for output in self.run_jobs(jobs, pooled)? {
+                match output {
+                    JobOutput::Parts(parts) => fresh_parts.extend(parts),
+                    JobOutput::Verdicts(_) => {
+                        return Err(MonitorError::internal(
+                            "precompute phase returned verdict output",
+                        ))
                     }
                 }
-                if caching {
-                    for (j, pre) in &fresh_parts {
-                        fresh_pre.insert(j.0, pre.clone());
-                    }
-                }
-                let core = Arc::new(self.merged_core(&table, params, caching, fresh_parts));
-                let partition = Arc::new(core.component_partition());
-                let grid = Arc::clone(
-                    self.grid
-                        .as_ref()
-                        .ok_or(MonitorError::internal("vicinity grid missing after update"))?,
-                );
-                let pair = Arc::new(pair);
-                let jobs: Vec<Job> = shards
-                    .iter()
-                    .map(|shard| Job::Verdicts {
-                        core: Arc::clone(&core),
-                        table: Arc::clone(&table),
-                        pair: Arc::clone(&pair),
-                        grid: Arc::clone(&grid),
-                        window,
-                        shard: shard.clone(),
-                    })
-                    .collect();
-                let outputs = pool.run(jobs)?;
-                self.pool = Some(pool);
-                for output in outputs {
-                    match output {
-                        JobOutput::Verdicts(rows) => fresh_rows.extend(rows),
-                        JobOutput::Parts(_) => {
-                            return Err(MonitorError::internal(
-                                "verdict phase returned precompute output",
-                            ))
-                        }
-                    }
-                }
-                // Every job consumed its Arc clones before reporting its
-                // result, so after collecting all of them this is the only
-                // reference again (the clone arm is unreachable
-                // belt-and-braces).
-                (
-                    Arc::try_unwrap(pair).unwrap_or_else(|arc| (*arc).clone()),
-                    partition,
-                )
             }
+            if steady {
+                for (j, pre) in &fresh_parts {
+                    fresh_pre.insert(j.0, pre.clone());
+                }
+            }
+            // The merged core covers the whole abnormal set (fresh slices
+            // plus every cached one), so its partition is the epoch's
+            // global one.
+            let core = Arc::new(self.merged_core(&table, fresh_parts));
+            let partition = Arc::new(core.component_partition());
+            let grid = Arc::clone(
+                self.grid
+                    .as_ref()
+                    .ok_or(MonitorError::internal("vicinity grid missing after update"))?,
+            );
+            let pair = Arc::new(pair);
+            let jobs: Vec<Job> = shards
+                .into_iter()
+                .map(|shard| Job::Verdicts {
+                    core: Arc::clone(&core),
+                    table: Arc::clone(&table),
+                    pair: Arc::clone(&pair),
+                    grid: Arc::clone(&grid),
+                    window,
+                    shard,
+                })
+                .collect();
+            for output in self.run_jobs(jobs, pooled)? {
+                match output {
+                    JobOutput::Verdicts(rows) => fresh_rows.extend(rows),
+                    JobOutput::Parts(_) => {
+                        return Err(MonitorError::internal(
+                            "verdict phase returned precompute output",
+                        ))
+                    }
+                }
+            }
+            // Every job consumed its Arc clones before reporting its
+            // result, so after collecting all of them this is the only
+            // reference again (the clone arm is unreachable
+            // belt-and-braces).
+            (
+                Arc::try_unwrap(pair).unwrap_or_else(|arc| (*arc).clone()),
+                partition,
+            )
         };
 
         // Freshly decided devices enter the cache (with their precompute
         // slice, for future merges) before joining the cached rows.
-        if caching && !fresh_rows.is_empty() {
+        if steady && !fresh_rows.is_empty() {
             let grid = self
                 .grid
                 .as_ref()
@@ -1591,7 +1538,7 @@ impl Monitor {
 mod tests {
     use super::super::builder::MonitorBuilder;
     use super::*;
-    use anomaly_core::AnomalyClass;
+    use anomaly_core::{AnomalyClass, DEFAULT_ENUMERATION_BUDGET};
     use anomaly_detectors::{CusumDetector, EwmaDetector};
 
     fn warmed(n: usize) -> Monitor {

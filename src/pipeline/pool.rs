@@ -1,12 +1,12 @@
-//! Persistent worker pool for the threaded characterization engine.
+//! Characterization jobs and the persistent worker pool that runs them
+//! for the threaded engine.
 //!
-//! The earlier [`Engine::Threaded`](super::Engine::Threaded) implementation
-//! spawned fresh scoped threads twice per sealed epoch (one round for the
-//! per-device precompute, one for the verdicts). On small flagged sets the
-//! spawn/join cost dominated the work itself and made the threaded engine
-//! *slower* than the sequential one. This pool spawns its OS threads once,
-//! keeps them parked on channel receives between epochs, and ships each
-//! phase to them as [`Job`]s over per-worker channels.
+//! Each characterization phase is a list of [`Job`]s, one per shard, for
+//! every engine. An epoch with a single shard — always the case under
+//! [`Engine::Sequential`](super::Engine::Sequential) — runs its job inline
+//! on the calling thread. Otherwise the pool ships the jobs to OS threads
+//! it spawned once and keeps parked on channel receives between epochs,
+//! over per-worker channels.
 //!
 //! Inputs are shared as `Arc`s — which is exactly why the borrowing
 //! `Analyzer<'t>` cannot be used here and the owned
@@ -78,7 +78,7 @@ struct JobResult {
 impl Job {
     /// Runs the job to completion, consuming the shared inputs. `buf` is
     /// the worker's persistent vicinity-query scratch buffer.
-    fn run(self, buf: &mut Vec<DeviceId>) -> JobOutput {
+    pub(super) fn run(self, buf: &mut Vec<DeviceId>) -> JobOutput {
         match self {
             Job::Precompute {
                 table,

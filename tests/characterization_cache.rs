@@ -9,14 +9,17 @@
 //! * fully cached epochs after the component holding the smallest ids
 //!   dissolves, so every later component rank shifts.
 //!
-//! Every epoch must match a cache-disabled monitor byte for byte, and a
-//! restore at any cut must continue the uninterrupted report stream.
+//! Every epoch must match the full-recompute [`Oracle`] byte for byte, and
+//! a restore at any cut must continue the uninterrupted report stream.
+
+mod common;
 
 use anomaly_characterization::core::AnomalyClass;
 use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
 use anomaly_characterization::pipeline::{
     DeviceKey, Monitor, MonitorBuilder, Report, StalenessPolicy,
 };
+use common::{Drive, Oracle};
 
 /// Everything a report says except its wall-clock timings.
 fn fingerprint(r: &Report) -> String {
@@ -37,15 +40,20 @@ fn fingerprint(r: &Report) -> String {
 /// One epoch's updates.
 type Epoch = Vec<(u64, Vec<f64>)>;
 
-/// Seals `trace` through a cache-on and a cache-off monitor, asserting
-/// every epoch agrees, and returns the cache-on reports.
-fn cache_on_equals_cache_off(builder: impl Fn() -> MonitorBuilder, trace: &[Epoch]) -> Vec<Report> {
-    let mut cached = builder().characterization_cache(true).build().unwrap();
-    let mut full = builder().characterization_cache(false).build().unwrap();
+/// Seals `trace` through a monitor of `devices` built by `builder` and
+/// through the full-recompute oracle, asserting every epoch agrees, and
+/// returns the monitor's reports.
+fn matches_the_oracle(
+    builder: fn(usize) -> MonitorBuilder,
+    devices: usize,
+    trace: &[Epoch],
+) -> Vec<Report> {
+    let mut cached = builder(devices).build().unwrap();
+    let mut full = Oracle::new(builder(devices).build().unwrap(), move || builder(0));
     let mut reports = Vec::with_capacity(trace.len());
     for epoch in trace {
         cached.ingest_many(epoch.clone()).unwrap();
-        full.ingest_many(epoch.clone()).unwrap();
+        full.monitor().ingest_many(epoch.clone()).unwrap();
         let a = cached.seal().unwrap();
         let b = full.seal().unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b), "k={}", a.instant());
@@ -147,7 +155,7 @@ fn chain_cluster_jumping_before_the_grid_exists_matches_full_recompute() {
     for step in 0..6 {
         trace.push(calm_wiggles(DEVICES, 30, step));
     }
-    let reports = cache_on_equals_cache_off(|| chain_builder(DEVICES), &trace);
+    let reports = matches_the_oracle(chain_builder, DEVICES, &trace);
     let jump = &reports[2];
     assert_eq!(jump.verdicts().len(), CHAIN as usize);
     assert_eq!(
@@ -279,7 +287,7 @@ fn fully_cached_epochs_after_one_contributor_is_evicted_match_full_recompute() {
     for step in 4..8 {
         trace.push(line_wiggles(END + 1, DEVICES, step));
     }
-    let reports = cache_on_equals_cache_off(|| line_builder(DEVICES), &trace);
+    let reports = matches_the_oracle(line_builder, DEVICES, &trace);
     let last = reports.last().unwrap();
     assert_eq!(reports[before_move].verdicts().len(), END as usize + 1);
     assert_eq!(
@@ -335,7 +343,7 @@ fn fully_cached_epochs_after_the_first_component_dissolves_match_full_recompute(
     for step in 3..6 {
         trace.push(line_wiggles(GROUPS, DEVICES, step));
     }
-    let reports = cache_on_equals_cache_off(|| line_builder(DEVICES), &trace);
+    let reports = matches_the_oracle(line_builder, DEVICES, &trace);
     assert_eq!(reports[before].summary().components, 2);
     assert_eq!(component_of(&reports[before], 6), Some(1));
     let last = reports.last().unwrap();

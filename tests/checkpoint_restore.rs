@@ -1,8 +1,10 @@
 //! The persistence determinism gate: a monitor checkpointed mid-trace and
 //! restored into a fresh process continues its report, event-delta, and
 //! summary streams **byte-identically** to the uninterrupted run — across
-//! engines, grid-maintenance modes, fleet churn, carry-forward bridging,
-//! and arbitrary cut points (including mid-epoch, with updates staged).
+//! engines, fleet churn, carry-forward bridging, and arbitrary cut points
+//! (including mid-epoch, with updates staged) — and so does the
+//! full-recompute [`Oracle`], which restarts from a checkpoint before
+//! every seal.
 //!
 //! Alongside the identity gate: one restore-mismatch test per builder
 //! knob (each failing with a typed [`MonitorError::CheckpointMismatch`]
@@ -10,11 +12,12 @@
 //! truncated tails surface as typed [`MonitorError::Persist`] errors —
 //! never panics, whatever the prefix length.
 
+mod common;
+
 use anomaly_characterization::core::Params;
 use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
 use anomaly_characterization::pipeline::{
-    read_log, Engine, EventLog, GridMaintenance, Monitor, MonitorBuilder, MonitorError, Report,
-    StalenessPolicy,
+    read_log, Engine, EventLog, Monitor, MonitorBuilder, MonitorError, Report, StalenessPolicy,
 };
 use anomaly_characterization::qos::{DeviceId, NormKind, Snapshot};
 use anomaly_characterization::simulator::FleetSpec;
@@ -22,6 +25,7 @@ use anomaly_eval::{
     ChurnEvent, ChurnScenario, FleetScenario, NetworkFaultScenario, Scenario, ScenarioRun,
     ScenarioSpec,
 };
+use common::{Drive, Oracle};
 use proptest::prelude::*;
 
 /// The full deterministic observable surface of one sealed epoch, as one
@@ -51,14 +55,13 @@ fn observable(report: &Report) -> String {
 }
 
 /// A monitor builder matching `spec`, with every behavioural knob pinned.
-fn builder_for(spec: &ScenarioSpec, engine: Engine, grid: GridMaintenance) -> MonitorBuilder {
+fn builder_for(spec: &ScenarioSpec, engine: Engine) -> MonitorBuilder {
     let services = spec.services;
     let delta = spec.detector_delta;
     MonitorBuilder::new()
         .params(spec.params)
         .services(services)
         .engine(engine)
-        .grid_maintenance(grid)
         .staleness(StalenessPolicy::CarryForward { max_age: 32 })
         .debounce(1)
         .history(16)
@@ -85,16 +88,16 @@ enum Action {
 
 /// Executes a slice of the schedule, appending each sealed report's
 /// observable surface to `out`.
-fn play(monitor: &mut Monitor, actions: &[Action], out: &mut String) {
+fn play(monitor: &mut dyn Drive, actions: &[Action], out: &mut String) {
     for action in actions {
         match action {
-            Action::Ingest(key, row) => monitor.ingest(*key, row.clone()).unwrap(),
+            Action::Ingest(key, row) => monitor.monitor().ingest(*key, row.clone()).unwrap(),
             Action::Seal => out.push_str(&observable(&monitor.seal().unwrap())),
             Action::Leave(key) => {
-                monitor.leave(*key).unwrap();
+                monitor.monitor().leave(*key).unwrap();
             }
             Action::Join(key) => {
-                monitor.join(*key).unwrap();
+                monitor.monitor().join(*key).unwrap();
             }
         }
     }
@@ -193,25 +196,24 @@ fn churn_scenario() -> ChurnScenario {
 
 /// Runs the identity gate at one cut point: the uninterrupted stream must
 /// equal prefix-stream + checkpoint + restore + rest-stream, even when the
-/// restored monitor runs under a different engine or grid mode.
+/// restored monitor runs under a different engine. Returns the
+/// uninterrupted stream.
 fn assert_resumes_identically(
     spec: &ScenarioSpec,
     actions: &[Action],
     cut: usize,
     engine: Engine,
-    grid: GridMaintenance,
     restore_engine: Engine,
-    restore_grid: GridMaintenance,
-) {
+) -> String {
     let mut full = String::new();
-    let mut monitor = builder_for(spec, engine, grid)
+    let mut monitor = builder_for(spec, engine)
         .fleet(spec.population)
         .build()
         .unwrap();
     play(&mut monitor, actions, &mut full);
 
     let mut resumed = String::new();
-    let mut monitor = builder_for(spec, engine, grid)
+    let mut monitor = builder_for(spec, engine)
         .fleet(spec.population)
         .build()
         .unwrap();
@@ -221,16 +223,11 @@ fn assert_resumes_identically(
     assert_eq!(written, bytes.len() as u64);
     drop(monitor);
 
-    let mut restored = Monitor::restore(
-        bytes.as_slice(),
-        builder_for(spec, restore_engine, restore_grid),
-    )
-    .unwrap();
+    let mut restored =
+        Monitor::restore(bytes.as_slice(), builder_for(spec, restore_engine)).unwrap();
     play(&mut restored, &actions[cut..], &mut resumed);
-    assert_eq!(
-        resumed, full,
-        "cut {cut}: {engine:?}/{grid:?} -> {restore_engine:?}/{restore_grid:?}"
-    );
+    assert_eq!(resumed, full, "cut {cut}: {engine:?} -> {restore_engine:?}");
+    full
 }
 
 #[test]
@@ -240,31 +237,29 @@ fn checkpointed_run_continues_byte_identically_across_engines_and_grids() {
     let run = scenario.generate().unwrap();
     let actions = schedule_of(&run, 0);
     let cut = actions.len() / 2;
-    let configs = [
-        (Engine::Sequential, GridMaintenance::Incremental),
-        (Engine::Sequential, GridMaintenance::FullRebuild),
-        (
-            Engine::Threaded { workers: 4 },
-            GridMaintenance::Incremental,
-        ),
-        (
-            Engine::Threaded { workers: 4 },
-            GridMaintenance::FullRebuild,
-        ),
-    ];
-    for (engine, grid) in configs {
-        assert_resumes_identically(&spec, &actions, cut, engine, grid, engine, grid);
+    // Restarting before every seal — the oracle — changes no byte either.
+    let monitor = builder_for(&spec, Engine::Sequential)
+        .fleet(spec.population)
+        .build()
+        .unwrap();
+    let restart_spec = spec.clone();
+    let mut oracle = Oracle::new(monitor, move || {
+        builder_for(&restart_spec, Engine::Sequential)
+    });
+    let mut reference = String::new();
+    play(&mut oracle, &actions, &mut reference);
+    for engine in [Engine::Sequential, Engine::Threaded { workers: 4 }] {
+        let full = assert_resumes_identically(&spec, &actions, cut, engine, engine);
+        assert_eq!(full, reference, "{engine:?} diverged from the oracle");
     }
-    // A checkpoint written under one execution strategy restores under
-    // another: engine and grid mode are deliberately not reconciled.
+    // A checkpoint written under one engine restores under another: the
+    // engine is deliberately not reconciled.
     assert_resumes_identically(
         &spec,
         &actions,
         cut,
         Engine::Sequential,
-        GridMaintenance::Incremental,
         Engine::Threaded { workers: 2 },
-        GridMaintenance::FullRebuild,
     );
 }
 
@@ -290,9 +285,7 @@ fn mid_epoch_checkpoint_keeps_staged_updates() {
         &actions,
         mid_epoch,
         Engine::Sequential,
-        GridMaintenance::Incremental,
         Engine::Sequential,
-        GridMaintenance::Incremental,
     );
 }
 
@@ -326,12 +319,9 @@ proptest! {
         seed in 0u64..1_000,
         cut_frac in 0.05f64..0.95,
         engine_pick in 0usize..2,
-        grid_pick in 0usize..2,
         restore_engine_pick in 0usize..2,
-        restore_grid_pick in 0usize..2,
     ) {
         let engines = [Engine::Sequential, Engine::Threaded { workers: 3 }];
-        let grids = [GridMaintenance::Incremental, GridMaintenance::FullRebuild];
         let (spec, run) = churnful_network_run(seed % 17);
         // Odd seeds enable random report drops, exercising the
         // carry-forward bridging across the checkpoint boundary.
@@ -342,9 +332,7 @@ proptest! {
             &actions,
             cut.min(actions.len()),
             engines[engine_pick],
-            grids[grid_pick],
             engines[restore_engine_pick],
-            grids[restore_grid_pick],
         );
     }
 }
@@ -367,16 +355,15 @@ proptest! {
         let actions = schedule_of(&run, 0);
         let cut = (((actions.len() as f64) * cut_frac) as usize).min(actions.len());
         let engine = Engine::Threaded { workers };
-        let grid = GridMaintenance::Incremental;
 
         let mut sink = String::new();
-        let mut full = builder_for(&spec, Engine::Sequential, grid)
+        let mut full = builder_for(&spec, Engine::Sequential)
             .fleet(spec.population)
             .build()
             .unwrap();
         play(&mut full, &actions, &mut sink);
 
-        let mut interrupted = builder_for(&spec, engine, grid)
+        let mut interrupted = builder_for(&spec, engine)
             .fleet(spec.population)
             .build()
             .unwrap();
@@ -385,7 +372,7 @@ proptest! {
         interrupted.checkpoint(&mut bytes).unwrap();
         drop(interrupted);
         let mut restored =
-            Monitor::restore(bytes.as_slice(), builder_for(&spec, engine, grid)).unwrap();
+            Monitor::restore(bytes.as_slice(), builder_for(&spec, engine)).unwrap();
         play(&mut restored, &actions[cut..], &mut sink);
 
         prop_assert_eq!(full.events().open(), restored.events().open());
@@ -552,7 +539,7 @@ fn event_log_replays_summaries_and_closed_events() {
     let spec = scenario.spec();
     let run = scenario.generate().unwrap();
     let actions = schedule_of(&run, 0);
-    let mut monitor = builder_for(&spec, Engine::Sequential, GridMaintenance::Incremental)
+    let mut monitor = builder_for(&spec, Engine::Sequential)
         .fleet(spec.population)
         .build()
         .unwrap();
@@ -591,11 +578,8 @@ fn event_log_replays_summaries_and_closed_events() {
     assert_eq!(open, monitor.events().open().len());
     assert_eq!(closed as u64, monitor.events().closed_total());
     // And the same log restores the monitor it chronicles.
-    let restored = Monitor::restore(
-        bytes.as_slice(),
-        builder_for(&spec, Engine::Sequential, GridMaintenance::Incremental),
-    )
-    .unwrap();
+    let restored =
+        Monitor::restore(bytes.as_slice(), builder_for(&spec, Engine::Sequential)).unwrap();
     assert_eq!(restored.instant(), monitor.instant());
     assert_eq!(restored.keys(), monitor.keys());
 }

@@ -2,16 +2,18 @@
 //! worker count produces exactly the verdicts, ordering, and summary of
 //! `Sequential` — on steady fleets, on the churn trace of `monitor_v2.rs`,
 //! and on a generated large-ish fleet — and the incremental vicinity grid
-//! must be equally invisible next to full rebuilds.
+//! and the characterization cache must be equally invisible next to the
+//! full-recompute [`Oracle`].
+
+mod common;
 
 use anomaly_characterization::core::Params;
-use anomaly_characterization::pipeline::{
-    Engine, GridMaintenance, Monitor, MonitorBuilder, Report,
-};
+use anomaly_characterization::pipeline::{Engine, Monitor, MonitorBuilder, Report};
 use anomaly_characterization::qos::{QosSpace, Snapshot, StatePair};
 use anomaly_characterization::simulator::fleet::{generate_fleet, FleetSpec};
 use anomaly_characterization::simulator::trace::{Trace, TraceStep};
 use anomaly_characterization::simulator::GroundTruth;
+use common::{Drive, Oracle};
 
 const BASELINE: f64 = 0.9;
 
@@ -63,20 +65,23 @@ fn assert_reports_identical(a: &Report, b: &Report, context: &str) {
     assert_eq!(normalized(a), normalized(b), "{context}: JSON summary");
 }
 
-/// Replays the monitor_v2 churn scenario under `engine`/`grid`, returning
-/// every report produced.
-fn churn_scenario(engine: Engine, grid: GridMaintenance) -> Vec<Report> {
-    churn_scenario_cached(engine, grid, true)
+fn churn_builder(engine: Engine) -> MonitorBuilder {
+    MonitorBuilder::new().engine(engine)
 }
 
-fn churn_scenario_cached(engine: Engine, grid: GridMaintenance, cache: bool) -> Vec<Report> {
-    let mut m = MonitorBuilder::new()
-        .engine(engine)
-        .grid_maintenance(grid)
-        .characterization_cache(cache)
-        .fleet(8)
-        .build()
-        .unwrap();
+/// Replays the monitor_v2 churn scenario on a monitor under `engine`,
+/// returning every report produced.
+fn churn_scenario(engine: Engine) -> Vec<Report> {
+    churn_scenario_on(&mut churn_builder(engine).fleet(8).build().unwrap())
+}
+
+/// The same scenario on the full-recompute oracle.
+fn churn_scenario_on_the_oracle(engine: Engine) -> Vec<Report> {
+    let monitor = churn_builder(engine).fleet(8).build().unwrap();
+    churn_scenario_on(&mut Oracle::new(monitor, move || churn_builder(engine)))
+}
+
+fn churn_scenario_on(m: &mut dyn Drive) -> Vec<Report> {
     let mut reports = Vec::new();
     for _ in 0..40 {
         reports.push(m.observe_rows(vec![vec![BASELINE]; 8]).unwrap());
@@ -92,10 +97,10 @@ fn churn_scenario_cached(engine: Engine, grid: GridMaintenance, cache: bool) -> 
     }
 
     // Churn: 6 and 7 leave, 100 and 101 join.
-    m.leave(6u64).unwrap();
-    m.leave(7u64).unwrap();
-    m.join(100u64).unwrap();
-    m.join(101u64).unwrap();
+    m.monitor().leave(6u64).unwrap();
+    m.monitor().leave(7u64).unwrap();
+    m.monitor().join(100u64).unwrap();
+    m.monitor().join(101u64).unwrap();
 
     // Segment 2: another mixed incident over the churned fleet.
     let second = vec![0.45, 0.46, 0.44, 0.452, 0.458, 0.10, 0.20, 0.22];
@@ -106,10 +111,10 @@ fn churn_scenario_cached(engine: Engine, grid: GridMaintenance, cache: bool) -> 
 
 #[test]
 fn threaded_1_to_8_workers_match_sequential_on_the_churn_trace() {
-    let baseline = churn_scenario(Engine::Sequential, GridMaintenance::Incremental);
+    let baseline = churn_scenario(Engine::Sequential);
     assert!(baseline.iter().any(|r| !r.verdicts().is_empty()));
     for workers in 1..=8 {
-        let threaded = churn_scenario(Engine::Threaded { workers }, GridMaintenance::Incremental);
+        let threaded = churn_scenario(Engine::Threaded { workers });
         assert_eq!(baseline.len(), threaded.len());
         for (a, b) in baseline.iter().zip(&threaded) {
             assert_reports_identical(a, b, &format!("workers={workers} k={}", a.instant()));
@@ -117,28 +122,19 @@ fn threaded_1_to_8_workers_match_sequential_on_the_churn_trace() {
     }
 }
 
-/// The characterization cache must be unobservable next to full
-/// recomputation, under every engine: disabling it changes no byte of any
-/// report on the churn trace.
+/// The characterization cache and the incremental grid must be
+/// unobservable next to full recomputation, under every engine: the churn
+/// trace's reports match the oracle's byte for byte.
 #[test]
 fn characterization_cache_is_unobservable_on_the_churn_trace() {
-    let baseline = churn_scenario_cached(Engine::Sequential, GridMaintenance::Incremental, true);
+    let baseline = churn_scenario(Engine::Sequential);
     assert!(baseline.iter().any(|r| !r.verdicts().is_empty()));
     for engine in [Engine::Sequential, Engine::Threaded { workers: 4 }] {
-        let uncached = churn_scenario_cached(engine, GridMaintenance::Incremental, false);
-        assert_eq!(baseline.len(), uncached.len());
-        for (a, b) in baseline.iter().zip(&uncached) {
-            assert_reports_identical(a, b, &format!("{engine:?} cache off, k={}", a.instant()));
+        let oracle = churn_scenario_on_the_oracle(engine);
+        assert_eq!(baseline.len(), oracle.len());
+        for (a, b) in baseline.iter().zip(&oracle) {
+            assert_reports_identical(a, b, &format!("{engine:?} oracle, k={}", a.instant()));
         }
-    }
-}
-
-#[test]
-fn grid_maintenance_mode_is_unobservable() {
-    let incremental = churn_scenario(Engine::Sequential, GridMaintenance::Incremental);
-    let rebuild = churn_scenario(Engine::Sequential, GridMaintenance::FullRebuild);
-    for (a, b) in incremental.iter().zip(&rebuild) {
-        assert_reports_identical(a, b, &format!("grid mode, k={}", a.instant()));
     }
 }
 
@@ -159,31 +155,35 @@ fn engines_agree_on_a_generated_fleet_with_clusters() {
         seed: 11,
     };
     let fleet = generate_fleet(&spec, 3).unwrap();
-    let run = |engine: Engine, grid: GridMaintenance| -> Vec<Report> {
+    let builder = |engine: Engine| {
         use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
-        let mut m = MonitorBuilder::new()
+        MonitorBuilder::new()
             .services(2)
             .engine(engine)
-            .grid_maintenance(grid)
             .detector_factory(|_| {
                 Box::new(VectorDetector::homogeneous(2, || {
                     ThresholdDetector::with_delta(0.16)
                 }))
             })
-            .fleet(600)
-            .build()
-            .unwrap();
+    };
+    let run = |m: &mut dyn Drive| -> Vec<Report> {
         fleet
             .iter()
             .map(|instant| m.observe(instant.snapshot.clone()).unwrap())
             .collect()
     };
-    let baseline = run(Engine::Sequential, GridMaintenance::FullRebuild);
+    let monitor = builder(Engine::Sequential).fleet(600).build().unwrap();
+    let baseline = run(&mut Oracle::new(monitor, move || {
+        builder(Engine::Sequential)
+    }));
     let total: usize = baseline.iter().map(|r| r.verdicts().len()).sum();
     assert!(total > 0, "scenario must flag devices");
     assert!(baseline.iter().any(|r| r.has_network_event()));
-    for workers in [2, 5, 8] {
-        let threaded = run(Engine::Threaded { workers }, GridMaintenance::Incremental);
+    for workers in [1, 2, 5, 8] {
+        let threaded = run(&mut builder(Engine::Threaded { workers })
+            .fleet(600)
+            .build()
+            .unwrap());
         for (a, b) in baseline.iter().zip(&threaded) {
             assert_reports_identical(a, b, &format!("fleet workers={workers} k={}", a.instant()));
         }
@@ -245,23 +245,17 @@ fn evaluation_scores_are_byte_identical_across_engines() {
 
 /// The event tracker's standing state — open events, recently closed
 /// events, lifetime counters, and the history ring — is byte-identical
-/// across `Sequential` vs `Threaded{1..=8}` and both grid-maintenance
-/// modes, not just the per-report delta feed.
+/// across `Sequential` vs `Threaded{1..=8}` and the full-recompute
+/// oracle, not just the per-report delta feed.
 #[test]
 fn event_tracker_state_is_identical_across_engines_and_grid_modes() {
     use anomaly_characterization::pipeline::AnomalyEvent;
 
-    fn run(
-        engine: Engine,
-        grid: GridMaintenance,
-    ) -> (Vec<AnomalyEvent>, Vec<AnomalyEvent>, String) {
-        let mut m = MonitorBuilder::new()
-            .engine(engine)
-            .grid_maintenance(grid)
-            .debounce(1)
-            .fleet(8)
-            .build()
-            .unwrap();
+    fn builder(engine: Engine) -> MonitorBuilder {
+        MonitorBuilder::new().engine(engine).debounce(1)
+    }
+
+    fn run(m: &mut dyn Drive) -> (Vec<AnomalyEvent>, Vec<AnomalyEvent>, String) {
         for _ in 0..40 {
             m.observe_rows(vec![vec![BASELINE]; 8]).unwrap();
         }
@@ -280,6 +274,7 @@ fn event_tracker_state_is_identical_across_engines_and_grid_modes() {
                 .unwrap();
         }
         // Timings are wall-clock and legitimately differ; normalize them.
+        let m = m.monitor();
         let history: Vec<String> = m
             .history()
             .map(|s| {
@@ -296,27 +291,18 @@ fn event_tracker_state_is_identical_across_engines_and_grid_modes() {
         )
     }
 
-    let baseline = run(Engine::Sequential, GridMaintenance::FullRebuild);
+    let monitor = builder(Engine::Sequential).fleet(8).build().unwrap();
+    let baseline = run(&mut Oracle::new(monitor, || builder(Engine::Sequential)));
     assert!(
         !baseline.0.is_empty() || !baseline.1.is_empty(),
         "the scenario must produce events"
     );
-    for workers in 1..=8 {
-        for grid in [GridMaintenance::Incremental, GridMaintenance::FullRebuild] {
-            let threaded = run(Engine::Threaded { workers }, grid);
-            assert_eq!(
-                baseline.0, threaded.0,
-                "open events, workers={workers} {grid:?}"
-            );
-            assert_eq!(
-                baseline.1, threaded.1,
-                "closed events, workers={workers} {grid:?}"
-            );
-            assert_eq!(
-                baseline.2, threaded.2,
-                "history ring, workers={workers} {grid:?}"
-            );
-        }
+    let threaded = (1..=8).map(|workers| Engine::Threaded { workers });
+    for engine in std::iter::once(Engine::Sequential).chain(threaded) {
+        let state = run(&mut builder(engine).fleet(8).build().unwrap());
+        assert_eq!(baseline.0, state.0, "open events, {engine:?}");
+        assert_eq!(baseline.1, state.1, "closed events, {engine:?}");
+        assert_eq!(baseline.2, state.2, "history ring, {engine:?}");
     }
 }
 
@@ -367,31 +353,27 @@ proptest::proptest! {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-    /// The spatial layer is engine- and grid-invariant on random traces:
-    /// every verdict's component id, the summary's distinct-component
-    /// count, and the component-split event-delta feed (which events open,
-    /// which devices join which) match `Sequential`/`Incremental`
-    /// byte-for-byte under a random `Threaded` worker count and either
-    /// grid mode.
+    /// The spatial layer is engine-invariant on random traces: every
+    /// verdict's component id, the summary's distinct-component count,
+    /// and the component-split event-delta feed (which events open, which
+    /// devices join which) match the full-recompute oracle byte-for-byte
+    /// under a random `Threaded` worker count.
     #[test]
     fn component_numbering_and_event_split_are_engine_invariant(
         levels in proptest::collection::vec(
             proptest::collection::vec(0.05..=0.95f64, 8), 3..7),
         workers in 1usize..=8,
-        grid_pick in 0usize..2,
     ) {
         use anomaly_characterization::detectors::ThresholdDetector;
         use proptest::prelude::*;
 
-        let run = |engine: Engine, grid: GridMaintenance| {
-            let mut m = MonitorBuilder::new()
+        let builder = |engine: Engine| {
+            MonitorBuilder::new()
                 .engine(engine)
-                .grid_maintenance(grid)
                 .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
                 .debounce(1)
-                .fleet(8)
-                .build()
-                .unwrap();
+        };
+        let run = |m: &mut dyn Drive| {
             let mut surface = String::new();
             for rows in std::iter::once(&vec![BASELINE; 8]).chain(&levels) {
                 let report = m
@@ -408,20 +390,17 @@ proptest::proptest! {
             }
             surface
         };
-        let baseline = run(Engine::Sequential, GridMaintenance::Incremental);
-        let grid = if grid_pick == 1 {
-            GridMaintenance::FullRebuild
-        } else {
-            GridMaintenance::Incremental
-        };
-        prop_assert_eq!(baseline, run(Engine::Threaded { workers }, grid));
+        let monitor = builder(Engine::Sequential).fleet(8).build().unwrap();
+        let baseline = run(&mut Oracle::new(monitor, move || builder(Engine::Sequential)));
+        let mut threaded = builder(Engine::Threaded { workers }).fleet(8).build().unwrap();
+        prop_assert_eq!(baseline, run(&mut threaded));
     }
 }
 
 /// The serve crate's alert stream inherits the full engine invariance:
 /// the same measurement stream produces a byte-identical action stream —
 /// pages, recurrences, resolutions, signatures — across
-/// `Sequential`/`Threaded{1..=8}` × both grid-maintenance modes, and
+/// `Sequential`/`Threaded{1..=8}` and the full-recompute oracle, and
 /// replaying the run from a cold start (checkpointless restart)
 /// reproduces it exactly.
 #[test]
@@ -429,14 +408,15 @@ fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
     use anomaly_characterization::network::Topology;
     use anomaly_serve::{actions_to_json, AlertConfig, AlertSink, KeyMap};
 
-    fn run(engine: Engine, grid: GridMaintenance) -> String {
-        let mut m = MonitorBuilder::new()
-            .engine(engine)
-            .grid_maintenance(grid)
-            .debounce(1)
-            .fleet(64)
-            .build()
-            .unwrap();
+    fn builder(engine: Engine) -> MonitorBuilder {
+        MonitorBuilder::new().engine(engine).debounce(1)
+    }
+
+    fn run(engine: Engine) -> String {
+        on(&mut builder(engine).fleet(64).build().unwrap())
+    }
+
+    fn on(m: &mut dyn Drive) -> String {
         let mut sink = AlertSink::new(
             Topology::tree(1, 2, 2, 16),
             KeyMap::GatewayIndex,
@@ -478,12 +458,13 @@ fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
             actions.extend(sink.observe(&report));
         }
         // Clean shutdown: synthetic closes drain the still-open alerts.
-        let deltas = m.reset();
+        let deltas = m.monitor().reset();
         actions.extend(sink.fold_deltas(last_epoch + 1, &deltas, &[]));
         actions_to_json(&actions)
     }
 
-    let baseline = run(Engine::Sequential, GridMaintenance::FullRebuild);
+    let monitor = builder(Engine::Sequential).fleet(64).build().unwrap();
+    let baseline = on(&mut Oracle::new(monitor, || builder(Engine::Sequential)));
     assert!(
         baseline.contains("\"kind\":\"page\""),
         "the scenario must page: {baseline}"
@@ -493,18 +474,13 @@ fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
         "the scenario must resolve: {baseline}"
     );
     // Checkpointless restart: a byte-identical rerun.
-    assert_eq!(
-        baseline,
-        run(Engine::Sequential, GridMaintenance::FullRebuild)
-    );
+    assert_eq!(baseline, run(Engine::Sequential));
     for workers in 1..=8 {
-        for grid in [GridMaintenance::Incremental, GridMaintenance::FullRebuild] {
-            assert_eq!(
-                baseline,
-                run(Engine::Threaded { workers }, grid),
-                "alert stream diverged: workers={workers} {grid:?}"
-            );
-        }
+        assert_eq!(
+            baseline,
+            run(Engine::Threaded { workers }),
+            "alert stream diverged: workers={workers}"
+        );
     }
 }
 
@@ -565,25 +541,15 @@ proptest::proptest! {
 }
 
 #[test]
-fn builder_exposes_the_engine_and_grid_knobs() {
+fn builder_exposes_the_engine_knob() {
     let m: Monitor = MonitorBuilder::new()
         .engine(Engine::Threaded { workers: 3 })
-        .grid_maintenance(GridMaintenance::FullRebuild)
         .build()
         .unwrap();
     assert_eq!(m.engine(), Engine::Threaded { workers: 3 });
-    assert_eq!(m.grid_maintenance(), GridMaintenance::FullRebuild);
-    // Defaults: sequential engine, incremental grid.
+    // Default: sequential engine.
     let d = MonitorBuilder::new().build().unwrap();
     assert_eq!(d.engine(), Engine::Sequential);
-    assert_eq!(d.grid_maintenance(), GridMaintenance::Incremental);
-    // The characterization cache defaults on; the knob turns it off.
-    assert!(d.characterization_cache());
-    let off = MonitorBuilder::new()
-        .characterization_cache(false)
-        .build()
-        .unwrap();
-    assert!(!off.characterization_cache());
     // threaded_auto never yields a zero worker count.
     match Engine::threaded_auto() {
         Engine::Threaded { workers } => assert!(workers > 1),

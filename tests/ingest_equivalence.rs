@@ -1,15 +1,19 @@
 //! The streaming front-end must be unobservable next to the batch one:
 //! any permutation of per-device updates — duplicates included, last
 //! write wins — sealed once yields a report identical (modulo wall-clock
-//! timings) to `observe()` on the assembled snapshot, across both engines
-//! and both grid-maintenance modes. And sealing a small epoch over a calm
-//! fleet must maintain the vicinity grid incrementally, not rebuild it.
+//! timings) to `observe()` on the assembled snapshot — observed through
+//! the full-recompute [`Oracle`] — under both engines. And sealing a small
+//! epoch over a calm fleet must maintain the vicinity grid incrementally,
+//! not rebuild it.
+
+mod common;
 
 use anomaly_characterization::detectors::ThresholdDetector;
 use anomaly_characterization::pipeline::{
-    Engine, GridMaintenance, Monitor, MonitorBuilder, Report, StalenessPolicy,
+    Engine, Monitor, MonitorBuilder, Report, StalenessPolicy,
 };
 use anomaly_characterization::qos::GridUpdate;
+use common::{Drive, Oracle};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -33,20 +37,16 @@ fn fingerprint(r: &Report) -> String {
     )
 }
 
-fn build(n: usize, engine: Engine, grid: GridMaintenance) -> Monitor {
+fn builder(engine: Engine) -> MonitorBuilder {
     MonitorBuilder::new()
         .engine(engine)
-        .grid_maintenance(grid)
         .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.08)))
-        .fleet(n)
-        .build()
-        .unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Feed the same epoch sequence to a batch monitor and a streaming
+    /// Feed the same epoch sequence to a batch oracle and a streaming
     /// monitor whose updates arrive shuffled and partially duplicated:
     /// every sealed report must match the observed one byte for byte.
     #[test]
@@ -57,41 +57,41 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         for engine in [Engine::Sequential, Engine::Threaded { workers: 3 }] {
-            for grid in [GridMaintenance::Incremental, GridMaintenance::FullRebuild] {
-                let mut batch = build(n, engine, grid);
-                let mut stream = build(n, engine, grid);
-                let mut rng = StdRng::seed_from_u64(seed);
-                for epoch in &levels {
-                    let rows: Vec<Vec<f64>> =
-                        epoch[..n].iter().map(|&v| vec![v]).collect();
-                    // Stale duplicates first (they must be overwritten) …
-                    for slot in 0..n {
-                        if rng.gen_bool(0.3) {
-                            let junk = rng.gen_range(0.0..=1.0);
-                            stream.ingest(slot as u64, vec![junk]).unwrap();
-                        }
+            let mut batch = Oracle::new(builder(engine).fleet(n).build().unwrap(), move || {
+                builder(engine)
+            });
+            let mut stream = builder(engine).fleet(n).build().unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for epoch in &levels {
+                let rows: Vec<Vec<f64>> = epoch[..n].iter().map(|&v| vec![v]).collect();
+                // Stale duplicates first (they must be overwritten) …
+                for slot in 0..n {
+                    if rng.gen_bool(0.3) {
+                        let junk = rng.gen_range(0.0..=1.0);
+                        stream.ingest(slot as u64, vec![junk]).unwrap();
                     }
-                    // … then the real updates, in a random arrival order.
-                    let mut updates: Vec<(u64, Vec<f64>)> = rows
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, row)| (slot as u64, row.clone()))
-                        .collect();
-                    updates.shuffle(&mut rng);
-                    stream.ingest_many(updates).unwrap();
-                    let streamed = stream.seal().unwrap();
-
-                    let observed = batch.observe_rows(rows).unwrap();
-                    prop_assert_eq!(
-                        fingerprint(&observed),
-                        fingerprint(&streamed),
-                        "epoch {} diverged under {:?}/{:?}",
-                        observed.instant(), engine, grid
-                    );
                 }
-                // Both monitors agree on the final snapshot too.
-                prop_assert_eq!(batch.last_snapshot(), stream.last_snapshot());
+                // … then the real updates, in a random arrival order.
+                let mut updates: Vec<(u64, Vec<f64>)> = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, row)| (slot as u64, row.clone()))
+                    .collect();
+                updates.shuffle(&mut rng);
+                stream.ingest_many(updates).unwrap();
+                let streamed = stream.seal().unwrap();
+
+                let observed = batch.observe_rows(rows).unwrap();
+                prop_assert_eq!(
+                    fingerprint(&observed),
+                    fingerprint(&streamed),
+                    "epoch {} diverged under {:?}",
+                    observed.instant(),
+                    engine
+                );
             }
+            // Both monitors agree on the final snapshot too.
+            prop_assert_eq!(batch.monitor().last_snapshot(), stream.last_snapshot());
         }
     }
 }
@@ -99,11 +99,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The characterization cache must be unobservable: shuffled-silence
-    /// ingest sequences with mid-run churn, under every staleness policy,
-    /// both engines and both grid-maintenance modes, produce byte-identical
-    /// reports and final snapshots whether per-device verdicts are cached
-    /// or recomputed from scratch every epoch.
+    /// The characterization cache and the incremental grid must be
+    /// unobservable: shuffled-silence ingest sequences with mid-run churn,
+    /// under every staleness policy and both engines, produce
+    /// byte-identical reports and final snapshots on the monitor and on
+    /// the full-recompute oracle.
     #[test]
     fn characterization_cache_is_unobservable_under_churn(
         levels in proptest::collection::vec(
@@ -120,47 +120,44 @@ proptest! {
         ];
         for policy in &policies {
             for engine in [Engine::Sequential, Engine::Threaded { workers: 3 }] {
-                for grid in [GridMaintenance::Incremental, GridMaintenance::FullRebuild] {
-                    let run = |cache: bool| {
-                        let mut m = MonitorBuilder::new()
-                            .engine(engine)
-                            .grid_maintenance(grid)
-                            .staleness(policy.clone())
-                            .characterization_cache(cache)
-                            .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.08)))
-                            .fleet(n)
-                            .build()
-                            .unwrap();
-                        let mut prints = Vec::new();
-                        for (e, epoch) in levels.iter().enumerate() {
-                            if e == churn_at {
-                                m.leave(0u64).unwrap();
-                                m.join(1_000u64).unwrap();
-                            }
-                            let keys = m.keys().to_vec();
-                            for (i, &key) in keys.iter().enumerate() {
-                                // Epoch 0 and the fresh joiner always
-                                // report; under Reject everyone does.
-                                let may_skip = e > 0
-                                    && !matches!(policy, StalenessPolicy::Reject)
-                                    && (key.0 as usize) < n
-                                    && silence[e][key.0 as usize] == 0;
-                                if may_skip {
-                                    continue;
-                                }
-                                m.ingest(key, vec![epoch[i % epoch.len()]]).unwrap();
-                            }
-                            prints.push(fingerprint(&m.seal().unwrap()));
+                let configured = {
+                    let policy = policy.clone();
+                    move || builder(engine).staleness(policy.clone())
+                };
+                let run = |m: &mut dyn Drive| {
+                    let mut prints = Vec::new();
+                    for (e, epoch) in levels.iter().enumerate() {
+                        if e == churn_at {
+                            m.monitor().leave(0u64).unwrap();
+                            m.monitor().join(1_000u64).unwrap();
                         }
-                        (prints, m.last_snapshot().cloned())
-                    };
-                    prop_assert_eq!(
-                        run(true),
-                        run(false),
-                        "{:?} under {:?}/{:?} diverged",
-                        policy, engine, grid
-                    );
-                }
+                        let keys = m.monitor().keys().to_vec();
+                        for (i, &key) in keys.iter().enumerate() {
+                            // Epoch 0 and the fresh joiner always
+                            // report; under Reject everyone does.
+                            let may_skip = e > 0
+                                && !matches!(policy, StalenessPolicy::Reject)
+                                && (key.0 as usize) < n
+                                && silence[e][key.0 as usize] == 0;
+                            if may_skip {
+                                continue;
+                            }
+                            m.monitor().ingest(key, vec![epoch[i % epoch.len()]]).unwrap();
+                        }
+                        prints.push(fingerprint(&m.seal().unwrap()));
+                    }
+                    (prints, m.monitor().last_snapshot().cloned())
+                };
+                let mut monitor = configured().fleet(n).build().unwrap();
+                let mut oracle =
+                    Oracle::new(configured().fleet(n).build().unwrap(), configured.clone());
+                prop_assert_eq!(
+                    run(&mut monitor),
+                    run(&mut oracle),
+                    "{:?} under {:?} diverged",
+                    policy,
+                    engine
+                );
             }
         }
     }
@@ -171,28 +168,22 @@ proptest! {
 /// movers (> 4r from the cluster — cached verdicts must be served
 /// untouched), then a mover *inside* the cluster's neighbourhood (partial
 /// invalidation, mixed cached/fresh characterization). Every epoch must
-/// match a cache-disabled monitor byte for byte.
+/// match the full-recompute oracle byte for byte.
 #[test]
 fn characterization_cache_matches_full_recompute_on_a_frozen_cluster() {
     const N: usize = 60;
-    let build = |cache: bool| {
+    let builder = || {
         MonitorBuilder::new()
             .staleness(StalenessPolicy::CarryForward { max_age: 10_000 })
-            .characterization_cache(cache)
             .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
-            .fleet(N)
-            .build()
-            .unwrap()
     };
-    let mut cached = build(true);
-    let mut full = build(false);
-    assert!(cached.characterization_cache());
-    assert!(!full.characterization_cache());
+    let mut cached = builder().fleet(N).build().unwrap();
+    let mut full = Oracle::new(builder().fleet(N).build().unwrap(), builder);
 
     let base_row = |k: u64| vec![0.55 + 0.3 * ((k % 37) as f64 / 37.0)];
-    let step = |cached: &mut Monitor, full: &mut Monitor, rows: Vec<(u64, Vec<f64>)>| {
+    let step = |cached: &mut Monitor, full: &mut Oracle, rows: Vec<(u64, Vec<f64>)>| {
         cached.ingest_many(rows.clone()).unwrap();
-        full.ingest_many(rows).unwrap();
+        full.monitor().ingest_many(rows).unwrap();
         let a = cached.seal().unwrap();
         let b = full.seal().unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b), "k={}", a.instant());
