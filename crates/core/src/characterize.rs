@@ -16,7 +16,7 @@
 //! reported in Table III of the paper.
 
 use crate::families::Families;
-use crate::maximal::{maximal_motions_involving_bounded, MotionOps};
+use crate::maximal::{maximal_motions_bounded, MotionOps};
 use crate::motion::extends_consistently;
 use crate::params::Params;
 use crate::set::DeviceSet;
@@ -87,7 +87,11 @@ pub struct Cost {
     /// Corollary 8 search (Table III, cols. 3–4). Zero when the search was
     /// not needed.
     pub collections_tested: u64,
-    /// Sliding-window placements performed on behalf of this device.
+    /// Sliding-window placements of Algorithm 2 over the device's closed
+    /// neighbourhood `N[j] = N(j) ∪ {j}`. The enumeration runs once per
+    /// group of devices sharing that neighbourhood, and every member
+    /// reports the group's count — the count a per-device enumeration of
+    /// `N[j]` gives.
     pub window_moves: u64,
 }
 
@@ -152,12 +156,15 @@ pub const DEFAULT_ENUMERATION_BUDGET: u64 = 500_000;
 /// The per-device slice of an [`Analyzer`]'s precomputation: `M(j)`,
 /// `W̄_k(j)`, and the enumeration cost, for one device.
 ///
-/// Produced by [`Analyzer::precompute_device`] — a pure function of the
-/// table, the parameters, and one device id, so a pool of workers can
-/// compute the slices of disjoint device shards in parallel (each device's
-/// computation only reads its `2r`-neighbourhood; Definition 1's locality
-/// is what makes this embarrassingly parallel) — and merged back into a
-/// full engine by [`Analyzer::from_parts`].
+/// Produced by [`AnalyzerCore::precompute_shard`] — a pure function of the
+/// table, the parameters, and the device's closed neighbourhood
+/// `N[j] = N(j) ∪ {j}`, so a pool of workers can compute the slices of
+/// disjoint device shards in parallel (each device's computation only
+/// reads its `2r`-neighbourhood; Definition 1's locality is what makes
+/// this embarrassingly parallel) — and merged back into a full engine by
+/// [`Analyzer::from_parts`]. Its window-move count and overflow flag are
+/// those of the enumeration of `N[j]`, computed once per group of shard
+/// devices that share it.
 #[derive(Debug, Clone)]
 pub struct DevicePrecompute {
     motions: Vec<DeviceSet>,
@@ -399,16 +406,7 @@ impl<'t> Analyzer<'t> {
         params: Params,
         max_window_moves: u64,
     ) -> Self {
-        let parts: Vec<(DeviceId, DevicePrecompute)> = table
-            .ids()
-            .iter()
-            .map(|&j| {
-                (
-                    j,
-                    Self::precompute_device(table, &params, j, max_window_moves),
-                )
-            })
-            .collect();
+        let parts = AnalyzerCore::precompute_shard(table, &params, table.ids(), max_window_moves);
         Self::from_parts(table, params, parts)
     }
 
@@ -421,7 +419,8 @@ impl<'t> Analyzer<'t> {
     /// obtain results identical to the sequential [`Analyzer::new`] loop.
     /// Because the result depends only on the trajectories of the
     /// `2r`-neighbourhood, a caller may also cache it across instants and
-    /// reuse it verbatim while that neighbourhood is unchanged.
+    /// reuse it verbatim while that neighbourhood is unchanged. It is the
+    /// one-device case of [`AnalyzerCore::precompute_shard`].
     pub fn precompute_device(
         table: &TrajectoryTable,
         params: &Params,
@@ -558,36 +557,79 @@ impl<'t> Analyzer<'t> {
 
 impl AnalyzerCore {
     /// Owned form of [`Analyzer::precompute_device`] — same function, same
-    /// guarantees (pure, local to `j`'s `2r`-neighbourhood).
+    /// guarantees (pure, local to `j`'s `2r`-neighbourhood): the one-device
+    /// case of [`AnalyzerCore::precompute_shard`].
     pub fn precompute_device(
         table: &TrajectoryTable,
         params: &Params,
         j: DeviceId,
         max_window_moves: u64,
     ) -> DevicePrecompute {
-        let mut ops = MotionOps::default();
-        let m = maximal_motions_involving_bounded(
-            table,
-            j,
-            params.window(),
-            &mut ops,
-            max_window_moves,
-        );
-        let (motions, overflowed) = match m {
-            Some(m) => (m, false),
-            None => (Vec::new(), true),
-        };
-        let dense: Vec<DeviceSet> = motions
-            .iter()
-            .filter(|s| params.is_dense(s.len()))
-            .cloned()
-            .collect();
-        DevicePrecompute {
-            motions,
-            dense,
-            window_moves: ops.window_moves,
-            overflowed,
+        Self::precompute_shard(table, params, &[j], max_window_moves)
+            .pop()
+            .map(|(_, part)| part)
+            .unwrap_or_else(|| unreachable!("one device in, one slice out"))
+    }
+
+    /// Precomputes the slices of every device of `shard`, returned in
+    /// shard order, running Algorithm 2 once per distinct closed
+    /// neighbourhood.
+    ///
+    /// A device's slice depends only on its closed neighbourhood
+    /// `N[j] = N(j) ∪ {j}`: Algorithm 2 enumerates the maximal motions of
+    /// that candidate set, and `M(j)` is the enumerated sets that contain
+    /// `j`. Devices that move together — a pile-up — share one `N[j]`, so
+    /// the shard is grouped by it and each group's family is enumerated
+    /// once, under the per-device budget `max_window_moves`. Every member
+    /// keeps the sets containing it plus the group's window-move count and
+    /// truncation flag, so each slice equals what a per-device enumeration
+    /// of `N[j]` gives. Groups are formed in an ordered map and only one
+    /// group's family is alive at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard device is not in the table.
+    pub fn precompute_shard(
+        table: &TrajectoryTable,
+        params: &Params,
+        shard: &[DeviceId],
+        max_window_moves: u64,
+    ) -> Vec<(DeviceId, DevicePrecompute)> {
+        let window = params.window();
+        let mut groups: BTreeMap<DeviceSet, Vec<(usize, DeviceId)>> = BTreeMap::new();
+        for (slot, &j) in shard.iter().enumerate() {
+            let mut closed: DeviceSet = table.neighborhood(j, window).into_iter().collect();
+            closed.insert(j);
+            groups.entry(closed).or_default().push((slot, j));
         }
+        let mut slices: Vec<(usize, DeviceId, DevicePrecompute)> = Vec::with_capacity(shard.len());
+        for (candidates, members) in groups {
+            let mut ops = MotionOps::default();
+            let family =
+                maximal_motions_bounded(table, &candidates, window, &mut ops, max_window_moves);
+            for (slot, j) in members {
+                let motions: Vec<DeviceSet> = family
+                    .iter()
+                    .flatten()
+                    .filter(|m| m.contains(j))
+                    .cloned()
+                    .collect();
+                let dense: Vec<DeviceSet> = motions
+                    .iter()
+                    .filter(|s| params.is_dense(s.len()))
+                    .cloned()
+                    .collect();
+                let part = DevicePrecompute {
+                    motions,
+                    dense,
+                    window_moves: ops.window_moves,
+                    overflowed: ops.truncated,
+                };
+                slices.push((slot, j, part));
+            }
+        }
+        slices.sort_unstable_by_key(|&(slot, _, _)| slot);
+        slices.into_iter().map(|(_, j, part)| (j, part)).collect()
     }
 
     /// Assembles an owned engine from per-device slices, in any order.
@@ -1301,6 +1343,133 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.count(), 0);
         assert_eq!(p.component_of(DeviceId(0)), None);
+    }
+
+    /// The per-device reference for [`AnalyzerCore::precompute_shard`]:
+    /// Algorithm 2 over `j`'s own closed neighbourhood, with fresh
+    /// counters.
+    fn reference_slice(
+        t: &TrajectoryTable,
+        p: &Params,
+        j: DeviceId,
+        budget: u64,
+    ) -> DevicePrecompute {
+        let mut ops = MotionOps::default();
+        let motions =
+            crate::maximal::maximal_motions_involving_bounded(t, j, p.window(), &mut ops, budget);
+        let overflowed = motions.is_none();
+        let motions = motions.unwrap_or_default();
+        let dense = motions
+            .iter()
+            .filter(|s| p.is_dense(s.len()))
+            .cloned()
+            .collect();
+        DevicePrecompute {
+            motions,
+            dense,
+            window_moves: ops.window_moves,
+            overflowed,
+        }
+    }
+
+    fn assert_same_slice(got: &DevicePrecompute, want: &DevicePrecompute, what: &str) {
+        assert_eq!(got.motions, want.motions, "{what}: motions");
+        assert_eq!(got.dense, want.dense, "{what}: dense");
+        assert_eq!(got.window_moves, want.window_moves, "{what}: window moves");
+        assert_eq!(got.overflowed, want.overflowed, "{what}: overflowed");
+    }
+
+    /// A table of `d`-service devices around a few anchors: `kind` 0 sits
+    /// exactly on its anchor (identical points), 1 on a grid-aligned
+    /// offset, 2 anywhere within one window of it.
+    fn clustered_table(dim: usize, rows: &[(u8, u8, f64, f64)]) -> TrajectoryTable {
+        let anchors = [0.10, 0.35, 0.60, 0.85];
+        let rows = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(anchor, kind, b, a))| {
+                let base = anchors[anchor as usize % anchors.len()];
+                let (db, da) = match kind {
+                    0 => (0.0, 0.0),
+                    1 => ((b * 10.0).round() / 100.0, (a * 10.0).round() / 100.0),
+                    _ => (b, a),
+                };
+                let mut row = vec![base + db; dim];
+                row.extend(std::iter::repeat_n(base + da, dim));
+                (DeviceId(i as u32), row)
+            })
+            .collect();
+        TrajectoryTable::from_concatenated(dim, rows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Grouping by closed neighbourhood is invisible: every slice of a
+        /// shard equals its per-device enumeration, under budgets that
+        /// starve, truncate some groups, or leave every group whole, and
+        /// whatever order the shard lists its devices in.
+        #[test]
+        fn precompute_shard_matches_the_per_device_reference(
+            rows in proptest::collection::vec(
+                (0u8..4, 0u8..3, 0.0..0.1f64, 0.0..0.1f64), 1..36),
+            dim in 1usize..3,
+            tau in 1usize..6,
+            shuffle in 0u64..u64::MAX,
+        ) {
+            let t = clustered_table(dim, &rows);
+            let p = Params::new(0.05, tau).unwrap();
+            let mut shard = t.ids().to_vec();
+            let mut state = shuffle | 1;
+            for i in (1..shard.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                shard.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            for budget in [1, 10, 1_000, DEFAULT_ENUMERATION_BUDGET] {
+                let got = AnalyzerCore::precompute_shard(&t, &p, &shard, budget);
+                let ids: Vec<DeviceId> = got.iter().map(|(j, _)| *j).collect();
+                proptest::prop_assert_eq!(&ids, &shard);
+                for (j, slice) in &got {
+                    let want = reference_slice(&t, &p, *j, budget);
+                    assert_same_slice(slice, &want, &format!("device {j}, budget {budget}"));
+                }
+            }
+        }
+    }
+
+    /// Sixty co-located devices share one closed neighbourhood; a budget
+    /// between one enumeration's need and the pile-up's total truncates
+    /// none of them, and a starving one truncates all of them alike.
+    #[test]
+    fn a_pile_up_shares_one_enumeration_and_its_budget() {
+        let rows: Vec<(u32, f64, f64)> = (0..60)
+            .map(|i| (i, 0.30, 0.70))
+            .chain([(60, 0.31, 0.71), (61, 0.90, 0.10)])
+            .collect();
+        let t = TrajectoryTable::from_pairs_1d(&rows);
+        let p = params(3);
+        let one = reference_slice(&t, &p, DeviceId(0), DEFAULT_ENUMERATION_BUDGET);
+        assert!(!one.overflowed);
+        for budget in [one.window_moves, one.window_moves - 1] {
+            let got = AnalyzerCore::precompute_shard(&t, &p, t.ids(), budget);
+            assert_eq!(got.len(), t.len());
+            for (j, slice) in &got {
+                let want = reference_slice(&t, &p, *j, budget);
+                assert_same_slice(slice, &want, &format!("device {j}, budget {budget}"));
+            }
+            let overflowed = got.iter().filter(|(_, s)| s.overflowed).count();
+            assert!(
+                overflowed == 0 || overflowed >= 60,
+                "{overflowed} at {budget}"
+            );
+        }
+        assert_same_slice(
+            &AnalyzerCore::precompute_device(&t, &p, DeviceId(61), 1_000),
+            &reference_slice(&t, &p, DeviceId(61), 1_000),
+            "the loner",
+        );
     }
 
     #[test]

@@ -337,34 +337,106 @@ impl GridIndex {
     /// Panics if `j` is out of bounds for `pair`, or if `pair` disagrees with
     /// the dimension the index was built for.
     pub fn neighbors_both(&self, pair: &StatePair, j: DeviceId, radius: f64) -> Vec<DeviceId> {
+        assert_eq!(pair.dim(), self.dim, "state pair dimension mismatch");
+        let (before, after) = (pair.before(), pair.after());
         let mut out = Vec::new();
-        self.neighbors_both_into(pair, j, radius, &mut out);
+        self.for_each_bucket_near(before.position(j).coords(), radius, |bucket| {
+            // The motion distance is the larger of the two instants'
+            // distances: test the before-distance first and compute the
+            // after-distance only for candidates that pass it.
+            for &cand in bucket {
+                if cand != j
+                    && before.distance(j, cand) <= radius
+                    && after.distance(j, cand) <= radius
+                {
+                    out.push(cand);
+                }
+            }
+        });
+        out.sort_unstable();
         out
     }
 
-    /// Allocation-free form of [`GridIndex::neighbors_both`] (for `d ≤ 8`;
-    /// higher dimensions fall back to two small scratch allocations):
-    /// clears `out` and fills it with the sorted result, reusing its
-    /// capacity.
+    /// Vicinity sizes of many devices at once: entry `i` equals
+    /// `self.neighbors_both(pair, js[i], radius).len()`.
     ///
-    /// Characterization loops query the vicinity of every flagged device at
-    /// every instant; with this variant a single buffer (per worker) absorbs
-    /// all of them after the first few queries.
+    /// Queries are grouped by before-cell. Every query of a group walks the
+    /// same cells, so each group scans those buckets once and keeps only the
+    /// candidates within `radius` of the group's bounding box on every axis
+    /// at both instants; the exact per-query distance tests then run on the
+    /// survivors alone. A pile-up of co-moving devices in a crowded cell
+    /// thus costs one bucket scan instead of one per device.
+    ///
+    /// The box test compares `lo − x` and `x − hi` with `radius` against
+    /// the unexpanded per-axis minimum `lo` and maximum `hi` of the group.
+    /// Floating-point subtraction is monotone, so for any member `q` with
+    /// `lo ≤ q` the computed `lo − x` never exceeds the computed `q − x`
+    /// (likewise `x − hi` never exceeds `x − q`): a candidate within the
+    /// uniform distance `radius` of some member always survives, and
+    /// rounding can only keep extra candidates, which the exact tests drop.
     ///
     /// # Panics
     ///
-    /// Same as [`GridIndex::neighbors_both`].
-    pub fn neighbors_both_into(
-        &self,
-        pair: &StatePair,
-        j: DeviceId,
-        radius: f64,
-        out: &mut Vec<DeviceId>,
-    ) {
+    /// Panics if a device of `js` is out of bounds for `pair`, or if `pair`
+    /// disagrees with the dimension the index was built for.
+    pub fn vicinity_counts(&self, pair: &StatePair, js: &[DeviceId], radius: f64) -> Vec<usize> {
         assert_eq!(pair.dim(), self.dim, "state pair dimension mismatch");
-        let center = pair.before().position(j).coords();
+        let (before, after) = (pair.before(), pair.after());
+        let mut order: Vec<(usize, usize)> = js
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| (self.cell_index(before.position(j).coords()), i))
+            .collect();
+        order.sort_unstable();
+        let mut counts = vec![0usize; js.len()];
+        let (mut lo_b, mut hi_b) = (vec![0.0; self.dim], vec![0.0; self.dim]);
+        let (mut lo_a, mut hi_a) = (vec![0.0; self.dim], vec![0.0; self.dim]);
+        for group in order.chunk_by(|x, y| x.0 == y.0) {
+            let Some(&(_, first)) = group.first() else {
+                continue;
+            };
+            lo_b.fill(f64::INFINITY);
+            hi_b.fill(f64::NEG_INFINITY);
+            lo_a.fill(f64::INFINITY);
+            hi_a.fill(f64::NEG_INFINITY);
+            for &(_, i) in group {
+                widen(&mut lo_b, &mut hi_b, before.position(js[i]).coords());
+                widen(&mut lo_a, &mut hi_a, after.position(js[i]).coords());
+            }
+            self.for_each_bucket_near(before.position(js[first]).coords(), radius, |bucket| {
+                for &cand in bucket {
+                    if !near_box(&lo_b, &hi_b, before.position(cand).coords(), radius)
+                        || !near_box(&lo_a, &hi_a, after.position(cand).coords(), radius)
+                    {
+                        continue;
+                    }
+                    for &(_, i) in group {
+                        let j = js[i];
+                        if cand != j
+                            && before.distance(j, cand) <= radius
+                            && after.distance(j, cand) <= radius
+                        {
+                            counts[i] += 1;
+                        }
+                    }
+                }
+            });
+        }
+        counts
+    }
+
+    /// Calls `visit` on every bucket of the hyper-box of cells within
+    /// `ceil(radius / cell_side)` cells of the cell `center` falls in,
+    /// clamped at the domain border: the `3^d` cells around it when cells
+    /// are no smaller than `radius`. Every position in one cell walks the
+    /// same buckets.
+    fn for_each_bucket_near(
+        &self,
+        center: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(&[DeviceId]),
+    ) {
         let reach = (radius / self.cell_side).ceil() as isize;
-        out.clear();
         // Per-axis scratch on the stack for every realistic dimension (`d`
         // is the number of services a device consumes).
         const STACK_DIMS: usize = 8;
@@ -378,7 +450,6 @@ impl GridIndex {
             offsets_vec = vec![0isize; self.dim];
             (&mut axes_vec[..], &mut offsets_vec[..])
         };
-        // Enumerate the hyper-box of cells within `reach` of j's cell.
         for (a, &c) in axes.iter_mut().zip(center) {
             *a = ((c / self.cell_side) as isize).min(self.cells_per_axis as isize - 1);
         }
@@ -396,18 +467,7 @@ impl GridIndex {
                 idx = idx * self.cells_per_axis + axis as usize;
             }
             if valid {
-                // The motion distance is the larger of the two instants'
-                // distances: test the before-distance first and compute
-                // the after-distance only for candidates that pass it.
-                let (before, after) = (pair.before(), pair.after());
-                for &cand in &self.buckets[idx] {
-                    if cand != j
-                        && before.distance(j, cand) <= radius
-                        && after.distance(j, cand) <= radius
-                    {
-                        out.push(cand);
-                    }
-                }
+                visit(&self.buckets[idx]);
             }
             // Advance the offset odometer.
             for i in (0..self.dim).rev() {
@@ -419,8 +479,26 @@ impl GridIndex {
             }
             break;
         }
-        out.sort_unstable();
     }
+}
+
+/// Widens the per-axis box `[lo, hi]` to cover `p`.
+fn widen(lo: &mut [f64], hi: &mut [f64], p: &[f64]) {
+    for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(p) {
+        *l = l.min(x);
+        *h = h.max(x);
+    }
+}
+
+/// True unless `x` is farther than `radius` from the box `[lo, hi]` on some
+/// axis. Tested as `lo − x > radius || x − hi > radius` against the
+/// unexpanded bounds, so rounding can never reject a point within `radius`
+/// of a box member (see [`GridIndex::vicinity_counts`]).
+fn near_box(lo: &[f64], hi: &[f64], x: &[f64], radius: f64) -> bool {
+    lo.iter()
+        .zip(hi)
+        .zip(x)
+        .all(|((&l, &h), &c)| !(l - c > radius || c - h > radius))
 }
 
 #[cfg(test)]
@@ -812,21 +890,112 @@ mod tests {
         }
     }
 
+    /// `vicinity_counts` against the linear scan, for every device.
+    fn assert_counts_match_linear_scan(pair: &StatePair, js: &[DeviceId], radius: f64) {
+        let index = GridIndex::build(pair, radius);
+        let counts = index.vicinity_counts(pair, js, radius);
+        assert_eq!(counts.len(), js.len());
+        for (&j, &count) in js.iter().zip(&counts) {
+            assert_eq!(
+                count,
+                pair.neighbors_both(j, radius).len(),
+                "device {j:?} at radius {radius}"
+            );
+        }
+    }
+
+    /// Gaps whose computed difference is exactly `radius` while
+    /// `lo − radius` rounds above the candidate: a box pre-expanded by the
+    /// radius would drop these neighbours.
     #[test]
-    fn neighbors_both_into_reuses_the_buffer() {
+    fn vicinity_counts_keep_neighbours_exactly_radius_away() {
+        for (near, far, radius) in [(0.04, 0.14, 0.1), (0.08, 0.28, 0.2), (0.02, 0.07, 0.05)] {
+            for dim in 1..=3 {
+                let row = |x: f64| {
+                    let mut r = vec![0.5; dim];
+                    r[0] = x;
+                    r
+                };
+                // Two queries share the far cell; the near device is one
+                // cell over, within `radius` of both at both instants.
+                let rows = vec![row(far), row(far), row(near)];
+                let pair = pair_from(rows.clone(), rows);
+                let js: Vec<DeviceId> = pair.device_ids().collect();
+                assert_counts_match_linear_scan(&pair, &js, radius);
+                let index = GridIndex::build(&pair, radius);
+                assert_eq!(index.vicinity_counts(&pair, &js, radius), vec![2, 2, 2]);
+            }
+        }
+    }
+
+    #[test]
+    fn vicinity_counts_handle_empty_and_repeated_queries() {
         let pair = pair_from(
             vec![vec![0.1, 0.1], vec![0.12, 0.11], vec![0.9, 0.9]],
             vec![vec![0.4, 0.4], vec![0.42, 0.41], vec![0.9, 0.8]],
         );
         let index = GridIndex::build(&pair, 0.06);
-        let mut buf = Vec::new();
-        index.neighbors_both_into(&pair, DeviceId(0), 0.06, &mut buf);
-        assert_eq!(buf, vec![DeviceId(1)]);
-        let cap = buf.capacity();
-        index.neighbors_both_into(&pair, DeviceId(2), 0.06, &mut buf);
-        assert!(buf.is_empty());
-        assert_eq!(buf.capacity(), cap, "buffer capacity is reused");
+        assert!(index.vicinity_counts(&pair, &[], 0.06).is_empty());
+        let js = [DeviceId(2), DeviceId(0), DeviceId(0), DeviceId(1)];
+        assert_eq!(index.vicinity_counts(&pair, &js, 0.06), vec![0, 1, 1, 1]);
     }
+
+    proptest! {
+        /// Batched vicinity counts equal the linear scan on grid-aligned
+        /// decimals: many queries per cell, points on cell boundaries and
+        /// at the clamped edge 1.0, and gaps exactly equal to the radius
+        /// (including the ones where `lo − radius` rounds up past the
+        /// neighbour).
+        #[test]
+        fn vicinity_counts_equal_linear_scan(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(0usize..PALETTE.len(), 6), 0usize..PALETTE.len()),
+                1..40),
+            dim in 1usize..4,
+            radius_pick in 0usize..4,
+            shuffle in 0u64..u64::MAX,
+        ) {
+            let radius = [0.05, 0.1, 0.2, 0.3][radius_pick];
+            // Half the devices stay put, so the before-box and the
+            // after-box differ for the groups that hold a mover.
+            let before: Vec<Vec<f64>> = rows
+                .iter()
+                .map(|(coords, _)| coords[..dim].iter().map(|&c| PALETTE[c]).collect())
+                .collect();
+            let after: Vec<Vec<f64>> = rows
+                .iter()
+                .zip(&before)
+                .enumerate()
+                .map(|(i, ((coords, shift), b))| {
+                    if i % 2 == 0 {
+                        b.clone()
+                    } else {
+                        let mut a: Vec<f64> =
+                            coords[3..3 + dim].iter().map(|&c| PALETTE[c]).collect();
+                        a[0] = PALETTE[*shift];
+                        a
+                    }
+                })
+                .collect();
+            let pair = pair_from(before, after);
+            let mut js: Vec<DeviceId> = pair.device_ids().collect();
+            let mut state = shuffle | 1;
+            for i in (1..js.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                js.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            assert_counts_match_linear_scan(&pair, &js, radius);
+        }
+    }
+
+    /// Grid-aligned decimals: cell boundaries for the radii the property
+    /// test draws, the domain edges, and both ends of every gap where
+    /// `lo − radius` rounds above a neighbour `radius` away.
+    const PALETTE: [f64; 16] = [
+        0.0, 0.02, 0.04, 0.07, 0.08, 0.1, 0.14, 0.2, 0.28, 0.3, 0.31, 0.5, 0.6, 0.7, 0.9, 1.0,
+    ];
 
     proptest! {
         /// The grid query is exactly equivalent to the linear scan, for any

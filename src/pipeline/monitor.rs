@@ -154,9 +154,6 @@ pub struct Monitor {
     /// flipped. Consumed (and re-seeded with the sealing epoch's own
     /// changed cells) at every characterized instant.
     dirty_pending: BTreeSet<usize>,
-    /// Vicinity-query scratch buffer of the jobs that run on the calling
-    /// thread (pool workers keep their own).
-    neighbor_buf: Vec<DeviceId>,
     instant: u64,
     /// The open streaming epoch: pending per-device updates and
     /// staleness ages (slot-aligned with `keys`).
@@ -343,7 +340,6 @@ impl Monitor {
             flagged_slots: BTreeSet::new(),
             char_cache: CharCache::default(),
             dirty_pending: BTreeSet::new(),
-            neighbor_buf: Vec::new(),
             instant: epoch_start,
             epoch: EpochState::with_capacity(capacity),
             staleness,
@@ -601,10 +597,7 @@ impl Monitor {
     fn run_jobs(&mut self, jobs: Vec<Job>, pooled: bool) -> Result<Vec<JobOutput>, MonitorError> {
         let workers = match self.engine {
             Engine::Threaded { workers } if pooled => workers,
-            _ => {
-                let buf = &mut self.neighbor_buf;
-                return Ok(jobs.into_iter().map(|job| job.run(buf)).collect());
-            }
+            _ => return Ok(jobs.into_iter().map(Job::run).collect()),
         };
         let mut pool = match self.pool.take() {
             Some(pool) if pool.workers() == workers => pool,

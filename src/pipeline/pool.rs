@@ -76,30 +76,19 @@ struct JobResult {
 }
 
 impl Job {
-    /// Runs the job to completion, consuming the shared inputs. `buf` is
-    /// the worker's persistent vicinity-query scratch buffer.
-    pub(super) fn run(self, buf: &mut Vec<DeviceId>) -> JobOutput {
+    /// Runs the job to completion, consuming the shared inputs.
+    pub(super) fn run(self) -> JobOutput {
         match self {
             Job::Precompute {
                 table,
                 params,
                 shard,
-            } => JobOutput::Parts(
-                shard
-                    .iter()
-                    .map(|&j| {
-                        (
-                            j,
-                            AnalyzerCore::precompute_device(
-                                &table,
-                                &params,
-                                j,
-                                DEFAULT_ENUMERATION_BUDGET,
-                            ),
-                        )
-                    })
-                    .collect(),
-            ),
+            } => JobOutput::Parts(AnalyzerCore::precompute_shard(
+                &table,
+                &params,
+                &shard,
+                DEFAULT_ENUMERATION_BUDGET,
+            )),
             Job::Verdicts {
                 core,
                 table,
@@ -107,15 +96,16 @@ impl Job {
                 grid,
                 window,
                 shard,
-            } => JobOutput::Verdicts(
-                shard
-                    .iter()
-                    .map(|&j| {
-                        grid.neighbors_both_into(&pair, j, window, buf);
-                        (j, core.characterize_full(&table, j), buf.len())
-                    })
-                    .collect(),
-            ),
+            } => {
+                let vicinities = grid.vicinity_counts(&pair, &shard, window);
+                JobOutput::Verdicts(
+                    shard
+                        .iter()
+                        .zip(vicinities)
+                        .map(|(&j, vicinity)| (j, core.characterize_full(&table, j), vicinity))
+                        .collect(),
+                )
+            }
         }
     }
 }
@@ -149,15 +139,8 @@ impl WorkerPool {
             let (tx, rx) = channel::<(usize, Job)>();
             let out = result_tx.clone();
             handles.push(std::thread::spawn(move || {
-                // Per-worker scratch buffer, reused across epochs: vicinity
-                // queries of every job amortize into one allocation.
-                let mut buf: Vec<DeviceId> = Vec::new();
                 while let Ok((seq, job)) = rx.recv() {
-                    let output = catch_unwind(AssertUnwindSafe(|| job.run(&mut buf))).ok();
-                    if output.is_none() {
-                        // The scratch buffer may hold garbage mid-query.
-                        buf.clear();
-                    }
+                    let output = catch_unwind(AssertUnwindSafe(|| job.run())).ok();
                     if out.send(JobResult { seq, output }).is_err() {
                         break;
                     }
