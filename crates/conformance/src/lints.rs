@@ -41,7 +41,10 @@ use crate::lexer::{lex, Token, TokenKind};
 ///   `crates/store/src/` (corrupt checkpoints and logs must surface as
 ///   typed errors, never panics, and record iteration must be
 ///   deterministic). C4 covered it already via its `lib.rs`.
-pub const LINT_SET_VERSION: u32 = 3;
+/// * 4 — trajectory index in scope: C2 also covers
+///   `crates/qos/src/grid.rs` (its queries feed every verdict's vicinity
+///   count, so its iteration order must be deterministic).
+pub const LINT_SET_VERSION: u32 = 4;
 
 /// Static description of one lint, for reports and docs.
 #[derive(Debug, Clone, Copy)]
@@ -108,6 +111,7 @@ const C2_SCOPE: &[&str] = &[
     "crates/simulator/src/runner.rs",
     "crates/core/src/characterize.rs",
     "crates/core/src/table.rs",
+    "crates/qos/src/grid.rs",
     "crates/network/src/report.rs",
     "crates/serve/src/",
     "crates/store/src/",

@@ -62,8 +62,10 @@ fn c2_fires_only_in_report_path_modules() {
     let src = "use std::collections::HashMap;\n";
     assert_eq!(fired("src/pipeline/report.rs", src), ["C2"]);
     assert_eq!(fired("crates/eval/src/runner.rs", src), ["C2"]);
+    // The trajectory index feeds every verdict's vicinity count.
+    assert_eq!(fired("crates/qos/src/grid.rs", src), ["C2"]);
     // Outside the report path, hashing is fine.
-    assert_eq!(fired("crates/qos/src/grid.rs", src), [""; 0]);
+    assert_eq!(fired("crates/qos/src/snapshot.rs", src), [""; 0]);
     // The deterministic replacement never fires.
     assert_eq!(
         fired(

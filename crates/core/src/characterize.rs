@@ -584,7 +584,9 @@ impl AnalyzerCore {
     /// keeps the sets containing it plus the group's window-move count and
     /// truncation flag, so each slice equals what a per-device enumeration
     /// of `N[j]` gives. Groups are formed in an ordered map and only one
-    /// group's family is alive at a time.
+    /// group's family is alive at a time. The neighbourhoods themselves
+    /// come from one trajectory index over the table
+    /// ([`TrajectoryTable::neighborhoods`]), not a scan per device.
     ///
     /// # Panics
     ///
@@ -597,8 +599,12 @@ impl AnalyzerCore {
     ) -> Vec<(DeviceId, DevicePrecompute)> {
         let window = params.window();
         let mut groups: BTreeMap<DeviceSet, Vec<(usize, DeviceId)>> = BTreeMap::new();
-        for (slot, &j) in shard.iter().enumerate() {
-            let mut closed: DeviceSet = table.neighborhood(j, window).into_iter().collect();
+        for ((slot, &j), near) in shard
+            .iter()
+            .enumerate()
+            .zip(table.neighborhoods(shard, window))
+        {
+            let mut closed: DeviceSet = near.into_iter().collect();
             closed.insert(j);
             groups.entry(closed).or_default().push((slot, j));
         }

@@ -1,6 +1,5 @@
 use crate::set::DeviceSet;
-use anomaly_qos::{DeviceId, StatePair};
-use std::collections::BTreeMap;
+use anomaly_qos::{uniform_distance, CellGeometry, DeviceId, StatePair, TrajectoryIndex};
 use std::error::Error;
 use std::fmt;
 
@@ -49,7 +48,8 @@ impl Error for TableError {}
 /// equivalent to `B` having L∞ diameter at most `2r` in the `2d`-dimensional
 /// space obtained by concatenating each device's position at `k−1` with its
 /// position at `k`. The table stores exactly these concatenated coordinates
-/// for the devices under analysis (typically `A_k`, the flagged devices).
+/// for the devices under analysis (typically `A_k`, the flagged devices),
+/// one flat row of `2d` values per device, in ascending id order.
 ///
 /// # Example
 ///
@@ -70,8 +70,11 @@ impl Error for TableError {}
 pub struct TrajectoryTable {
     /// Space dimension `d` (the concatenated space has `2d` axes).
     dim: usize,
+    /// Sorted device ids; the device of slot `i` is `ids[i]`.
     ids: Vec<DeviceId>,
-    coords: BTreeMap<DeviceId, Vec<f64>>,
+    /// Slot-major concatenated coordinates: slot `i` owns
+    /// `coords[2d·i .. 2d·(i+1)]`.
+    coords: Vec<f64>,
 }
 
 impl TrajectoryTable {
@@ -85,10 +88,11 @@ impl TrajectoryTable {
         let mut ids = devices.to_vec();
         ids.sort_unstable();
         ids.dedup();
-        let coords = ids
-            .iter()
-            .map(|&id| (id, pair.trajectory(id).concatenated()))
-            .collect();
+        let mut coords = Vec::with_capacity(ids.len() * 2 * dim);
+        for &id in &ids {
+            coords.extend_from_slice(pair.before().position(id).coords());
+            coords.extend_from_slice(pair.after().position(id).coords());
+        }
         TrajectoryTable { dim, ids, coords }
     }
 
@@ -117,29 +121,26 @@ impl TrajectoryTable {
     ///
     /// # Errors
     ///
-    /// [`TableError::WrongRowWidth`] when a row does not hold exactly
-    /// `2 * dim` coordinates; [`TableError::DuplicateDevice`] when an id
-    /// repeats.
+    /// [`TableError::WrongRowWidth`] for the first row (in input order)
+    /// that does not hold exactly `2 * dim` coordinates; otherwise
+    /// [`TableError::DuplicateDevice`] for the smallest id that repeats.
     pub fn try_from_concatenated(
         dim: usize,
-        rows: Vec<(DeviceId, Vec<f64>)>,
+        mut rows: Vec<(DeviceId, Vec<f64>)>,
     ) -> Result<Self, TableError> {
-        let mut ids = Vec::with_capacity(rows.len());
-        let mut coords = BTreeMap::new();
-        for (id, row) in rows {
-            if row.len() != 2 * dim {
-                return Err(TableError::WrongRowWidth {
-                    id,
-                    expected: 2 * dim,
-                    actual: row.len(),
-                });
-            }
-            if coords.insert(id, row).is_some() {
-                return Err(TableError::DuplicateDevice { id });
-            }
-            ids.push(id);
+        if let Some((id, row)) = rows.iter().find(|(_, row)| row.len() != 2 * dim) {
+            return Err(TableError::WrongRowWidth {
+                id: *id,
+                expected: 2 * dim,
+                actual: row.len(),
+            });
         }
-        ids.sort_unstable();
+        rows.sort_by_key(|&(id, _)| id);
+        if let Some(pair) = rows.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(TableError::DuplicateDevice { id: pair[0].0 });
+        }
+        let ids = rows.iter().map(|&(id, _)| id).collect();
+        let coords = rows.into_iter().flat_map(|(_, row)| row).collect();
         Ok(TrajectoryTable { dim, ids, coords })
     }
 
@@ -182,7 +183,20 @@ impl TrajectoryTable {
 
     /// True if the table holds `id`.
     pub fn contains(&self, id: DeviceId) -> bool {
-        self.coords.contains_key(&id)
+        self.slot(id).is_some()
+    }
+
+    /// The slot of `id`: its rank among the table's ids.
+    fn slot(&self, id: DeviceId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// The concatenated row of slot `slot`.
+    fn row(&self, slot: usize) -> &[f64] {
+        let width = 2 * self.dim;
+        self.coords
+            .get(slot * width..(slot + 1) * width)
+            .unwrap_or(&[])
     }
 
     /// Concatenated coordinates of a device.
@@ -191,7 +205,10 @@ impl TrajectoryTable {
     ///
     /// Panics if `id` is not in the table.
     pub fn concatenated(&self, id: DeviceId) -> &[f64] {
-        &self.coords[&id]
+        match self.slot(id) {
+            Some(slot) => self.row(slot),
+            None => panic!("device {id} not in table"),
+        }
     }
 
     /// Motion distance between two devices: the L∞ distance of their
@@ -201,12 +218,7 @@ impl TrajectoryTable {
     ///
     /// Panics if either id is not in the table.
     pub fn motion_distance(&self, a: DeviceId, b: DeviceId) -> f64 {
-        let ca = self.concatenated(a);
-        let cb = self.concatenated(b);
-        ca.iter()
-            .zip(cb)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
+        uniform_distance(self.concatenated(a), self.concatenated(b))
     }
 
     /// Devices of the table (other than `j`) within motion distance `2r` of
@@ -217,25 +229,54 @@ impl TrajectoryTable {
     /// Panics if `j` is not in the table.
     pub fn neighborhood(&self, j: DeviceId, window: f64) -> Vec<DeviceId> {
         assert!(self.contains(j), "device {j} not in table");
-        self.ids
-            .iter()
-            .copied()
-            .filter(|&o| o != j && self.motion_distance(j, o) <= window)
+        self.neighborhoods(&[j], window).pop().unwrap_or_default()
+    }
+
+    /// [`TrajectoryTable::neighborhood`] of every device of `js`, in
+    /// order, from one [`TrajectoryIndex`] over the table: each query
+    /// examines only the devices filed under the `(before-cell,
+    /// after-cell)` keys around its own, then tests them exactly. An id
+    /// not in the table gets an empty list.
+    pub fn neighborhoods(&self, js: &[DeviceId], window: f64) -> Vec<Vec<DeviceId>> {
+        let d = self.dim;
+        let geometry = CellGeometry::new(d, window);
+        let index = TrajectoryIndex::from_trajectories(
+            geometry,
+            (0..self.len()).map(|slot| self.row(slot).split_at(d)),
+        );
+        js.iter()
+            .map(|&j| {
+                let Some(slot) = self.slot(j) else {
+                    return Vec::new();
+                };
+                let row = self.row(slot);
+                let (before, after) = row.split_at(d);
+                let mut near: Vec<usize> = Vec::new();
+                index.candidates(before, after, window, |other| {
+                    let other = other as usize;
+                    if other != slot && uniform_distance(row, self.row(other)) <= window {
+                        near.push(other);
+                    }
+                });
+                // Slots ascend with ids.
+                near.sort_unstable();
+                near.iter()
+                    .filter_map(|&s| self.ids.get(s).copied())
+                    .collect()
+            })
             .collect()
     }
 
     /// Restricts the table to `keep`, dropping all other devices.
     pub fn restricted_to(&self, keep: &DeviceSet) -> TrajectoryTable {
-        let ids: Vec<DeviceId> = self
-            .ids
-            .iter()
-            .copied()
-            .filter(|id| keep.contains(*id))
-            .collect();
-        let coords = ids
-            .iter()
-            .map(|id| (*id, self.coords[id].clone()))
-            .collect();
+        let mut ids = Vec::new();
+        let mut coords = Vec::new();
+        for (slot, &id) in self.ids.iter().enumerate() {
+            if keep.contains(id) {
+                ids.push(id);
+                coords.extend_from_slice(self.row(slot));
+            }
+        }
         TrajectoryTable {
             dim: self.dim,
             ids,
@@ -266,6 +307,51 @@ mod tests {
             (3, 0.12, 0.90), // close before, far after
         ]);
         assert_eq!(t.neighborhood(DeviceId(0), 0.06), vec![DeviceId(1)]);
+    }
+
+    #[test]
+    fn neighborhoods_answer_in_query_order() {
+        let t =
+            TrajectoryTable::from_pairs_1d(&[(3, 0.10, 0.50), (7, 0.12, 0.52), (9, 0.80, 0.20)]);
+        assert_eq!(
+            t.neighborhoods(&[DeviceId(9), DeviceId(3), DeviceId(4), DeviceId(7)], 0.06),
+            vec![vec![], vec![DeviceId(7)], vec![], vec![DeviceId(3)]]
+        );
+        assert!(t.neighborhoods(&[], 0.06).is_empty());
+        // A zero window keeps only identical trajectories.
+        let twins = TrajectoryTable::from_pairs_1d(&[(0, 0.3, 0.4), (1, 0.3, 0.4), (2, 0.3, 0.41)]);
+        assert_eq!(twins.neighborhood(DeviceId(0), 0.0), vec![DeviceId(1)]);
+    }
+
+    proptest::proptest! {
+        /// The indexed neighbourhoods equal the pairwise scan over the
+        /// table, on grid-aligned decimals with gaps of exactly the window.
+        #[test]
+        fn neighborhoods_equal_the_pairwise_scan(
+            rows in proptest::collection::vec(proptest::collection::vec(0usize..10, 4), 1..40),
+            dim in 1usize..3,
+            window_pick in 0usize..3,
+        ) {
+            const PALETTE: [f64; 10] = [0.0, 0.04, 0.07, 0.1, 0.14, 0.2, 0.3, 0.5, 0.9, 1.0];
+            let window = [0.05, 0.1, 0.2][window_pick];
+            let t = TrajectoryTable::from_concatenated(
+                dim,
+                rows.iter()
+                    .enumerate()
+                    .map(|(i, r)| (DeviceId(2 * i as u32), r[..2 * dim].iter().map(|&c| PALETTE[c]).collect()))
+                    .collect(),
+            );
+            let got = t.neighborhoods(t.ids(), window);
+            for (&j, near) in t.ids().iter().zip(&got) {
+                let want: Vec<DeviceId> = t
+                    .ids()
+                    .iter()
+                    .copied()
+                    .filter(|&o| o != j && t.motion_distance(j, o) <= window)
+                    .collect();
+                proptest::prop_assert_eq!(near, &want);
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
+use crate::norm::uniform_distance;
 use crate::point::{DeviceId, Point};
-use crate::snapshot::StatePair;
+use crate::snapshot::{Snapshot, StatePair};
+use std::collections::BTreeSet;
 
-/// How [`GridIndex::apply_moves`] brought the index up to date.
+/// How [`TrajectoryIndex::apply_moves`] brought the index up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridUpdate {
-    /// Only the devices whose cell changed were re-bucketed.
+    /// Only the staged devices were re-keyed.
     Incremental {
-        /// Number of devices moved between buckets.
+        /// Number of staged devices whose `(before-cell, after-cell)` key
+        /// changed.
         rebucketed: usize,
     },
     /// The incremental path was not applicable (dimension, resolution, or
@@ -14,254 +17,122 @@ pub enum GridUpdate {
     Rebuilt,
 }
 
-/// The cell layout of a [`GridIndex`]: what a dimension and a minimum cell
-/// side determine before any position is indexed.
+/// Largest number of cells one instant's grid may hold, so a cell id fits
+/// a `u32` with room to spare at every dimension.
+const MAX_CELLS: usize = 1 << 18;
+
+/// The cell layout of a [`TrajectoryIndex`]: what a dimension and a
+/// minimum cell side determine before any position is indexed.
 ///
 /// Every index built over `dim`-dimensional positions with cells no
-/// smaller than `min_cell_side` uses this layout, so
-/// [`CellGeometry::cell_index`] agrees with [`GridIndex::cell_index`] and
-/// callers can place positions in cells before the first build.
+/// smaller than `min_cell_side` uses this layout, so callers can place
+/// positions in cells before the first build and compare cell ids across
+/// rebuilds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellGeometry {
+    dim: usize,
     cells_per_axis: usize,
     cell_side: f64,
 }
 
 impl CellGeometry {
     /// The layout for `dim` axes and cells no smaller than `min_cell_side`.
-    /// The axis resolution is capped so `cells_per_axis^dim` stays
-    /// affordable in higher dimensions (`dim` is small in practice: the
-    /// number of services).
+    ///
+    /// The axis resolution is capped so `cells_per_axis^dim` stays at most
+    /// 2^18 (`dim` is the number of services): 4096 cells per axis in one
+    /// dimension, 512 in two, 64 in three, 16 in four, and fewer beyond. A
+    /// side that is zero, negative or not a number takes the capped or the
+    /// coarsest resolution; no input panics.
     pub fn new(dim: usize, min_cell_side: f64) -> Self {
         let max_axis = match dim {
+            0 => 1,
             1 => 4096,
             2 => 512,
             3 => 64,
-            _ => 16,
+            _ => (1..=16usize)
+                .rev()
+                .find(|n| n.checked_pow(dim as u32).is_some_and(|t| t <= MAX_CELLS))
+                .unwrap_or(1),
         };
         let cells_per_axis = ((1.0 / min_cell_side).floor() as usize).clamp(1, max_axis);
         CellGeometry {
+            dim,
             cells_per_axis,
             cell_side: 1.0 / cells_per_axis as f64,
         }
     }
 
-    /// Flattened index of the cell `coords` falls in.
-    pub fn cell_index(&self, coords: &[f64]) -> usize {
-        GridIndex::flatten(coords, self.cells_per_axis, self.cell_side)
-    }
-}
-
-/// Uniform-grid spatial index over a [`StatePair`].
-///
-/// Buckets devices by their position at time `k-1` into hypercube cells of a
-/// configurable side, so that the vicinity query *"all devices within uniform
-/// distance `radius` of `j` at both times"* inspects only the `3^d`-ish cells
-/// around `j` instead of the whole population. Candidates from the grid are
-/// then filtered exactly on the motion distance, so results are identical to
-/// the linear scan [`StatePair::neighbors_both`].
-///
-/// The local algorithms of the paper only ever look `2r` (one hop) or `4r`
-/// (two hops) away, and `r < 1/4`, so cell sides match query radii well.
-///
-/// # Example
-///
-/// ```
-/// use anomaly_qos::{GridIndex, QosSpace, Snapshot, StatePair, DeviceId};
-/// let space = QosSpace::new(2)?;
-/// let before = Snapshot::from_rows(&space, vec![vec![0.1, 0.1], vec![0.12, 0.11], vec![0.9, 0.9]])?;
-/// let after  = Snapshot::from_rows(&space, vec![vec![0.4, 0.4], vec![0.42, 0.41], vec![0.9, 0.8]])?;
-/// let pair = StatePair::new(before, after)?;
-/// let index = GridIndex::build(&pair, 0.06);
-/// assert_eq!(index.neighbors_both(&pair, DeviceId(0), 0.06), vec![DeviceId(1)]);
-/// # Ok::<(), anomaly_qos::QosError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct GridIndex {
-    /// Number of cells along each axis.
-    cells_per_axis: usize,
-    /// Cell side length (1 / cells_per_axis).
-    cell_side: f64,
-    /// Space dimension.
-    dim: usize,
-    /// Population the index was built over (before-positions).
-    population: usize,
-    /// Flattened cell -> device ids bucketed by before-position.
-    buckets: Vec<Vec<DeviceId>>,
-    /// Per device (dense ids): the flattened cell it is bucketed in.
-    cell_of: Vec<usize>,
-    /// Per device: its slot within its bucket, so incremental updates
-    /// remove in O(1) instead of scanning the bucket.
-    slot_of: Vec<usize>,
-}
-
-impl GridIndex {
-    /// Builds an index over the `before` positions of `pair`, with cells no
-    /// smaller than `min_cell_side` (typically the query radius `2r`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_cell_side` is not a positive finite number.
-    pub fn build(pair: &StatePair, min_cell_side: f64) -> Self {
-        let mut index = GridIndex {
-            cells_per_axis: 0,
-            cell_side: 1.0,
-            dim: 0,
-            population: 0,
-            buckets: Vec::new(),
-            cell_of: Vec::new(),
-            slot_of: Vec::new(),
-        };
-        index.rebuild(pair, min_cell_side);
-        index
-    }
-
-    /// Re-indexes a (possibly different) state pair in place, reusing the
-    /// bucket allocations of the previous instant.
-    ///
-    /// Continuous monitors rebuild the vicinity index at every sampling
-    /// instant; after the first few instants the per-cell vectors have
-    /// reached their steady-state capacities and re-indexing allocates
-    /// nothing. The resulting index is identical to a fresh
-    /// [`GridIndex::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_cell_side` is not a positive finite number.
-    pub fn rebuild(&mut self, pair: &StatePair, min_cell_side: f64) {
-        assert!(
-            min_cell_side.is_finite() && min_cell_side > 0.0,
-            "cell side must be positive and finite"
-        );
-        let dim = pair.dim();
-        let CellGeometry {
-            cells_per_axis,
-            cell_side,
-        } = CellGeometry::new(dim, min_cell_side);
-        let total_cells = cells_per_axis.pow(dim as u32);
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.buckets.resize_with(total_cells, Vec::new);
-        self.cell_of.clear();
-        self.slot_of.clear();
-        self.cell_of.reserve(pair.len());
-        self.slot_of.reserve(pair.len());
-        for (id, p) in pair.before().iter() {
-            let cell = Self::flatten(p.coords(), cells_per_axis, cell_side);
-            self.cell_of.push(cell);
-            self.slot_of.push(self.buckets[cell].len());
-            self.buckets[cell].push(id);
-        }
-        self.cells_per_axis = cells_per_axis;
-        self.cell_side = cell_side;
-        self.dim = dim;
-        self.population = pair.len();
-    }
-
-    /// Incrementally maintains the index across one sampling instant.
-    ///
-    /// `moves` lists every device whose **before**-position changed since
-    /// the index last described a state pair, as `(device, old position,
-    /// new position)`; `pair` is the state pair the index must describe
-    /// after the call. Only devices whose grid cell actually changed are
-    /// re-bucketed, so a mostly-calm fleet updates in time proportional to
-    /// the churn, not the population.
-    ///
-    /// Falls back to a full [`GridIndex::rebuild`] — returning
-    /// [`GridUpdate::Rebuilt`] — whenever the incremental path cannot apply:
-    /// the dimension changed, `min_cell_side` implies a different cell
-    /// resolution, or the population differs from the one indexed.
-    ///
-    /// The resulting index is identical to a fresh
-    /// [`GridIndex::build`]`(pair, min_cell_side)` as long as `moves` is
-    /// complete and accurate; queries remain exact either way because
-    /// candidates are always filtered on the true motion distance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_cell_side` is not a positive finite number, or if a
-    /// move names a device that is not in the bucket its old position maps
-    /// to (an incomplete or inconsistent move list).
-    pub fn apply_moves(
-        &mut self,
-        pair: &StatePair,
-        min_cell_side: f64,
-        moves: &[(DeviceId, Point, Point)],
-    ) -> GridUpdate {
-        assert!(
-            min_cell_side.is_finite() && min_cell_side > 0.0,
-            "cell side must be positive and finite"
-        );
-        let cells_per_axis = CellGeometry::new(pair.dim(), min_cell_side).cells_per_axis;
-        if pair.dim() != self.dim
-            || cells_per_axis != self.cells_per_axis
-            || pair.len() != self.population
-        {
-            self.rebuild(pair, min_cell_side);
-            return GridUpdate::Rebuilt;
-        }
-        let mut rebucketed = 0usize;
-        for (id, old, new) in moves {
-            let from = self.cell_of[id.index()];
-            assert_eq!(
-                Self::flatten(old.coords(), self.cells_per_axis, self.cell_side),
-                from,
-                "move's old position disagrees with the cell device {id} is indexed in",
-            );
-            let to = Self::flatten(new.coords(), self.cells_per_axis, self.cell_side);
-            if from == to {
-                continue;
-            }
-            // O(1) removal: swap-remove the device's slot and re-point the
-            // device that swapped into it.
-            let slot = self.slot_of[id.index()];
-            let bucket = &mut self.buckets[from];
-            bucket.swap_remove(slot);
-            if let Some(&moved) = bucket.get(slot) {
-                self.slot_of[moved.index()] = slot;
-            }
-            self.cell_of[id.index()] = to;
-            self.slot_of[id.index()] = self.buckets[to].len();
-            self.buckets[to].push(*id);
-            rebucketed += 1;
-        }
-        GridUpdate::Incremental { rebucketed }
-    }
-
-    /// Flattened index of the cell `coords` falls in, under the current
-    /// resolution — lets callers detect cell crossings (and thus build
-    /// minimal [`GridIndex::apply_moves`] batches) without re-deriving the
-    /// grid geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coords` has fewer axes than the indexed dimension.
-    pub fn cell_index(&self, coords: &[f64]) -> usize {
-        Self::flatten(coords, self.cells_per_axis, self.cell_side)
-    }
-
-    fn flatten(coords: &[f64], cells_per_axis: usize, cell_side: f64) -> usize {
+    /// Flattened (row-major) id of the cell `coords` falls in. Axes beyond
+    /// the layout's dimension are ignored.
+    pub fn cell_index(&self, coords: &[f64]) -> u32 {
         let mut idx = 0usize;
-        for &c in coords {
-            let axis = ((c / cell_side) as usize).min(cells_per_axis - 1);
-            idx = idx * cells_per_axis + axis;
+        for &c in coords.iter().take(self.dim) {
+            let axis = ((c / self.cell_side) as usize).min(self.cells_per_axis - 1);
+            idx = idx * self.cells_per_axis + axis;
         }
-        idx
+        idx as u32
     }
 
-    /// Number of cells along each axis.
-    pub fn cells_per_axis(&self) -> usize {
-        self.cells_per_axis
+    /// Number of cells of the whole grid, `cells_per_axis^dim`.
+    fn cells(&self) -> usize {
+        self.cells_per_axis.saturating_pow(self.dim as u32)
     }
 
-    /// Side length of each cell.
-    pub fn cell_side(&self) -> f64 {
-        self.cell_side
+    /// Largest per-axis cell distance between two cells: the Chebyshev
+    /// distance on the grid.
+    fn chebyshev(&self, a: u32, b: u32) -> usize {
+        let n = self.cells_per_axis;
+        let (mut a, mut b) = (a as usize, b as usize);
+        let mut dist = 0;
+        for _ in 0..self.dim {
+            dist = dist.max((a % n).abs_diff(b % n));
+            a /= n;
+            b /= n;
+        }
+        dist
     }
 
-    /// Expands a set of dirty cells by `rings` rings of neighbouring cells
-    /// (Chebyshev distance on the grid, clamped at the domain border).
+    /// Cells per axis a query of uniform radius `radius` must reach out to
+    /// around its own cell: `ceil(radius / cell_side)`, one when cells are
+    /// no smaller than the radius.
+    fn reach(&self, radius: f64) -> usize {
+        let reach = (radius / self.cell_side).ceil();
+        if reach >= 0.0 {
+            (reach as usize).min(self.cells_per_axis)
+        } else {
+            0
+        }
+    }
+
+    /// Calls `visit` on every cell within `reach` cells of `centre` on
+    /// every axis, clamped at the domain border, in ascending id order.
+    fn for_each_cell_near(&self, centre: u32, reach: usize, visit: &mut dyn FnMut(u32)) {
+        self.walk(0, 0, centre as usize, reach, visit);
+    }
+
+    fn walk(
+        &self,
+        axis: usize,
+        prefix: usize,
+        centre: usize,
+        reach: usize,
+        visit: &mut dyn FnMut(u32),
+    ) {
+        if axis == self.dim {
+            visit(prefix as u32);
+            return;
+        }
+        let n = self.cells_per_axis;
+        let stride = n.saturating_pow((self.dim - axis - 1) as u32);
+        let c = (centre / stride) % n;
+        for x in c.saturating_sub(reach)..=(c + reach).min(n - 1) {
+            self.walk(axis + 1, prefix * n + x, centre, reach, visit);
+        }
+    }
+
+    /// The cells within `rings` cells, on every axis, of some cell of
+    /// `cells` (Chebyshev distance on the grid, clamped at the domain
+    /// border) — tested per cell, never materialised.
     ///
     /// This is the locality query behind incremental re-characterization:
     /// a device's verdict depends on trajectories and flags within `4r` of
@@ -272,239 +143,299 @@ impl GridIndex {
     /// change touched covers every device whose verdict that change could
     /// possibly reach.
     ///
-    /// The result contains the input cells themselves (`rings = 0` is the
-    /// identity). Out-of-range input cells are ignored.
-    pub fn expand_cells(
-        &self,
-        cells: &std::collections::BTreeSet<usize>,
-        rings: usize,
-    ) -> std::collections::BTreeSet<usize> {
-        let mut out = std::collections::BTreeSet::new();
-        let n = self.cells_per_axis;
-        let total = n.checked_pow(self.dim as u32).unwrap_or(usize::MAX);
-        let mut lo = vec![0usize; self.dim];
-        let mut hi = vec![0usize; self.dim];
-        let mut cur = vec![0usize; self.dim];
-        for &cell in cells {
-            if cell >= total {
-                continue;
-            }
-            // Decode the flattened index back into per-axis coordinates
-            // (row-major, mirroring `flatten`).
-            let mut rest = cell;
-            for axis in (0..self.dim).rev() {
-                let c = rest % n;
-                rest /= n;
-                lo[axis] = c.saturating_sub(rings);
-                hi[axis] = (c + rings).min(n - 1);
-            }
-            // Odometer over the clamped hyper-box around the cell.
-            cur.copy_from_slice(&lo);
-            loop {
-                let mut idx = 0usize;
-                for &c in &cur {
-                    idx = idx * n + c;
-                }
-                out.insert(idx);
-                let mut axis = self.dim;
-                loop {
-                    if axis == 0 {
-                        break;
-                    }
-                    axis -= 1;
-                    if cur[axis] < hi[axis] {
-                        cur[axis] += 1;
-                        break;
-                    }
-                    cur[axis] = lo[axis];
-                }
-                if cur == lo {
-                    break;
-                }
-            }
+    /// The expansion contains the input cells themselves (`rings = 0` is
+    /// the identity). Out-of-range input cells are ignored.
+    pub fn expand_cells<'a>(&'a self, cells: &'a BTreeSet<u32>, rings: usize) -> ExpandedCells<'a> {
+        ExpandedCells {
+            geometry: self,
+            cells,
+            rings,
         }
-        out
+    }
+}
+
+/// A set of cells grown by a number of rings: see
+/// [`CellGeometry::expand_cells`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExpandedCells<'a> {
+    geometry: &'a CellGeometry,
+    cells: &'a BTreeSet<u32>,
+    rings: usize,
+}
+
+impl ExpandedCells<'_> {
+    /// True when `cell` lies within the rings of some input cell.
+    ///
+    /// Cells whose first axis is within `rings` of `cell`'s form one
+    /// contiguous run of row-major ids, so only that run of the input set
+    /// is scanned, each candidate by its per-axis distance.
+    pub fn contains(&self, cell: u32) -> bool {
+        let g = self.geometry;
+        let total = g.cells();
+        if cell as usize >= total {
+            return false;
+        }
+        let slab = total / g.cells_per_axis;
+        let first = cell as usize / slab;
+        let lo = first.saturating_sub(self.rings) * slab;
+        let hi = first
+            .saturating_add(self.rings)
+            .saturating_add(1)
+            .min(g.cells_per_axis)
+            * slab;
+        self.cells
+            .range(lo as u32..hi as u32)
+            .any(|&c| g.chebyshev(c, cell) <= self.rings)
+    }
+}
+
+/// Sparse trajectory index over a [`StatePair`], keyed by
+/// `(before-cell, after-cell)`.
+///
+/// Definition 3 makes the vicinity query *"all devices within uniform
+/// distance `radius` of `j` at both times"* a ball of the concatenated
+/// `2d`-space. The index files every device under the pair of grid cells
+/// its positions at `k-1` and at `k` fall in, in one ordered set, so it
+/// holds one entry per device and allocates `O(devices)` whatever the
+/// dimension. A query walks the `3^d` before-cells around `j`'s (when
+/// cells are no smaller than the radius), range-scans each one's keys, and
+/// skips every key whose after-cell lies outside the same box around `j`'s
+/// after-cell before touching a device: a stationary crowd sits on the
+/// diagonal keys, so a device that jumped away from it examines none of
+/// it. Candidates are then filtered exactly on the motion distance, so
+/// results are identical to the linear scan [`StatePair::neighbors_both`].
+///
+/// The local algorithms of the paper only ever look `2r` (one hop) or `4r`
+/// (two hops) away, and `r < 1/4`, so cell sides match query radii well.
+///
+/// # Example
+///
+/// ```
+/// use anomaly_qos::{TrajectoryIndex, QosSpace, Snapshot, StatePair, DeviceId};
+/// let space = QosSpace::new(2)?;
+/// let before = Snapshot::from_rows(&space, vec![vec![0.1, 0.1], vec![0.12, 0.11], vec![0.9, 0.9]])?;
+/// let after  = Snapshot::from_rows(&space, vec![vec![0.4, 0.4], vec![0.42, 0.41], vec![0.9, 0.8]])?;
+/// let pair = StatePair::new(before, after)?;
+/// let index = TrajectoryIndex::build(&pair, 0.06);
+/// assert_eq!(index.vicinity(&pair, DeviceId(0), 0.06), 1);
+/// assert_eq!(index.vicinity(&pair, DeviceId(2), 0.06), 0);
+/// # Ok::<(), anomaly_qos::QosError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrajectoryIndex {
+    geometry: CellGeometry,
+    /// `(before-cell, after-cell, id)` for every indexed device: one key's
+    /// ids are contiguous and ascending, one before-cell's keys contiguous.
+    entries: BTreeSet<(u32, u32, u32)>,
+    /// Per id, the key it is filed under.
+    key_of: Vec<(u32, u32)>,
+}
+
+impl TrajectoryIndex {
+    /// Indexes the trajectories of `pair`, with cells no smaller than
+    /// `min_cell_side` (typically the query radius `2r`), in one sorted
+    /// pass.
+    pub fn build(pair: &StatePair, min_cell_side: f64) -> Self {
+        let geometry = CellGeometry::new(pair.dim(), min_cell_side);
+        let rows = pair
+            .before()
+            .iter()
+            .zip(pair.after().iter())
+            .map(|((_, b), (_, a))| (b.coords(), a.coords()));
+        TrajectoryIndex::from_trajectories(geometry, rows)
     }
 
-    /// Exact vicinity query: devices other than `j` within uniform distance
-    /// `radius` of `j` at **both** times `k-1` and `k`.
+    /// Indexes trajectories given as `(position at k-1, position at k)`,
+    /// laid out by `geometry`. Row `i` gets id `i`.
+    pub fn from_trajectories<'a>(
+        geometry: CellGeometry,
+        rows: impl IntoIterator<Item = (&'a [f64], &'a [f64])>,
+    ) -> Self {
+        let rows = rows.into_iter();
+        let mut key_of = Vec::with_capacity(rows.size_hint().0);
+        let mut entries = Vec::with_capacity(rows.size_hint().0);
+        for (id, (before, after)) in rows.enumerate() {
+            let key = (geometry.cell_index(before), geometry.cell_index(after));
+            key_of.push(key);
+            entries.push((key.0, key.1, id as u32));
+        }
+        TrajectoryIndex {
+            geometry,
+            entries: radix_sorted(entries).into_iter().collect(),
+            key_of,
+        }
+    }
+
+    /// Brings the index from the state pair it last described to `pair`.
     ///
-    /// Results are sorted by device id and agree exactly with
-    /// [`StatePair::neighbors_both`].
+    /// `moved` lists every device whose position at `k-1` or at `k` may
+    /// have changed cell since then; each one's key is recomputed from
+    /// `pair` and the device re-filed if it changed, so a mostly-calm fleet
+    /// updates in time proportional to the churn, not the population. Ids
+    /// may repeat; ids outside the population are ignored.
     ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of bounds for `pair`, or if `pair` disagrees with
-    /// the dimension the index was built for.
-    pub fn neighbors_both(&self, pair: &StatePair, j: DeviceId, radius: f64) -> Vec<DeviceId> {
-        assert_eq!(pair.dim(), self.dim, "state pair dimension mismatch");
-        let (before, after) = (pair.before(), pair.after());
-        let mut out = Vec::new();
-        self.for_each_bucket_near(before.position(j).coords(), radius, |bucket| {
-            // The motion distance is the larger of the two instants'
-            // distances: test the before-distance first and compute the
-            // after-distance only for candidates that pass it.
-            for &cand in bucket {
-                if cand != j
-                    && before.distance(j, cand) <= radius
-                    && after.distance(j, cand) <= radius
-                {
-                    out.push(cand);
+    /// Falls back to a full rebuild — returning [`GridUpdate::Rebuilt`] —
+    /// whenever the incremental path cannot apply: the dimension changed,
+    /// `min_cell_side` implies a different cell resolution, or the
+    /// population differs from the one indexed. The result equals a fresh
+    /// [`TrajectoryIndex::build`]`(pair, min_cell_side)` as long as `moved`
+    /// is complete.
+    pub fn apply_moves(
+        &mut self,
+        pair: &StatePair,
+        min_cell_side: f64,
+        moved: &[DeviceId],
+    ) -> GridUpdate {
+        let geometry = CellGeometry::new(pair.dim(), min_cell_side);
+        if geometry != self.geometry || pair.len() != self.key_of.len() {
+            *self = TrajectoryIndex::build(pair, min_cell_side);
+            return GridUpdate::Rebuilt;
+        }
+        let mut rebucketed = 0usize;
+        for &id in moved {
+            let (Ok(before), Ok(after)) = (
+                pair.before().try_position(id),
+                pair.after().try_position(id),
+            ) else {
+                continue;
+            };
+            let Some(filed) = self.key_of.get_mut(id.index()) else {
+                continue;
+            };
+            let key = (
+                geometry.cell_index(before.coords()),
+                geometry.cell_index(after.coords()),
+            );
+            if *filed == key {
+                continue;
+            }
+            self.entries.remove(&(filed.0, filed.1, id.0));
+            self.entries.insert((key.0, key.1, id.0));
+            *filed = key;
+            rebucketed += 1;
+        }
+        GridUpdate::Incremental { rebucketed }
+    }
+
+    /// The `(before-cell, after-cell)` key `id` is filed under.
+    pub fn key_of(&self, id: DeviceId) -> Option<(u32, u32)> {
+        self.key_of.get(id.index()).copied()
+    }
+
+    /// Calls `visit` with the id of every device filed under a key whose
+    /// before-cell is within `ceil(radius / cell_side)` cells of the cell
+    /// of `before`, and whose after-cell is within as many cells of the
+    /// cell of `after`, on every axis. That is a superset of the devices
+    /// within uniform distance `radius` of `before` at `k-1` and of `after`
+    /// at `k`; callers filter it exactly. Ids come grouped by key.
+    pub fn candidates(
+        &self,
+        before: &[f64],
+        after: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(u32),
+    ) {
+        let g = &self.geometry;
+        let reach = g.reach(radius);
+        let home = g.cell_index(after);
+        g.for_each_cell_near(g.cell_index(before), reach, &mut |cell| {
+            let mut scan = self.entries.range((cell, 0, 0)..);
+            let mut next = scan.next();
+            // The after-cell of the key being scanned, once admitted.
+            let mut admitted = None;
+            while let Some(&(b, a, id)) = next {
+                if b != cell {
+                    break;
+                }
+                if admitted == Some(a) || g.chebyshev(a, home) <= reach {
+                    admitted = Some(a);
+                    visit(id);
+                    next = scan.next();
+                } else {
+                    // Skip the whole key without touching its devices.
+                    scan = self.entries.range((cell, a.saturating_add(1), 0)..);
+                    next = scan.next();
                 }
             }
         });
-        out.sort_unstable();
-        out
     }
 
-    /// Vicinity sizes of many devices at once: entry `i` equals
-    /// `self.neighbors_both(pair, js[i], radius).len()`.
-    ///
-    /// Queries are grouped by before-cell. Every query of a group walks the
-    /// same cells, so each group scans those buckets once and keeps only the
-    /// candidates within `radius` of the group's bounding box on every axis
-    /// at both instants; the exact per-query distance tests then run on the
-    /// survivors alone. A pile-up of co-moving devices in a crowded cell
-    /// thus costs one bucket scan instead of one per device.
-    ///
-    /// The box test compares `lo − x` and `x − hi` with `radius` against
-    /// the unexpanded per-axis minimum `lo` and maximum `hi` of the group.
-    /// Floating-point subtraction is monotone, so for any member `q` with
-    /// `lo ≤ q` the computed `lo − x` never exceeds the computed `q − x`
-    /// (likewise `x − hi` never exceeds `x − q`): a candidate within the
-    /// uniform distance `radius` of some member always survives, and
-    /// rounding can only keep extra candidates, which the exact tests drop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a device of `js` is out of bounds for `pair`, or if `pair`
-    /// disagrees with the dimension the index was built for.
-    pub fn vicinity_counts(&self, pair: &StatePair, js: &[DeviceId], radius: f64) -> Vec<usize> {
-        assert_eq!(pair.dim(), self.dim, "state pair dimension mismatch");
+    /// Vicinity size of `j`: the number of devices other than `j` within
+    /// uniform distance `radius` of it at **both** times `k-1` and `k`,
+    /// equal to `pair.neighbors_both(j, radius).len()` when the index
+    /// describes `pair`. Zero when `j` is not in `pair`.
+    pub fn vicinity(&self, pair: &StatePair, j: DeviceId, radius: f64) -> usize {
         let (before, after) = (pair.before(), pair.after());
-        let mut order: Vec<(usize, usize)> = js
-            .iter()
-            .enumerate()
-            .map(|(i, &j)| (self.cell_index(before.position(j).coords()), i))
-            .collect();
-        order.sort_unstable();
-        let mut counts = vec![0usize; js.len()];
-        let (mut lo_b, mut hi_b) = (vec![0.0; self.dim], vec![0.0; self.dim]);
-        let (mut lo_a, mut hi_a) = (vec![0.0; self.dim], vec![0.0; self.dim]);
-        for group in order.chunk_by(|x, y| x.0 == y.0) {
-            let Some(&(_, first)) = group.first() else {
-                continue;
-            };
-            lo_b.fill(f64::INFINITY);
-            hi_b.fill(f64::NEG_INFINITY);
-            lo_a.fill(f64::INFINITY);
-            hi_a.fill(f64::NEG_INFINITY);
-            for &(_, i) in group {
-                widen(&mut lo_b, &mut hi_b, before.position(js[i]).coords());
-                widen(&mut lo_a, &mut hi_a, after.position(js[i]).coords());
-            }
-            self.for_each_bucket_near(before.position(js[first]).coords(), radius, |bucket| {
-                for &cand in bucket {
-                    if !near_box(&lo_b, &hi_b, before.position(cand).coords(), radius)
-                        || !near_box(&lo_a, &hi_a, after.position(cand).coords(), radius)
-                    {
-                        continue;
-                    }
-                    for &(_, i) in group {
-                        let j = js[i];
-                        if cand != j
-                            && before.distance(j, cand) <= radius
-                            && after.distance(j, cand) <= radius
-                        {
-                            counts[i] += 1;
-                        }
-                    }
-                }
-            });
-        }
-        counts
-    }
-
-    /// Calls `visit` on every bucket of the hyper-box of cells within
-    /// `ceil(radius / cell_side)` cells of the cell `center` falls in,
-    /// clamped at the domain border: the `3^d` cells around it when cells
-    /// are no smaller than `radius`. Every position in one cell walks the
-    /// same buckets.
-    fn for_each_bucket_near(
-        &self,
-        center: &[f64],
-        radius: f64,
-        mut visit: impl FnMut(&[DeviceId]),
-    ) {
-        let reach = (radius / self.cell_side).ceil() as isize;
-        // Per-axis scratch on the stack for every realistic dimension (`d`
-        // is the number of services a device consumes).
-        const STACK_DIMS: usize = 8;
-        let mut axes_buf = [0isize; STACK_DIMS];
-        let mut offsets_buf = [0isize; STACK_DIMS];
-        let (mut axes_vec, mut offsets_vec);
-        let (axes, offsets): (&mut [isize], &mut [isize]) = if self.dim <= STACK_DIMS {
-            (&mut axes_buf[..self.dim], &mut offsets_buf[..self.dim])
-        } else {
-            axes_vec = vec![0isize; self.dim];
-            offsets_vec = vec![0isize; self.dim];
-            (&mut axes_vec[..], &mut offsets_vec[..])
+        let (Ok(jb), Ok(ja)) = (before.try_position(j), after.try_position(j)) else {
+            return 0;
         };
-        for (a, &c) in axes.iter_mut().zip(center) {
-            *a = ((c / self.cell_side) as isize).min(self.cells_per_axis as isize - 1);
-        }
-        offsets.fill(-reach);
-        'outer: loop {
-            // Compute the flattened index of the current neighbour cell.
-            let mut idx = 0usize;
-            let mut valid = true;
-            for (a, off) in axes.iter().zip(offsets.iter()) {
-                let axis = a + off;
-                if axis < 0 || axis >= self.cells_per_axis as isize {
-                    valid = false;
-                    break;
-                }
-                idx = idx * self.cells_per_axis + axis as usize;
+        let mut count = 0;
+        self.candidates(jb.coords(), ja.coords(), radius, |c| {
+            let c = DeviceId(c);
+            if c == j {
+                return;
             }
-            if valid {
-                visit(&self.buckets[idx]);
+            // The motion distance is the larger of the two instants'
+            // distances: test the before-distance first, and load the
+            // after-position only for candidates that pass it.
+            let near = |snapshot: &Snapshot, home: &Point| {
+                snapshot
+                    .try_position(c)
+                    .is_ok_and(|p| uniform_distance(home.coords(), p.coords()) <= radius)
+            };
+            if near(before, jb) && near(after, ja) {
+                count += 1;
             }
-            // Advance the offset odometer.
-            for i in (0..self.dim).rev() {
-                offsets[i] += 1;
-                if offsets[i] <= reach {
-                    continue 'outer;
-                }
-                offsets[i] = -reach;
-            }
-            break;
-        }
+        });
+        count
     }
 }
 
-/// Widens the per-axis box `[lo, hi]` to cover `p`.
-fn widen(lo: &mut [f64], hi: &mut [f64], p: &[f64]) {
-    for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(p) {
-        *l = l.min(x);
-        *h = h.max(x);
-    }
-}
+/// Bits of the sort key [`radix_sorted`] handles per counting pass.
+const RADIX_BITS: u32 = 9;
 
-/// True unless `x` is farther than `radius` from the box `[lo, hi]` on some
-/// axis. Tested as `lo − x > radius || x − hi > radius` against the
-/// unexpanded bounds, so rounding can never reject a point within `radius`
-/// of a box member (see [`GridIndex::vicinity_counts`]).
-fn near_box(lo: &[f64], hi: &[f64], x: &[f64], radius: f64) -> bool {
-    lo.iter()
-        .zip(hi)
-        .zip(x)
-        .all(|((&l, &h), &c)| !(l - c > radius || c - h > radius))
+/// Index entries generated in ascending id order, put in key order: a
+/// stable LSD radix sort on the packed `(before-cell, after-cell)` key, 36
+/// bits since cell ids stay below 2^18, so ids stay ascending within a key.
+/// Passes whose digit is the same for every entry are skipped. The ordered
+/// set is then built from the sorted run in one pass.
+fn radix_sorted(mut entries: Vec<(u32, u32, u32)>) -> Vec<(u32, u32, u32)> {
+    let key = |e: &(u32, u32, u32)| (u64::from(e.0) << 18) | u64::from(e.1);
+    let mask = (1u64 << RADIX_BITS) - 1;
+    let mut scratch = vec![(0, 0, 0); entries.len()];
+    for shift in (0..36).step_by(RADIX_BITS as usize) {
+        let digit = |e: &(u32, u32, u32)| ((key(e) >> shift) & mask) as usize;
+        let mut next = [0usize; 1 << RADIX_BITS];
+        for entry in &entries {
+            if let Some(count) = next.get_mut(digit(entry)) {
+                *count += 1;
+            }
+        }
+        if next.contains(&entries.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for &entry in &entries {
+            if let Some(slot) = next.get_mut(digit(&entry)) {
+                if let Some(place) = scratch.get_mut(*slot) {
+                    *place = entry;
+                }
+                *slot += 1;
+            }
+        }
+        std::mem::swap(&mut entries, &mut scratch);
+    }
+    entries
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::Snapshot;
     use crate::space::QosSpace;
     use proptest::prelude::*;
 
@@ -516,6 +447,66 @@ mod tests {
             Snapshot::from_rows(&space, rows_after).unwrap(),
         )
         .unwrap()
+    }
+
+    /// The exact neighbours of `j` among the index's candidates, sorted.
+    fn neighbors(
+        index: &TrajectoryIndex,
+        pair: &StatePair,
+        j: DeviceId,
+        radius: f64,
+    ) -> Vec<DeviceId> {
+        let (before, after) = (pair.before(), pair.after());
+        let mut out = Vec::new();
+        index.candidates(
+            before.position(j).coords(),
+            after.position(j).coords(),
+            radius,
+            |c| {
+                let c = DeviceId(c);
+                if c != j && before.distance(j, c) <= radius && after.distance(j, c) <= radius {
+                    out.push(c);
+                }
+            },
+        );
+        out.sort_unstable();
+        out
+    }
+
+    fn linear(pair: &StatePair, j: DeviceId, radius: f64) -> Vec<DeviceId> {
+        let mut expected = pair.neighbors_both(j, radius);
+        expected.sort_unstable();
+        expected
+    }
+
+    /// The positional diff of two pairs: every device whose position at
+    /// either instant changed.
+    fn diff(old: &StatePair, new: &StatePair) -> Vec<DeviceId> {
+        new.device_ids()
+            .filter(|&id| {
+                old.before().position(id) != new.before().position(id)
+                    || old.after().position(id) != new.after().position(id)
+            })
+            .collect()
+    }
+
+    /// Applies the positional diff of `old → new` and asserts the result
+    /// equals a fresh build, with `rebucketed` the number of changed keys.
+    fn assert_apply_matches_fresh(old: &StatePair, new: &StatePair, side: f64) {
+        let mut index = TrajectoryIndex::build(old, side);
+        let before = index.clone();
+        let fresh = TrajectoryIndex::build(new, side);
+        let rekeyed = new
+            .device_ids()
+            .filter(|&id| before.key_of(id) != fresh.key_of(id))
+            .count();
+        assert_eq!(
+            index.apply_moves(new, side, &diff(old, new)),
+            GridUpdate::Incremental {
+                rebucketed: rekeyed
+            }
+        );
+        assert_eq!(index, fresh);
     }
 
     #[test]
@@ -534,73 +525,91 @@ mod tests {
                 vec![0.8, 0.8],
             ],
         );
-        let index = GridIndex::build(&pair, 0.06);
+        let index = TrajectoryIndex::build(&pair, 0.06);
         for j in pair.device_ids() {
-            let mut expected = pair.neighbors_both(j, 0.06);
-            expected.sort_unstable();
-            assert_eq!(index.neighbors_both(&pair, j, 0.06), expected);
+            assert_eq!(neighbors(&index, &pair, j, 0.06), linear(&pair, j, 0.06));
+            assert_eq!(index.vicinity(&pair, j, 0.06), linear(&pair, j, 0.06).len());
         }
+    }
+
+    /// Every cell of a `dim`-dimensional geometry the expansion contains.
+    fn expanded(geometry: &CellGeometry, dirty: &BTreeSet<u32>, rings: usize) -> BTreeSet<u32> {
+        let view = geometry.expand_cells(dirty, rings);
+        (0..geometry.cells() as u32)
+            .filter(|&c| view.contains(c))
+            .collect()
     }
 
     #[test]
     fn expand_cells_covers_the_chebyshev_ring() {
-        let pair = pair_from(
-            vec![vec![0.5, 0.5], vec![0.1, 0.1]],
-            vec![vec![0.5, 0.5], vec![0.1, 0.1]],
-        );
-        let index = GridIndex::build(&pair, 0.1); // 10 cells per axis
-        let n = index.cells_per_axis();
+        let geometry = CellGeometry::new(2, 0.1); // 10 cells per axis
+        let n = geometry.cells_per_axis;
         assert_eq!(n, 10);
-        let center = index.cell_index(&[0.55, 0.55]); // cell (5, 5)
-        let dirty: std::collections::BTreeSet<usize> = [center].into_iter().collect();
+        let center = geometry.cell_index(&[0.55, 0.55]); // cell (5, 5)
+        let dirty: BTreeSet<u32> = [center].into_iter().collect();
 
         // rings = 0 is the identity.
-        assert_eq!(index.expand_cells(&dirty, 0), dirty);
+        assert_eq!(expanded(&geometry, &dirty, 0), dirty);
 
         // rings = 2 is the full 5x5 Chebyshev box around (5, 5).
-        let expanded = index.expand_cells(&dirty, 2);
-        let mut expected = std::collections::BTreeSet::new();
-        for x in 3..=7usize {
-            for y in 3..=7usize {
-                expected.insert(x * n + y);
+        let mut expected = BTreeSet::new();
+        for x in 3..=7u32 {
+            for y in 3..=7u32 {
+                expected.insert(x * n as u32 + y);
             }
         }
-        assert_eq!(expanded, expected);
+        assert_eq!(expanded(&geometry, &dirty, 2), expected);
     }
 
     #[test]
     fn expand_cells_clamps_at_the_domain_border() {
-        let pair = pair_from(vec![vec![0.05, 0.05]], vec![vec![0.05, 0.05]]);
-        let index = GridIndex::build(&pair, 0.1);
-        let n = index.cells_per_axis();
-        let corner = index.cell_index(&[0.0, 0.0]); // cell (0, 0)
-        let dirty: std::collections::BTreeSet<usize> = [corner].into_iter().collect();
-        let expanded = index.expand_cells(&dirty, 2);
-        let mut expected = std::collections::BTreeSet::new();
-        for x in 0..=2usize {
-            for y in 0..=2usize {
+        let geometry = CellGeometry::new(2, 0.1);
+        let n = geometry.cells_per_axis as u32;
+        let corner = geometry.cell_index(&[0.0, 0.0]); // cell (0, 0)
+        let dirty: BTreeSet<u32> = [corner].into_iter().collect();
+        let mut expected = BTreeSet::new();
+        for x in 0..=2u32 {
+            for y in 0..=2u32 {
                 expected.insert(x * n + y);
             }
         }
-        assert_eq!(expanded, expected);
+        assert_eq!(expanded(&geometry, &dirty, 2), expected);
+        // A cell of the last row does not wrap around to the first one.
+        let edge: BTreeSet<u32> = [9 * n + 9].into_iter().collect();
+        assert!(!geometry.expand_cells(&edge, 1).contains(0));
+        assert!(!geometry.expand_cells(&edge, 1).contains(9 * n));
         // Out-of-range cells are ignored rather than decoded nonsensically.
-        let bogus: std::collections::BTreeSet<usize> = [n * n + 7].into_iter().collect();
-        assert!(index.expand_cells(&bogus, 2).is_empty());
+        let bogus: BTreeSet<u32> = [n * n + 7].into_iter().collect();
+        assert!(expanded(&geometry, &bogus, 2).is_empty());
+        assert!(!geometry.expand_cells(&dirty, 2).contains(n * n + 7));
     }
 
     #[test]
     fn expand_cells_merges_overlapping_neighbourhoods() {
-        let pair = pair_from(vec![vec![0.5, 0.5]], vec![vec![0.5, 0.5]]);
-        let index = GridIndex::build(&pair, 0.1);
-        let a = index.cell_index(&[0.45, 0.45]);
-        let b = index.cell_index(&[0.55, 0.45]); // adjacent along axis 0
-        let dirty: std::collections::BTreeSet<usize> = [a, b].into_iter().collect();
-        let expanded = index.expand_cells(&dirty, 1);
+        let geometry = CellGeometry::new(2, 0.1);
+        let a = geometry.cell_index(&[0.45, 0.45]);
+        let b = geometry.cell_index(&[0.55, 0.45]); // adjacent along axis 0
+        let dirty: BTreeSet<u32> = [a, b].into_iter().collect();
+        let cells = expanded(&geometry, &dirty, 1);
         // Two adjacent 3x3 boxes overlap into a 4x3 box: 12 distinct cells.
-        assert_eq!(expanded.len(), 12);
-        for &cell in &dirty {
-            assert!(expanded.contains(&cell));
+        assert_eq!(cells.len(), 12);
+        for cell in &dirty {
+            assert!(cells.contains(cell));
         }
+    }
+
+    /// The expansion never materialises its cells: at 16 services a
+    /// two-ring box would hold 5^16 of them.
+    #[test]
+    fn expand_cells_scales_to_many_services() {
+        let geometry = CellGeometry::new(16, 0.06);
+        assert_eq!(geometry.cells_per_axis, 2);
+        let origin = geometry.cell_index(&[0.1; 16]);
+        let far = geometry.cell_index(&[0.9; 16]);
+        let dirty: BTreeSet<u32> = [origin].into_iter().collect();
+        assert!(geometry.expand_cells(&dirty, 0).contains(origin));
+        assert!(!geometry.expand_cells(&dirty, 0).contains(far));
+        assert!(geometry.expand_cells(&dirty, 1).contains(far));
     }
 
     #[test]
@@ -609,19 +618,26 @@ mod tests {
             vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![0.02, 0.0]],
             vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![0.02, 0.0]],
         );
-        let index = GridIndex::build(&pair, 0.05);
+        let index = TrajectoryIndex::build(&pair, 0.05);
         assert_eq!(
-            index.neighbors_both(&pair, DeviceId(0), 0.05),
+            neighbors(&index, &pair, DeviceId(0), 0.05),
             vec![DeviceId(2)]
         );
-        assert!(index.neighbors_both(&pair, DeviceId(1), 0.05).is_empty());
+        assert!(neighbors(&index, &pair, DeviceId(1), 0.05).is_empty());
     }
 
+    /// A zero, negative or non-numeric cell side takes the capped or the
+    /// coarsest resolution instead of panicking, and queries stay exact.
     #[test]
-    #[should_panic(expected = "positive and finite")]
-    fn rejects_zero_cell_side() {
-        let pair = pair_from(vec![vec![0.5]], vec![vec![0.5]]);
-        GridIndex::build(&pair, 0.0);
+    fn zero_cell_side_takes_the_capped_resolution() {
+        assert_eq!(CellGeometry::new(1, 0.0).cells_per_axis, 4096);
+        assert_eq!(CellGeometry::new(1, -0.5).cells_per_axis, 1);
+        assert_eq!(CellGeometry::new(1, f64::NAN).cells_per_axis, 1);
+        let pair = pair_from(vec![vec![0.5], vec![0.5]], vec![vec![0.5], vec![0.5]]);
+        for side in [0.0, -0.5, f64::NAN] {
+            let index = TrajectoryIndex::build(&pair, side);
+            assert_eq!(index.vicinity(&pair, DeviceId(0), 0.0), 1);
+        }
     }
 
     #[test]
@@ -644,14 +660,14 @@ mod tests {
                 vec![0.72, 0.6],
             ],
         );
-        let mut reused = GridIndex::build(&first, 0.06);
-        reused.rebuild(&second, 0.08);
-        let fresh = GridIndex::build(&second, 0.08);
-        assert_eq!(reused.cells_per_axis(), fresh.cells_per_axis());
+        let mut reused = TrajectoryIndex::build(&first, 0.06);
+        assert_eq!(reused.apply_moves(&second, 0.08, &[]), GridUpdate::Rebuilt);
+        let fresh = TrajectoryIndex::build(&second, 0.08);
+        assert_eq!(reused, fresh);
         for j in second.device_ids() {
             assert_eq!(
-                reused.neighbors_both(&second, j, 0.08),
-                fresh.neighbors_both(&second, j, 0.08),
+                neighbors(&reused, &second, j, 0.08),
+                linear(&second, j, 0.08)
             );
         }
     }
@@ -666,15 +682,12 @@ mod tests {
                 vec![vec![0.2], vec![0.22], vec![0.9]],
             ),
         ];
-        let mut index = GridIndex::build(&pairs[0], 0.5);
+        let mut index = TrajectoryIndex::build(&pairs[0], 0.5);
         for (pair, side) in [(&pairs[1], 0.01), (&pairs[0], 0.3), (&pairs[1], 0.06)] {
-            index.rebuild(pair, side);
-            let fresh = GridIndex::build(pair, side);
+            assert_eq!(index.apply_moves(pair, side, &[]), GridUpdate::Rebuilt);
+            assert_eq!(index, TrajectoryIndex::build(pair, side));
             for j in pair.device_ids() {
-                assert_eq!(
-                    index.neighbors_both(pair, j, side),
-                    fresh.neighbors_both(pair, j, side),
-                );
+                assert_eq!(neighbors(&index, pair, j, side), linear(pair, j, side));
             }
         }
     }
@@ -685,33 +698,11 @@ mod tests {
             vec![vec![0.1], vec![0.14], vec![0.5]],
             vec![vec![0.2], vec![0.24], vec![0.9]],
         );
-        let index = GridIndex::build(&pair, 0.06);
+        let index = TrajectoryIndex::build(&pair, 0.06);
         assert_eq!(
-            index.neighbors_both(&pair, DeviceId(0), 0.06),
+            neighbors(&index, &pair, DeviceId(0), 0.06),
             vec![DeviceId(1)]
         );
-    }
-
-    /// Applies `moves` (old pair -> new pair, positional diff of the before
-    /// snapshots) and asserts the result equals a fresh build.
-    fn assert_apply_matches_fresh(old: &StatePair, new: &StatePair, side: f64, radius: f64) {
-        let mut index = GridIndex::build(old, side);
-        let moves: Vec<(DeviceId, Point, Point)> = old
-            .before()
-            .iter()
-            .zip(new.before().iter())
-            .filter(|((_, a), (_, b))| a != b)
-            .map(|((id, a), (_, b))| (id, a.clone(), b.clone()))
-            .collect();
-        index.apply_moves(new, side, &moves);
-        let fresh = GridIndex::build(new, side);
-        for j in new.device_ids() {
-            assert_eq!(
-                index.neighbors_both(new, j, radius),
-                fresh.neighbors_both(new, j, radius),
-                "device {j:?} disagrees after apply_moves"
-            );
-        }
     }
 
     #[test]
@@ -721,29 +712,30 @@ mod tests {
             vec![vec![0.12, 0.10], vec![0.50, 0.52], vec![0.90, 0.88]],
         );
         // Device 0 crosses several cells, device 1 stays put, device 2
-        // nudges within its cell.
+        // nudges within its cells.
         let new = pair_from(
             vec![vec![0.45, 0.45], vec![0.50, 0.50], vec![0.905, 0.90]],
             vec![vec![0.46, 0.45], vec![0.50, 0.51], vec![0.91, 0.90]],
         );
-        assert_apply_matches_fresh(&old, &new, 0.06, 0.06);
+        assert_apply_matches_fresh(&old, &new, 0.06);
     }
 
     #[test]
     fn apply_moves_reports_incremental_outcome_and_counts() {
         let old = pair_from(vec![vec![0.1], vec![0.9]], vec![vec![0.1], vec![0.9]]);
-        let new = pair_from(vec![vec![0.6], vec![0.9]], vec![vec![0.6], vec![0.9]]);
-        let mut index = GridIndex::build(&old, 0.1);
-        let moves = vec![(
-            DeviceId(0),
-            old.before().position(DeviceId(0)).clone(),
-            new.before().position(DeviceId(0)).clone(),
-        )];
+        // Device 0 moves at k-1 only, device 1 at k only: both re-keyed.
+        let new = pair_from(vec![vec![0.6], vec![0.9]], vec![vec![0.1], vec![0.3]]);
+        let mut index = TrajectoryIndex::build(&old, 0.1);
         assert_eq!(
-            index.apply_moves(&new, 0.1, &moves),
-            GridUpdate::Incremental { rebucketed: 1 }
+            index.apply_moves(&new, 0.1, &[DeviceId(0), DeviceId(1)]),
+            GridUpdate::Incremental { rebucketed: 2 }
         );
-        // A no-op move (same cell) is not counted.
+        // A device whose key did not change, or one named twice, is not
+        // counted again.
+        assert_eq!(
+            index.apply_moves(&new, 0.1, &[DeviceId(0), DeviceId(0)]),
+            GridUpdate::Incremental { rebucketed: 0 }
+        );
         assert_eq!(
             index.apply_moves(&new, 0.1, &[]),
             GridUpdate::Incremental { rebucketed: 0 }
@@ -756,13 +748,10 @@ mod tests {
             vec![vec![0.1], vec![0.5], vec![0.9]],
             vec![vec![0.1], vec![0.5], vec![0.9]],
         );
-        let mut index = GridIndex::build(&pair, 0.1);
+        let mut index = TrajectoryIndex::build(&pair, 0.1);
         // A different resolution cannot be patched in place.
         assert_eq!(index.apply_moves(&pair, 0.3, &[]), GridUpdate::Rebuilt);
-        assert_eq!(
-            index.cells_per_axis(),
-            GridIndex::build(&pair, 0.3).cells_per_axis()
-        );
+        assert_eq!(index, TrajectoryIndex::build(&pair, 0.3));
     }
 
     #[test]
@@ -772,34 +761,33 @@ mod tests {
             vec![vec![0.1], vec![0.5], vec![0.9]],
             vec![vec![0.1], vec![0.5], vec![0.9]],
         );
-        let mut index = GridIndex::build(&old, 0.1);
+        let mut index = TrajectoryIndex::build(&old, 0.1);
         assert_eq!(index.apply_moves(&new, 0.1, &[]), GridUpdate::Rebuilt);
-        let fresh = GridIndex::build(&new, 0.1);
+        let fresh = TrajectoryIndex::build(&new, 0.1);
+        assert_eq!(index, fresh);
         for j in new.device_ids() {
-            assert_eq!(
-                index.neighbors_both(&new, j, 0.1),
-                fresh.neighbors_both(&new, j, 0.1),
-            );
+            assert_eq!(neighbors(&index, &new, j, 0.1), linear(&new, j, 0.1));
         }
     }
 
+    /// Keys are recomputed from the pair, so no move list can put the
+    /// index in a state it cannot describe; ids beyond the population are
+    /// skipped.
     #[test]
-    #[should_panic(expected = "disagrees with the cell")]
-    fn apply_moves_rejects_inconsistent_move_lists() {
-        let pair = pair_from(vec![vec![0.1]], vec![vec![0.1]]);
-        let mut index = GridIndex::build(&pair, 0.1);
-        // Claims device 0 was at 0.9 (wrong cell).
-        let lie = vec![(
-            DeviceId(0),
-            Point::new_unchecked(vec![0.9]),
-            Point::new_unchecked(vec![0.1]),
-        )];
-        index.apply_moves(&pair, 0.1, &lie);
+    fn apply_moves_ignores_ids_outside_the_population() {
+        let old = pair_from(vec![vec![0.1]], vec![vec![0.1]]);
+        let new = pair_from(vec![vec![0.9]], vec![vec![0.1]]);
+        let mut index = TrajectoryIndex::build(&old, 0.1);
+        assert_eq!(
+            index.apply_moves(&new, 0.1, &[DeviceId(7), DeviceId(0), DeviceId(u32::MAX)]),
+            GridUpdate::Incremental { rebucketed: 1 }
+        );
+        assert_eq!(index, TrajectoryIndex::build(&new, 0.1));
     }
 
     /// The axis-resolution cap engages for `min_cell_side` far below the
     /// capped cell side; a caller detecting cell crossings through
-    /// [`GridIndex::cell_index`] (the monitor's staged-move filter) must
+    /// [`CellGeometry::cell_index`] (the monitor's staging filter) must
     /// stay consistent with `apply_moves`' own capped geometry.
     #[test]
     fn cell_index_crossing_filter_matches_apply_moves_under_the_cap() {
@@ -809,8 +797,9 @@ mod tests {
             .collect();
         let old = pair_from(rows.clone(), rows.clone());
         let side = 0.001;
-        let mut index = GridIndex::build(&old, side);
-        assert_eq!(index.cells_per_axis(), 64, "the dim-3 cap must engage");
+        let mut index = TrajectoryIndex::build(&old, side);
+        let geometry = index.geometry;
+        assert_eq!(geometry.cells_per_axis, 64, "the dim-3 cap must engage");
         // Every device nudges; some cross capped cells, some only cross
         // cells of the *uncapped* resolution (the desync hazard: filtering
         // with the wrong geometry would drop or fabricate moves).
@@ -822,35 +811,26 @@ mod tests {
                 row.iter().map(|c| (c + nudge).min(1.0)).collect()
             })
             .collect();
-        let new = pair_from(new_rows, rows.clone());
-        // The monitor's filter: keep only moves whose *capped* cell differs.
-        let moves: Vec<(DeviceId, Point, Point)> = old
-            .before()
-            .iter()
-            .zip(new.before().iter())
-            .filter(|((_, a), (_, b))| index.cell_index(a.coords()) != index.cell_index(b.coords()))
-            .map(|((id, a), (_, b))| (id, a.clone(), b.clone()))
+        let new = pair_from(new_rows.clone(), new_rows);
+        // The monitor's filter: stage only rows whose *capped* cell moved.
+        let moved: Vec<DeviceId> = old
+            .device_ids()
+            .filter(|&id| {
+                let (a, b) = (old.after().position(id), new.after().position(id));
+                geometry.cell_index(a.coords()) != geometry.cell_index(b.coords())
+            })
             .collect();
         assert!(
-            moves.len() < old.len(),
+            moved.len() < old.len(),
             "some nudges must stay within their capped cell"
         );
         assert_eq!(
-            index.apply_moves(&new, side, &moves),
+            index.apply_moves(&new, side, &moved),
             GridUpdate::Incremental {
-                rebucketed: moves.len()
+                rebucketed: moved.len()
             }
         );
-        let fresh = GridIndex::build(&new, side);
-        for j in new.device_ids() {
-            for radius in [0.02, 0.12] {
-                assert_eq!(
-                    index.neighbors_both(&new, j, radius),
-                    fresh.neighbors_both(&new, j, radius),
-                    "device {j:?} at radius {radius}"
-                );
-            }
-        }
+        assert_eq!(index, TrajectoryIndex::build(&new, side));
     }
 
     /// The layout derived before any build places every position in the
@@ -866,12 +846,14 @@ mod tests {
                 })
                 .collect();
             let pair = pair_from(rows.clone(), rows.clone());
-            let index = GridIndex::build(&pair, side);
+            let index = TrajectoryIndex::build(&pair, side);
             let geometry = CellGeometry::new(dim, side);
-            for row in &rows {
+            assert_eq!(index.geometry, geometry);
+            for (i, row) in rows.iter().enumerate() {
+                let cell = geometry.cell_index(row);
                 assert_eq!(
-                    geometry.cell_index(row),
-                    index.cell_index(row),
+                    index.key_of(DeviceId(i as u32)),
+                    Some((cell, cell)),
                     "{dim} {side}"
                 );
             }
@@ -880,33 +862,54 @@ mod tests {
 
     #[test]
     fn the_axis_cap_depends_on_the_dimension() {
-        for (dim, expected) in [(1usize, 4096), (2, 512), (3, 64), (4, 16), (6, 16)] {
-            let rows = vec![vec![0.5; dim], vec![0.25; dim]];
-            let pair = pair_from(rows.clone(), rows);
-            let index = GridIndex::build(&pair, 1e-9);
-            assert_eq!(index.cells_per_axis(), expected, "dim {dim}");
+        for (dim, expected) in [
+            (1usize, 4096),
+            (2, 512),
+            (3, 64),
+            (4, 16),
+            (5, 12),
+            (6, 8),
+            (16, 2),
+            (19, 1),
+        ] {
+            let geometry = CellGeometry::new(dim, 1e-9);
+            assert_eq!(geometry.cells_per_axis, expected, "dim {dim}");
+            assert!(geometry.cells() <= MAX_CELLS, "dim {dim}");
             // The capped cell side is what cell_index actually uses.
-            assert!((index.cell_side() - 1.0 / expected as f64).abs() < 1e-12);
+            assert!((geometry.cell_side - 1.0 / expected as f64).abs() < 1e-12);
         }
     }
 
-    /// `vicinity_counts` against the linear scan, for every device.
+    /// Sixteen services at the default window: two devices index in two
+    /// entries, where a dense grid would need 2^16 buckets or wrap to none.
+    #[test]
+    fn many_services_index_in_linear_space() {
+        let pair = pair_from(
+            vec![vec![0.5; 16], vec![0.51; 16]],
+            vec![vec![0.5; 16], vec![0.9; 16]],
+        );
+        let index = TrajectoryIndex::build(&pair, 0.06);
+        assert_eq!(index.entries.len(), 2);
+        assert_eq!(index.key_of.len(), 2);
+        for j in pair.device_ids() {
+            assert_eq!(index.vicinity(&pair, j, 0.06), 0);
+        }
+    }
+
+    /// `vicinity` against the linear scan, for every device of `js`.
     fn assert_counts_match_linear_scan(pair: &StatePair, js: &[DeviceId], radius: f64) {
-        let index = GridIndex::build(pair, radius);
-        let counts = index.vicinity_counts(pair, js, radius);
-        assert_eq!(counts.len(), js.len());
-        for (&j, &count) in js.iter().zip(&counts) {
+        let index = TrajectoryIndex::build(pair, radius);
+        for &j in js {
             assert_eq!(
-                count,
+                index.vicinity(pair, j, radius),
                 pair.neighbors_both(j, radius).len(),
                 "device {j:?} at radius {radius}"
             );
         }
     }
 
-    /// Gaps whose computed difference is exactly `radius` while
-    /// `lo − radius` rounds above the candidate: a box pre-expanded by the
-    /// radius would drop these neighbours.
+    /// Gaps whose computed difference is exactly `radius`, where a box
+    /// pre-expanded by the radius would round past the neighbour.
     #[test]
     fn vicinity_counts_keep_neighbours_exactly_radius_away() {
         for (near, far, radius) in [(0.04, 0.14, 0.1), (0.08, 0.28, 0.2), (0.02, 0.07, 0.05)] {
@@ -916,14 +919,18 @@ mod tests {
                     r[0] = x;
                     r
                 };
-                // Two queries share the far cell; the near device is one
+                // Two devices share the far cell; the near device is one
                 // cell over, within `radius` of both at both instants.
                 let rows = vec![row(far), row(far), row(near)];
                 let pair = pair_from(rows.clone(), rows);
                 let js: Vec<DeviceId> = pair.device_ids().collect();
                 assert_counts_match_linear_scan(&pair, &js, radius);
-                let index = GridIndex::build(&pair, radius);
-                assert_eq!(index.vicinity_counts(&pair, &js, radius), vec![2, 2, 2]);
+                let index = TrajectoryIndex::build(&pair, radius);
+                let counts: Vec<usize> = js
+                    .iter()
+                    .map(|&j| index.vicinity(&pair, j, radius))
+                    .collect();
+                assert_eq!(counts, vec![2, 2, 2]);
             }
         }
     }
@@ -934,18 +941,67 @@ mod tests {
             vec![vec![0.1, 0.1], vec![0.12, 0.11], vec![0.9, 0.9]],
             vec![vec![0.4, 0.4], vec![0.42, 0.41], vec![0.9, 0.8]],
         );
-        let index = GridIndex::build(&pair, 0.06);
-        assert!(index.vicinity_counts(&pair, &[], 0.06).is_empty());
+        let index = TrajectoryIndex::build(&pair, 0.06);
         let js = [DeviceId(2), DeviceId(0), DeviceId(0), DeviceId(1)];
-        assert_eq!(index.vicinity_counts(&pair, &js, 0.06), vec![0, 1, 1, 1]);
+        let counts: Vec<usize> = js.iter().map(|&j| index.vicinity(&pair, j, 0.06)).collect();
+        assert_eq!(counts, vec![0, 1, 1, 1]);
+        // A device outside the pair has no vicinity.
+        assert_eq!(index.vicinity(&pair, DeviceId(3), 0.06), 0);
+        let space = QosSpace::new(2).unwrap();
+        let empty = StatePair::new(
+            Snapshot::from_rows(&space, vec![]).unwrap(),
+            Snapshot::from_rows(&space, vec![]).unwrap(),
+        )
+        .unwrap();
+        let index = TrajectoryIndex::build(&empty, 0.06);
+        assert!(index.entries.is_empty());
+        assert_eq!(index.vicinity(&empty, DeviceId(0), 0.06), 0);
+    }
+
+    /// A crowd that stays put over three cell columns, and one device that
+    /// jumped out of the middle one by two and by three cells: at three
+    /// the jumper's query examines no crowd device, at two only the
+    /// column next to it.
+    #[test]
+    fn a_jumper_skips_the_crowd_it_left() {
+        let crowd: Vec<Vec<f64>> = (0..300)
+            .map(|i| vec![0.40 + 0.001 * i as f64, 0.5])
+            .collect();
+        for cells in [3.0, 2.0] {
+            let mut before = crowd.clone();
+            let mut after = crowd.clone();
+            before.push(vec![0.55, 0.5]);
+            after.push(vec![0.55 + cells * 0.1, 0.5]);
+            let pair = pair_from(before, after);
+            let index = TrajectoryIndex::build(&pair, 0.1);
+            let geometry = index.geometry;
+            let column = geometry.cell_index(&[0.65, 0.5]);
+            let next_column = crowd
+                .iter()
+                .filter(|row| geometry.cell_index(row) == column)
+                .count();
+            assert!(next_column > 50);
+            let jumper = DeviceId(300);
+            let mut examined = 0;
+            index.candidates(
+                pair.before().position(jumper).coords(),
+                pair.after().position(jumper).coords(),
+                0.1,
+                |_| examined += 1,
+            );
+            let expected = if cells == 3.0 { 1 } else { 1 + next_column };
+            assert_eq!(examined, expected, "{cells} cells away");
+            assert_eq!(
+                index.vicinity(&pair, jumper, 0.1),
+                pair.neighbors_both(jumper, 0.1).len()
+            );
+        }
     }
 
     proptest! {
-        /// Batched vicinity counts equal the linear scan on grid-aligned
-        /// decimals: many queries per cell, points on cell boundaries and
-        /// at the clamped edge 1.0, and gaps exactly equal to the radius
-        /// (including the ones where `lo − radius` rounds up past the
-        /// neighbour).
+        /// Vicinity counts equal the linear scan on grid-aligned decimals:
+        /// many queries per cell, points on cell boundaries and at the
+        /// clamped edge 1.0, and gaps exactly equal to the radius.
         #[test]
         fn vicinity_counts_equal_linear_scan(
             rows in proptest::collection::vec(
@@ -953,11 +1009,9 @@ mod tests {
                 1..40),
             dim in 1usize..4,
             radius_pick in 0usize..4,
-            shuffle in 0u64..u64::MAX,
         ) {
             let radius = [0.05, 0.1, 0.2, 0.3][radius_pick];
-            // Half the devices stay put, so the before-box and the
-            // after-box differ for the groups that hold a mover.
+            // Half the devices stay put, half move anywhere.
             let before: Vec<Vec<f64>> = rows
                 .iter()
                 .map(|(coords, _)| coords[..dim].iter().map(|&c| PALETTE[c]).collect())
@@ -978,28 +1032,53 @@ mod tests {
                 })
                 .collect();
             let pair = pair_from(before, after);
-            let mut js: Vec<DeviceId> = pair.device_ids().collect();
-            let mut state = shuffle | 1;
-            for i in (1..js.len()).rev() {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                js.swap(i, (state >> 33) as usize % (i + 1));
-            }
+            let js: Vec<DeviceId> = pair.device_ids().collect();
             assert_counts_match_linear_scan(&pair, &js, radius);
+        }
+
+        /// Index queries equal `StatePair::neighbors_both` on the palette,
+        /// with movers whose before- and after-cells differ by 0 to 3
+        /// cells on one axis, so every admitted and skipped key shape
+        /// (diagonal, one column over, out of the after-ball) occurs.
+        #[test]
+        fn index_queries_equal_neighbors_both(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(0usize..PALETTE.len(), 3), 0usize..4, 0usize..3, 0usize..2),
+                1..40),
+            dim in 1usize..4,
+            radius_pick in 0usize..4,
+        ) {
+            let radius = [0.05, 0.1, 0.2, 0.3][radius_pick];
+            let mut before = Vec::new();
+            let mut after = Vec::new();
+            for (coords, cells, axis, up) in &rows {
+                let b: Vec<f64> = coords[..dim].iter().map(|&c| PALETTE[c]).collect();
+                let mut a = b.clone();
+                let axis = axis % dim;
+                let step = *cells as f64 * radius;
+                a[axis] = if *up == 1 { (a[axis] + step).min(1.0) } else { (a[axis] - step).max(0.0) };
+                before.push(b);
+                after.push(a);
+            }
+            let pair = pair_from(before, after);
+            let index = TrajectoryIndex::build(&pair, radius);
+            for j in pair.device_ids() {
+                prop_assert_eq!(neighbors(&index, &pair, j, radius), linear(&pair, j, radius));
+                prop_assert_eq!(index.vicinity(&pair, j, radius), linear(&pair, j, radius).len());
+            }
         }
     }
 
     /// Grid-aligned decimals: cell boundaries for the radii the property
-    /// test draws, the domain edges, and both ends of every gap where
+    /// tests draw, the domain edges, and both ends of every gap where
     /// `lo − radius` rounds above a neighbour `radius` away.
     const PALETTE: [f64; 16] = [
         0.0, 0.02, 0.04, 0.07, 0.08, 0.1, 0.14, 0.2, 0.28, 0.3, 0.31, 0.5, 0.6, 0.7, 0.9, 1.0,
     ];
 
     proptest! {
-        /// The grid query is exactly equivalent to the linear scan, for any
-        /// population and radius.
+        /// The index query is exactly equivalent to the linear scan, for
+        /// any population and radius.
         #[test]
         fn grid_equals_linear_scan(
             rows in proptest::collection::vec(
@@ -1010,19 +1089,17 @@ mod tests {
         ) {
             let n = rows.len().min(rows_after.len());
             let pair = pair_from(rows[..n].to_vec(), rows_after[..n].to_vec());
-            let index = GridIndex::build(&pair, radius);
+            let index = TrajectoryIndex::build(&pair, radius);
             for j in pair.device_ids() {
-                let mut expected = pair.neighbors_both(j, radius);
-                expected.sort_unstable();
-                prop_assert_eq!(index.neighbors_both(&pair, j, radius), expected);
+                prop_assert_eq!(neighbors(&index, &pair, j, radius), linear(&pair, j, radius));
             }
         }
 
         /// In the capped-resolution regime (dim 3, radii far below the
         /// 1/64 capped cell side) the incremental path must still agree
         /// with a fresh build — both when handed the full positional diff
-        /// and when handed only the moves that cross a *capped* cell, the
-        /// filter the monitor's sealing path applies via `cell_index`.
+        /// and when handed only the rows that cross a *capped* cell, the
+        /// filter the monitor's sealing path applies.
         #[test]
         fn apply_moves_equals_fresh_build_when_the_axis_cap_engages(
             rows in proptest::collection::vec(
@@ -1040,28 +1117,22 @@ mod tests {
                 .map(|(i, row)| if i % 2 == 0 { moved[i].clone() } else { row.clone() })
                 .collect();
             let new = pair_from(new_before, moved[..n].to_vec());
-            prop_assert!(GridIndex::build(&old, radius).cells_per_axis() <= 64);
+            prop_assert!(TrajectoryIndex::build(&old, radius).geometry.cells_per_axis <= 64);
             // Full positional diff.
-            assert_apply_matches_fresh(&old, &new, radius, radius);
+            assert_apply_matches_fresh(&old, &new, radius);
             // Capped-cell-crossing filter only (the monitor's batch).
-            let mut index = GridIndex::build(&old, radius);
-            let moves: Vec<(DeviceId, Point, Point)> = old
-                .before()
-                .iter()
-                .zip(new.before().iter())
-                .filter(|((_, a), (_, b))| {
-                    index.cell_index(a.coords()) != index.cell_index(b.coords())
+            let mut index = TrajectoryIndex::build(&old, radius);
+            let geometry = index.geometry;
+            let crossed = |a: &[f64], b: &[f64]| geometry.cell_index(a) != geometry.cell_index(b);
+            let staged: Vec<DeviceId> = old
+                .device_ids()
+                .filter(|&id| {
+                    crossed(old.before().position(id).coords(), new.before().position(id).coords())
+                        || crossed(old.after().position(id).coords(), new.after().position(id).coords())
                 })
-                .map(|((id, a), (_, b))| (id, a.clone(), b.clone()))
                 .collect();
-            index.apply_moves(&new, radius, &moves);
-            let fresh = GridIndex::build(&new, radius);
-            for j in new.device_ids() {
-                prop_assert_eq!(
-                    index.neighbors_both(&new, j, radius),
-                    fresh.neighbors_both(&new, j, radius)
-                );
-            }
+            index.apply_moves(&new, radius, &staged);
+            prop_assert_eq!(index, TrajectoryIndex::build(&new, radius));
         }
 
         /// Applying a randomized batch of moves is equivalent to a fresh
@@ -1086,7 +1157,7 @@ mod tests {
                 .map(|(i, row)| if i % 2 == 0 { moved[i].clone() } else { row.clone() })
                 .collect();
             let new = pair_from(new_before, moved[..n].to_vec());
-            assert_apply_matches_fresh(&old, &new, radius, radius);
+            assert_apply_matches_fresh(&old, &new, radius);
         }
     }
 }

@@ -14,9 +14,10 @@
 //! * [`QosSpace`] — dimension-checked construction and containment.
 //! * [`Snapshot`] / [`StatePair`] — the system states `S_{k-1}`, `S_k`.
 //! * [`Trajectory`] — a device's motion between two successive snapshots.
-//! * [`GridIndex`] — a uniform-grid spatial index answering the vicinity
-//!   queries `N(j)` (all devices within `2r` of `j` at *both* times) that the
-//!   local characterization algorithms rely on.
+//! * [`TrajectoryIndex`] — a sparse index keyed by `(before-cell,
+//!   after-cell)` answering the vicinity queries `N(j)` (all devices within
+//!   `2r` of `j` at *both* times) that the local characterization
+//!   algorithms rely on; [`CellGeometry`] is its cell layout.
 //!
 //! # Example
 //!
@@ -46,7 +47,7 @@ mod space;
 mod trajectory;
 
 pub use error::QosError;
-pub use grid::{CellGeometry, GridIndex, GridUpdate};
+pub use grid::{CellGeometry, ExpandedCells, GridUpdate, TrajectoryIndex};
 pub use norm::{l1_distance, l2_distance, uniform_distance, Norm, NormKind};
 pub use point::{DeviceId, Point};
 pub use snapshot::{Snapshot, StatePair};

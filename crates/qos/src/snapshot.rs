@@ -357,7 +357,7 @@ impl StatePair {
     /// **both** times — the neighbourhood `N(j) = N_{k-1}(j) ∩ N_k(j)` that
     /// Algorithm 2 of the paper takes as input, computed by linear scan.
     ///
-    /// For large populations prefer [`crate::GridIndex::neighbors_both`].
+    /// For large populations prefer [`crate::TrajectoryIndex::vicinity`].
     ///
     /// # Panics
     ///

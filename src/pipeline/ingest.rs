@@ -492,26 +492,22 @@ impl Monitor {
             StalenessPolicy::Default(row) => Some(Point::new_unchecked(row.clone())),
             _ => None,
         };
-        let (current, changed, moves, stragglers) = if steady {
+        let (current, changed, stragglers) = if steady {
             let stragglers = self.resolve_silent_steady(n, &fed)?;
-            let (current, changed, moves) = self.assemble_delta(&fed, default_point.as_ref())?;
-            (current, changed, moves, stragglers)
+            let (current, changed) = self.assemble_delta(&fed, default_point.as_ref())?;
+            (current, changed, stragglers)
         } else {
             let (plan, stragglers) = self.resolve_silent_general(n)?;
             let current = self.assemble_fresh(&plan, default_point.as_ref())?;
-            (
-                current,
-                Vec::new(),
-                Vec::new(),
-                Stragglers::Eager(stragglers),
-            )
+            (current, Vec::new(), Stragglers::Eager(stragglers))
         };
 
         // Phase 3 — settle ages and run the shared pipeline. Only slots
         // with a real update feed their detector (frozen semantics for
         // bridged rows — see `StalenessPolicy`); the changed rows go along
         // so characterization can invalidate exactly the neighbourhoods
-        // they touch.
+        // they touch, and the trajectory index re-keys the ones that
+        // crossed a cell.
         self.epoch.settle_epoch(&fed, n);
         let report = self.advance(
             current,
@@ -523,9 +519,8 @@ impl Monitor {
         )?;
 
         // Phase 4 — record the delta for the next epoch: the recycled
-        // buffer lags the new previous snapshot by exactly `changed`, and
-        // the vicinity grid owes those cell moves at its next update.
-        self.record_epoch_delta(changed, moves, steady);
+        // buffer lags the new previous snapshot by exactly `changed`.
+        self.record_epoch_delta(changed, steady);
         Ok(report)
     }
 
@@ -708,34 +703,26 @@ impl Monitor {
 
     /// Steady-state assembly: recycle the spare buffer (or clone once when
     /// no spare exists yet), patch only the rows that actually changed,
-    /// and report the change-set plus the grid move candidates.
+    /// and report the change-set.
     ///
     /// Walks the `fed` slots only — silent rows keep their previous value
     /// (carry-forward) and cost nothing — except under the `Default`
     /// policy, where every silent row must be compared against the default
     /// point too.
-    #[allow(clippy::type_complexity)]
     fn assemble_delta(
         &mut self,
         fed: &[u32],
         default_point: Option<&Point>,
-    ) -> Result<(Snapshot, Vec<DeviceId>, Vec<(DeviceId, Point, Point)>), MonitorError> {
+    ) -> Result<(Snapshot, Vec<DeviceId>), MonitorError> {
         let n = self.keys().len();
         // Collect the rows that differ from the previous snapshot.
         let mut patches: Vec<(DeviceId, Point)> = Vec::new();
-        let mut moves: Vec<(DeviceId, Point, Point)> = Vec::new();
         let mut stage_row = |this: &mut Self, slot: usize, p: Point| -> Result<(), MonitorError> {
             let id = DeviceId(slot as u32);
             let prev = this.previous_snapshot().ok_or(MonitorError::internal(
                 "delta assembly requires a previous snapshot",
             ))?;
             if p != *prev.position(id) {
-                // Move candidates are only worth cloning when incremental
-                // grid maintenance will actually replay them (and only
-                // cell-crossing ones ever need re-bucketing).
-                if this.wants_grid_move(prev.position(id), &p) {
-                    moves.push((id, prev.position(id).clone(), p.clone()));
-                }
                 patches.push((id, p));
             }
             Ok(())
@@ -795,7 +782,7 @@ impl Monitor {
         current
             .patch_rows(patches)
             .map_err(|_| MonitorError::internal("patched rows were validated at ingest time"))?;
-        Ok((current, changed, moves))
+        Ok((current, changed))
     }
 
     /// Full assembly for the first epoch and for epochs following
@@ -829,23 +816,16 @@ impl Monitor {
 }
 
 impl Monitor {
-    /// Appends this epoch's cell-crossing moves to the staged batch the
-    /// vicinity grid will replay at its next incremental update, and
-    /// remembers which rows the recycled buffer is missing.
-    fn record_epoch_delta(
-        &mut self,
-        changed: Vec<DeviceId>,
-        moves: Vec<(DeviceId, Point, Point)>,
-        steady: bool,
-    ) {
+    /// Remembers which rows the recycled buffer is missing.
+    fn record_epoch_delta(&mut self, changed: Vec<DeviceId>, steady: bool) {
         if !steady {
             // A fresh or churned epoch: the spare buffer (if any) and any
-            // staged moves refer to a membership that no longer exists.
+            // staged index moves refer to a membership that no longer
+            // exists.
             self.invalidate_spare();
             return;
         }
         self.set_spare_lag(changed);
-        self.stage_grid_moves(moves);
     }
 }
 

@@ -13,8 +13,8 @@ use anomaly_core::{
 };
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
-    CellGeometry, DeviceId, GridIndex, GridUpdate, Norm, NormKind, Point, QosSpace, Snapshot,
-    StatePair,
+    CellGeometry, DeviceId, ExpandedCells, GridUpdate, Norm, NormKind, Point, QosSpace, Snapshot,
+    StatePair, TrajectoryIndex,
 };
 use anomaly_store::{Dec, Enc};
 // conformance: allow(C2, reason = "HashMap backs only the lookup-only key index; it is never iterated, so hash order cannot reach a report")
@@ -23,10 +23,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Chebyshev cell rings the dirty-cell set is expanded by before cache
-/// invalidation. A device's verdict is a function of trajectories and
-/// flagged-set membership within `4r` of it (its own motions involve
-/// devices within the `2r` window, and the Theorem 7 search inspects
-/// those neighbours' motions, reaching a further `2r` out). Cells are
+/// invalidation ([`CellGeometry::expand_cells`]). A device's verdict is a
+/// function of trajectories and flagged-set membership within `4r` of it
+/// (its own motions involve devices within the `2r` window, and the
+/// Theorem 7 search inspects those neighbours' motions, reaching a further
+/// `2r` out). Cells are
 /// `2r` wide, so two positions at most `4r` apart differ by at most two
 /// cell indices per axis — expanding every dirty cell by two rings
 /// therefore covers every device whose verdict the change could touch.
@@ -70,7 +71,7 @@ pub type DetectorFactory = Box<dyn Fn(DeviceKey) -> Box<dyn DeviceDetector>>;
 ///   surviving cohort of each interval;
 /// * accepts any [`DeviceDetector`] implementation per device, so fleets
 ///   mix EWMA, CUSUM, Kalman, or Holt-Winters models freely;
-/// * reuses its vicinity grid and snapshot buffers across instants and
+/// * keeps its trajectory index and snapshot buffers across instants and
 ///   reports per-instant wall-clock timings.
 ///
 /// Construct one with [`MonitorBuilder`](super::MonitorBuilder).
@@ -123,11 +124,17 @@ pub struct Monitor {
     /// current `keys` still describe it). An O(1) handle on the pre-churn
     /// `keys` Arc.
     previous_keys: Option<Arc<Vec<DeviceKey>>>,
-    /// Vicinity index, reused (allocations and all) across instants. Arc'd
-    /// so the worker pool can share it during a parallel phase; between
-    /// epochs the monitor holds the only reference and mutates in place
-    /// through [`Arc::make_mut`].
-    grid: Option<Arc<GridIndex>>,
+    /// Vicinity index over the last characterized interval's cohort, keyed
+    /// by each device's `(before-cell, after-cell)`, kept across instants.
+    /// Arc'd so the worker pool can share it during a parallel phase;
+    /// between epochs the monitor holds the only reference and mutates in
+    /// place through [`Arc::make_mut`].
+    trajectory_index: Option<Arc<TrajectoryIndex>>,
+    /// The cell layout of the index and of the cache's dirty cells: a
+    /// function of the service count and the window alone, fixed for the
+    /// monitor's lifetime, so cell ids stay comparable across rebuilds and
+    /// exist before the first one.
+    geometry: CellGeometry,
     /// Execution strategy for the characterization phase.
     engine: Engine,
     /// Persistent characterization workers, spawned lazily at the first
@@ -153,7 +160,7 @@ pub struct Monitor {
     /// rows whose value changed, plus cells of devices whose detector flag
     /// flipped. Consumed (and re-seeded with the sealing epoch's own
     /// changed cells) at every characterized instant.
-    dirty_pending: BTreeSet<usize>,
+    dirty_pending: BTreeSet<u32>,
     instant: u64,
     /// The open streaming epoch: pending per-device updates and
     /// staleness ages (slot-aligned with `keys`).
@@ -167,15 +174,19 @@ pub struct Monitor {
     spare: Option<Snapshot>,
     /// Rows of `spare` that are stale with respect to `previous`.
     spare_lag: Vec<DeviceId>,
-    /// Cell-crossing before-position moves accumulated since the vicinity
-    /// grid last updated — the exact batch `GridIndex::apply_moves`
-    /// replays at the next characterized instant.
-    grid_staged: Vec<(DeviceId, Point, Point)>,
-    /// True when `grid` indexes a full-fleet snapshot and `grid_staged`
-    /// has tracked every before-position change since — the precondition
-    /// for replaying staged moves instead of rebuilding.
-    grid_full_synced: bool,
-    /// Outcome of the most recent vicinity-grid update, if any.
+    /// Devices whose `(before-cell, after-cell)` key may have changed since
+    /// the trajectory index last described a pair: every row that crossed
+    /// a cell in an epoch sealed since, including the last characterized
+    /// epoch's own crossers (their before-cell moves one instant later).
+    /// The batch `TrajectoryIndex::apply_moves` re-keys at the next
+    /// characterized instant.
+    index_staged: Vec<DeviceId>,
+    /// True when the trajectory index describes a full-fleet pair and
+    /// `index_staged` has tracked every crossing since — the precondition
+    /// for re-keying the staged devices instead of rebuilding.
+    index_synced: bool,
+    /// How the current seal brought the trajectory index up to date;
+    /// `None` when it characterized nothing.
     last_grid_update: Option<GridUpdate>,
     /// Correlates per-epoch verdicts into anomaly events and keeps the
     /// bounded report history.
@@ -200,9 +211,9 @@ struct VerdictRow {
 /// cells in `dirty_pending` and tested against `cell` after ring
 /// expansion.
 struct CacheEntry {
-    /// Grid cell of the device's `after` position when the entry was
-    /// computed — the anchor the dirty-neighbourhood invalidation tests.
-    cell: usize,
+    /// Cell of the device's `after` position when the entry was computed
+    /// — the anchor the dirty-neighbourhood invalidation tests.
+    cell: u32,
     /// The device's precompute slice, re-merged into the interval's
     /// analyzer whenever other devices need fresh computation.
     precompute: DevicePrecompute,
@@ -239,10 +250,9 @@ impl CharCache {
     }
 
     /// Triage: evicts every entry anchored in one of the `doomed` cells.
-    fn evict_cells(&mut self, doomed: &BTreeSet<usize>) {
+    fn evict_cells(&mut self, doomed: &ExpandedCells<'_>) {
         let before = self.entries.len();
-        self.entries
-            .retain(|_, entry| !doomed.contains(&entry.cell));
+        self.entries.retain(|_, entry| !doomed.contains(entry.cell));
         if self.entries.len() != before {
             self.partition = None;
         }
@@ -333,7 +343,8 @@ impl Monitor {
             detectors: Vec::with_capacity(capacity),
             previous: None,
             previous_keys: None,
-            grid: None,
+            trajectory_index: None,
+            geometry: CellGeometry::new(services, params.window().max(1e-6)),
             engine,
             pool: None,
             flag_state: Vec::with_capacity(capacity),
@@ -345,8 +356,8 @@ impl Monitor {
             staleness,
             spare: None,
             spare_lag: Vec::new(),
-            grid_staged: Vec::new(),
-            grid_full_synced: false,
+            index_staged: Vec::new(),
+            index_synced: false,
             last_grid_update: None,
             tracker: EventTracker::new(history, debounce),
         }
@@ -357,12 +368,14 @@ impl Monitor {
         self.engine
     }
 
-    /// How the most recent characterized instant brought the vicinity grid
-    /// up to date: [`GridUpdate::Incremental`] with the number of devices
-    /// re-bucketed, or [`GridUpdate::Rebuilt`]. `None` until the first
-    /// characterization runs. A steady fleet sealing small epochs must
-    /// report `Incremental` here — `tests/ingest_equivalence.rs` pins that
-    /// down.
+    /// How the most recent seal brought the trajectory index up to date:
+    /// [`GridUpdate::Incremental`] with the number of devices whose
+    /// `(before-cell, after-cell)` key changed, or [`GridUpdate::Rebuilt`]
+    /// (the first characterized seal, the first after a restore or a
+    /// reset, and any seal after membership churn). `None` when that seal
+    /// characterized nothing, so a quiet seal never re-reports an earlier
+    /// update. A steady fleet sealing small epochs must report
+    /// `Incremental` here — `tests/ingest_equivalence.rs` pins that down.
     pub fn last_grid_update(&self) -> Option<GridUpdate> {
         self.last_grid_update
     }
@@ -497,74 +510,71 @@ impl Monitor {
         self.spare_lag = changed;
     }
 
-    /// Drops the recycled buffer and every staged grid move — called when
-    /// membership or shape changes make them meaningless.
+    /// Drops the recycled buffer and every staged index move — called
+    /// when membership or shape changes make them meaningless.
     pub(super) fn invalidate_spare(&mut self) {
         self.spare = None;
         self.spare_lag.clear();
-        self.grid_staged.clear();
-        self.grid_full_synced = false;
+        self.index_staged.clear();
+        self.index_synced = false;
     }
 
-    /// Whether a changed row is worth recording as a grid move candidate:
-    /// once the grid exists only cell-crossing ones need re-bucketing (the
-    /// cell geometry is fixed for the monitor's lifetime — `window` never
-    /// changes). Lets the sealing path skip the two `Point` clones per
-    /// changed row whenever they would be discarded.
-    pub(super) fn wants_grid_move(&self, old: &Point, new: &Point) -> bool {
-        match &self.grid {
-            Some(grid) => grid.cell_index(old.coords()) != grid.cell_index(new.coords()),
-            None => true,
-        }
-    }
-
-    /// Appends this epoch's before-position moves to the batch the
-    /// vicinity grid will replay at its next incremental update. Only
-    /// cell-crossing moves are kept — same-cell jitter never needs
-    /// re-bucketing — so the staged batch stays proportional to the real
-    /// churn.
-    pub(super) fn stage_grid_moves(&mut self, moves: Vec<(DeviceId, Point, Point)>) {
-        if !self.grid_full_synced {
-            return;
-        }
-        let Some(grid) = &self.grid else { return };
-        for (id, old, new) in moves {
-            if grid.cell_index(old.coords()) != grid.cell_index(new.coords()) {
-                self.grid_staged.push((id, old, new));
-            }
-        }
-    }
-
-    /// Old and new vicinity-grid cell of every row that changed value this
-    /// epoch — the seed of the characterization cache's dirty set, and the
-    /// echo that re-dirties those rows next epoch. Pure cell geometry:
-    /// indices depend only on the space dimension and the window, both
-    /// fixed for the monitor's lifetime, so they stay comparable across
-    /// grid rebuilds and exist before the first one.
+    /// Old and new cell of every row that changed value this epoch — the
+    /// seed of the characterization cache's dirty set, and the echo that
+    /// re-dirties those rows next epoch — plus the rows whose cell
+    /// changed, the ones whose trajectory-index key moves. Pure cell
+    /// geometry, fixed for the monitor's lifetime.
     ///
-    /// Empty when nothing would consume the result: no grid exists yet and
-    /// the epoch characterizes nothing. The cache fills only once a grid
-    /// exists, so until then only a characterizing epoch — the first one,
-    /// or the first after a restore — needs its echo.
+    /// Empty when nothing would consume the result: no index exists yet
+    /// and the epoch characterizes nothing. The cache fills only once an
+    /// index exists, so until then only a characterizing epoch — the first
+    /// one, or the first after a restore — needs its echo.
     fn changed_cells_of(
         &self,
         changed: &[DeviceId],
         current: &Snapshot,
         characterizing: bool,
-    ) -> Vec<usize> {
-        if changed.is_empty() || (self.grid.is_none() && !characterizing) {
-            return Vec::new();
+    ) -> (Vec<u32>, Vec<DeviceId>) {
+        let mut cells = Vec::new();
+        let mut crossers = Vec::new();
+        if changed.is_empty() || (self.trajectory_index.is_none() && !characterizing) {
+            return (cells, crossers);
         }
         let Some(prev) = self.previous.as_ref() else {
-            return Vec::new();
+            return (cells, crossers);
         };
-        let geometry = CellGeometry::new(self.services, self.params.window().max(1e-6));
-        let mut cells = Vec::with_capacity(changed.len() * 2);
+        cells.reserve(changed.len() * 2);
         for &id in changed {
-            cells.push(geometry.cell_index(prev.position(id).coords()));
-            cells.push(geometry.cell_index(current.position(id).coords()));
+            let (Ok(old), Ok(new)) = (prev.try_position(id), current.try_position(id)) else {
+                continue;
+            };
+            let (from, to) = (
+                self.geometry.cell_index(old.coords()),
+                self.geometry.cell_index(new.coords()),
+            );
+            cells.push(from);
+            cells.push(to);
+            if from != to {
+                crossers.push(id);
+            }
         }
-        cells
+        (cells, crossers)
+    }
+
+    /// Adds this epoch's cell crossers to the devices the trajectory index
+    /// must re-key at its next incremental update. Nothing is staged while
+    /// the index is out of sync: its next update rebuilds it anyway.
+    fn stage_index_moves(&mut self, crossers: &[DeviceId]) {
+        if !self.index_synced {
+            return;
+        }
+        self.index_staged.extend_from_slice(crossers);
+        // Quiet streaks stage the same devices again and again; keep the
+        // batch no larger than the fleet.
+        if self.index_staged.len() > self.keys.len() {
+            self.index_staged.sort_unstable();
+            self.index_staged.dedup();
+        }
     }
 
     /// Assembles the interval's characterization engine from the freshly
@@ -826,6 +836,7 @@ impl Monitor {
         stragglers: Stragglers,
         delta: SealDelta<'_>,
     ) -> Result<Report, MonitorError> {
+        self.last_grid_update = None;
         let detection_start = Stopwatch::start();
         for &slot in &delta.fed {
             let i = slot as usize;
@@ -849,8 +860,9 @@ impl Monitor {
                 }
                 // A_k membership changed at this device's position: every
                 // cached verdict in its neighbourhood is suspect.
-                if let Some(grid) = &self.grid {
-                    self.dirty_pending.insert(grid.cell_index(point.coords()));
+                if self.trajectory_index.is_some() {
+                    self.dirty_pending
+                        .insert(self.geometry.cell_index(point.coords()));
                 }
             }
             if let Some(state) = self.flag_state.get_mut(i) {
@@ -872,8 +884,11 @@ impl Monitor {
             flagged.push((i, score));
         }
         let detection = detection_start.elapsed();
-        let changed_cells = self.changed_cells_of(delta.changed, &current, !flagged.is_empty());
+        let (changed_cells, crossers) =
+            self.changed_cells_of(delta.changed, &current, !flagged.is_empty());
         self.dirty_pending.extend(changed_cells.iter().copied());
+        // The sealing epoch's own crossers move their after-cell now.
+        self.stage_index_moves(&crossers);
 
         let instant = self.instant;
         self.instant += 1;
@@ -894,6 +909,11 @@ impl Monitor {
                     &mut warming,
                 )?;
                 characterization = char_start.elapsed();
+                // Once the index has absorbed this epoch's crossers, their
+                // before-cell moves at the next instant: stage them again.
+                if self.last_grid_update.is_some() {
+                    self.stage_index_moves(&crossers);
+                }
                 rotated
             }
             Some(previous) => (current, Some(previous)),
@@ -948,7 +968,7 @@ impl Monitor {
         previous: Snapshot,
         current: Snapshot,
         flagged: &[(u32, f64)],
-        echo_cells: &[usize],
+        echo_cells: &[u32],
         verdicts: &mut Vec<DeviceVerdict>,
         warming: &mut Vec<DeviceKey>,
     ) -> Result<(Snapshot, Option<Snapshot>), MonitorError> {
@@ -1021,28 +1041,24 @@ impl Monitor {
             }
         };
 
-        // Vicinity index over the whole cohort (not only A_k), kept across
-        // instants. At a steady full-fleet instant the staged cell moves
-        // accumulated by the sealing path are replayed incrementally
-        // (`apply_moves` — O(moved devices)); any scope or shape change
-        // falls back to a full rebuild.
+        // Trajectory index over the whole cohort (not only A_k), kept
+        // across instants. At a steady full-fleet instant the devices that
+        // crossed a cell since its last update are re-keyed
+        // (`apply_moves` — O(staged devices)); any scope or shape change
+        // rebuilds it in one sorted pass.
         let window = self.params.window();
         let cell_side = window.max(1e-6);
-        self.last_grid_update = Some(match &mut self.grid {
-            Some(grid) if steady && self.grid_full_synced => {
-                Arc::make_mut(grid).apply_moves(&pair, cell_side, &self.grid_staged)
+        self.last_grid_update = Some(match &mut self.trajectory_index {
+            Some(index) if steady && self.index_synced => {
+                Arc::make_mut(index).apply_moves(&pair, cell_side, &self.index_staged)
             }
-            Some(grid) => {
-                Arc::make_mut(grid).rebuild(&pair, cell_side);
-                GridUpdate::Rebuilt
-            }
-            grid @ None => {
-                *grid = Some(Arc::new(GridIndex::build(&pair, cell_side)));
+            index => {
+                *index = Some(Arc::new(TrajectoryIndex::build(&pair, cell_side)));
                 GridUpdate::Rebuilt
             }
         });
-        self.grid_staged.clear();
-        self.grid_full_synced = steady;
+        self.index_staged.clear();
+        self.index_synced = steady;
 
         // Cache triage. Consume the dirty cells accumulated since the last
         // characterized instant, expand them to the 4r (= 2 cell rings)
@@ -1057,11 +1073,7 @@ impl Monitor {
         if steady {
             let dirty = std::mem::take(&mut self.dirty_pending);
             if !dirty.is_empty() {
-                let grid = self
-                    .grid
-                    .as_ref()
-                    .ok_or(MonitorError::internal("vicinity grid missing after update"))?;
-                let doomed = grid.expand_cells(&dirty, INVALIDATION_RINGS);
+                let doomed = self.geometry.expand_cells(&dirty, INVALIDATION_RINGS);
                 self.char_cache.evict_cells(&doomed);
             }
             // Echo: rows that changed this epoch change trajectory again
@@ -1097,7 +1109,7 @@ impl Monitor {
         let mut fresh_pre: BTreeMap<u32, DevicePrecompute> = BTreeMap::new();
         let (pair, partition) = if fresh.is_empty() {
             // Full cache hit: no trajectory table, no analyzer, no shard
-            // plan. The characterization cost of the epoch is the grid
+            // plan. The characterization cost of the epoch is the index
             // update plus one map lookup per flagged device. The spatial
             // partition comes from the cached dense slices — component ids
             // are epoch-local ranks, so a cached id could go stale when an
@@ -1159,11 +1171,9 @@ impl Monitor {
             // global one.
             let core = Arc::new(self.merged_core(&table, fresh_parts));
             let partition = Arc::new(core.component_partition());
-            let grid = Arc::clone(
-                self.grid
-                    .as_ref()
-                    .ok_or(MonitorError::internal("vicinity grid missing after update"))?,
-            );
+            let index = Arc::clone(self.trajectory_index.as_ref().ok_or(
+                MonitorError::internal("trajectory index missing after update"),
+            )?);
             let pair = Arc::new(pair);
             let jobs: Vec<Job> = shards
                 .into_iter()
@@ -1171,7 +1181,7 @@ impl Monitor {
                     core: Arc::clone(&core),
                     table: Arc::clone(&table),
                     pair: Arc::clone(&pair),
-                    grid: Arc::clone(&grid),
+                    index: Arc::clone(&index),
                     window,
                     shard,
                 })
@@ -1199,15 +1209,11 @@ impl Monitor {
         // Freshly decided devices enter the cache (with their precompute
         // slice, for future merges) before joining the cached rows.
         if steady && !fresh_rows.is_empty() {
-            let grid = self
-                .grid
-                .as_ref()
-                .ok_or(MonitorError::internal("vicinity grid missing after update"))?;
             for &(j, characterization, vicinity) in &fresh_rows {
                 let precompute = fresh_pre.remove(&j.0).ok_or(MonitorError::internal(
                     "fresh device missing its precompute slice",
                 ))?;
-                let cell = grid.cell_index(pair.after().position(j).coords());
+                let cell = self.geometry.cell_index(pair.after().position(j).coords());
                 self.char_cache.insert(
                     j.0,
                     CacheEntry {
@@ -1283,7 +1289,7 @@ impl Monitor {
     /// fleet keys, per-device detector state, frozen verdicts, the last
     /// sealed snapshot (and its key order, if membership churned since),
     /// the open epoch with its staleness ages, the event tracker, and the
-    /// clock. Derived structures — vicinity grid, worker pool,
+    /// clock. Derived structures — trajectory index, worker pool,
     /// characterization cache, recycled snapshot buffers — are
     /// deliberately absent: they are rebuilt lazily, and the determinism
     /// suites prove reports are identical with or without them.
@@ -1774,8 +1780,8 @@ mod tests {
 
     #[test]
     fn steady_epochs_update_the_grid_incrementally() {
-        // After the first characterized instant builds the grid, later
-        // small epochs replay only their staged cell moves.
+        // After the first characterized instant builds the index, later
+        // small epochs re-key only the devices that crossed a cell.
         let mut m = warmed(16);
         let mut rows = vec![vec![0.9]; 16];
         rows[3] = vec![0.45];
@@ -1848,5 +1854,132 @@ mod tests {
         assert!(s.contains("population: 2"));
         let b = format!("{:?}", MonitorBuilder::new());
         assert!(b.contains("radius"));
+    }
+
+    /// Index upkeep against a fresh build, through random epochs.
+    mod index_upkeep {
+        use super::*;
+        use anomaly_detectors::ThresholdDetector;
+        use proptest::prelude::*;
+
+        const DEVICES: usize = 16;
+
+        fn builder(devices: usize) -> MonitorBuilder {
+            MonitorBuilder::new()
+                .staleness(StalenessPolicy::CarryForward { max_age: 1_000 })
+                .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
+                .fleet(devices)
+        }
+
+        /// What one epoch does before its seal.
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            /// Some devices wiggle by 0.04 (under the detector's delta,
+            /// often across a cell); flagged devices stay frozen.
+            Wiggle,
+            /// Some devices jump by 0.3: flagged, so the seal characterizes.
+            Jump,
+            /// Every device re-reports, some wiggling: every flag clears and
+            /// the seal characterizes nothing, while rows still cross cells.
+            Settle,
+            /// One device leaves and a fresh one joins and reports.
+            Churn,
+            /// The monitor is checkpointed and restored before the seal.
+            Restore,
+        }
+
+        proptest! {
+            /// Across random epochs — uncharacterized quiet seals between
+            /// characterized ones, churn, and a restore — the index the
+            /// monitor keeps equals a fresh build over the interval it last
+            /// characterized, `last_grid_update` is `None` exactly when a seal
+            /// characterized nothing, and `rebucketed` counts exactly the
+            /// devices whose key changed since the previous update.
+            #[test]
+            fn the_trajectory_index_equals_a_fresh_build(
+                steps in proptest::collection::vec(0usize..10, 4..24),
+                picks in proptest::collection::vec(0usize..1000, 24),
+            ) {
+                let mut m = builder(DEVICES).build().unwrap();
+                let mut position: Vec<(u64, f64)> = (0..DEVICES as u64)
+                    .map(|k| (k, 0.05 + 0.9 * k as f64 / DEVICES as f64))
+                    .collect();
+                let mut next_key = DEVICES as u64;
+                m.ingest_many(position.iter().map(|&(k, x)| (k, vec![x]))).unwrap();
+                m.seal().unwrap();
+                // Whether the next characterized seal may update in place.
+                let mut synced = false;
+                for (e, &raw) in steps.iter().enumerate() {
+                    let step = match raw {
+                        0..=2 => Step::Wiggle,
+                        3..=5 => Step::Jump,
+                        6 | 7 => Step::Settle,
+                        8 => Step::Churn,
+                        _ => Step::Restore,
+                    };
+                    let pick = picks[e % picks.len()];
+                    let chosen = |i: usize| (pick >> (i % 10)) & 1 == 1;
+                    let mut rows: Vec<(u64, Vec<f64>)> = Vec::new();
+                    match step {
+                        Step::Wiggle | Step::Jump | Step::Settle => {
+                            let delta = if matches!(step, Step::Jump) { 0.3 } else { 0.04 };
+                            for (i, (k, x)) in position.iter_mut().enumerate() {
+                                if chosen(i) {
+                                    *x = if *x + delta <= 1.0 { *x + delta } else { *x - delta };
+                                    rows.push((*k, vec![*x]));
+                                } else if matches!(step, Step::Settle) {
+                                    rows.push((*k, vec![*x]));
+                                }
+                            }
+                        }
+                        Step::Churn => {
+                            let gone = position.remove(pick % position.len()).0;
+                            m.leave(gone).unwrap();
+                            m.join(next_key).unwrap();
+                            let x = (pick % 97) as f64 / 97.0;
+                            position.push((next_key, x));
+                            rows.push((next_key, vec![x]));
+                            next_key += 1;
+                            synced = false;
+                        }
+                        Step::Restore => {
+                            let mut bytes = Vec::new();
+                            m.checkpoint(&mut bytes).unwrap();
+                            m = Monitor::restore(bytes.as_slice(), builder(0)).unwrap();
+                            prop_assert!(m.trajectory_index.is_none());
+                            synced = false;
+                        }
+                    }
+                    let before = m.last_snapshot().cloned();
+                    let old = m.trajectory_index.as_deref().cloned();
+                    m.ingest_many(rows).unwrap();
+                    let report = m.seal().unwrap();
+                    let characterized = !report.verdicts().is_empty();
+                    prop_assert_eq!(m.last_grid_update().is_some(), characterized, "epoch {}", e);
+                    if !characterized {
+                        continue;
+                    }
+                    if matches!(step, Step::Churn) {
+                        prop_assert_eq!(m.last_grid_update(), Some(GridUpdate::Rebuilt));
+                        continue;
+                    }
+                    let after = m.last_snapshot().cloned();
+                    let pair = StatePair::new(before.unwrap(), after.unwrap()).unwrap();
+                    let fresh = TrajectoryIndex::build(&pair, m.params().window());
+                    prop_assert_eq!(m.trajectory_index.as_deref(), Some(&fresh), "epoch {}", e);
+                    let expected = match (&old, synced) {
+                        (Some(old), true) => GridUpdate::Incremental {
+                            rebucketed: pair
+                                .device_ids()
+                                .filter(|&id| old.key_of(id) != fresh.key_of(id))
+                                .count(),
+                        },
+                        _ => GridUpdate::Rebuilt,
+                    };
+                    prop_assert_eq!(m.last_grid_update(), Some(expected), "epoch {}", e);
+                    synced = true;
+                }
+            }
+        }
     }
 }

@@ -25,7 +25,7 @@ use anomaly_core::{
     AnalyzerCore, Characterization, DevicePrecompute, Params, TrajectoryTable,
     DEFAULT_ENUMERATION_BUDGET,
 };
-use anomaly_qos::{DeviceId, GridIndex, StatePair};
+use anomaly_qos::{DeviceId, StatePair, TrajectoryIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -51,8 +51,8 @@ pub(super) enum Job {
         table: Arc<TrajectoryTable>,
         /// The interval's cohort state pair.
         pair: Arc<StatePair>,
-        /// Vicinity index over the cohort.
-        grid: Arc<GridIndex>,
+        /// Trajectory index over the cohort.
+        index: Arc<TrajectoryIndex>,
         /// Vicinity radius (`2r`).
         window: f64,
         /// The devices this worker decides.
@@ -93,19 +93,18 @@ impl Job {
                 core,
                 table,
                 pair,
-                grid,
+                index,
                 window,
                 shard,
-            } => {
-                let vicinities = grid.vicinity_counts(&pair, &shard, window);
-                JobOutput::Verdicts(
-                    shard
-                        .iter()
-                        .zip(vicinities)
-                        .map(|(&j, vicinity)| (j, core.characterize_full(&table, j), vicinity))
-                        .collect(),
-                )
-            }
+            } => JobOutput::Verdicts(
+                shard
+                    .iter()
+                    .map(|&j| {
+                        let vicinity = index.vicinity(&pair, j, window);
+                        (j, core.characterize_full(&table, j), vicinity)
+                    })
+                    .collect(),
+            ),
         }
     }
 }

@@ -1,12 +1,13 @@
 //! The full-recompute reference the determinism suites compare the
 //! production monitor against.
 //!
-//! A monitor restored from a checkpoint has no vicinity grid and an empty
-//! characterization cache, so its first seal builds the grid from scratch
-//! and recomputes every flagged device's verdict. [`Oracle`] checkpoints
-//! and restores its monitor before every seal, so *every* one of its seals
-//! takes that path: no incremental grid update and no cached verdict ever
-//! reaches its reports, and it is reached through public API alone.
+//! A monitor restored from a checkpoint has no trajectory index and an
+//! empty characterization cache, so its first seal builds the index from
+//! scratch and recomputes every flagged device's verdict. [`Oracle`]
+//! checkpoints and restores its monitor before every seal, so *every* one
+//! of its seals takes that path: no incremental index update and no
+//! cached verdict ever reaches its reports, and it is reached through
+//! public API alone.
 
 // Each test crate compiles this module on its own and uses a subset of it.
 #![allow(dead_code)]
