@@ -1,11 +1,9 @@
 //! Scenario workbench: the full accuracy matrix — every workload scenario
-//! × every engine and baseline — scored against ground truth and written
-//! to `BENCH_eval.json`.
+//! × the paper's pipeline and every baseline — scored against ground truth
+//! and written to `BENCH_eval.json`.
 //!
-//! For each scenario the paper's pipeline runs under both the sequential
-//! and the threaded engine (their metrics must agree byte-for-byte — the
-//! run aborts otherwise) and the k-means and tessellation baselines are
-//! scored on the *same* generated steps. On scenarios whose name starts
+//! For each scenario the paper's pipeline and the k-means and
+//! tessellation baselines are scored on the *same* generated steps. On scenarios whose name starts
 //! with `network`, the paper engine's macro F1 must meet or beat both
 //! baselines; the run aborts otherwise.
 //!
@@ -18,13 +16,11 @@
 //!   page F1 (tolerance 1e-6) or the run aborts. When unset the gate is skipped for local
 //!   exploratory runs — unless `CI` is set, in which case the run fails
 //!   loudly instead of letting the gate go silently vacuous
-//! * `EVAL_BENCH_WORKERS` — threaded worker count (default 4)
 //! * `EVAL_BENCH_FLEET_DEVICES` — fleet-scenario population (default
 //!   20000; the scenario name embeds the value, so reduced runs are never
 //!   compared against full ones)
 
 use anomaly_baselines::{Classifier, KMeansClassifier, TessellationClassifier};
-use anomaly_characterization::pipeline::Engine;
 use anomaly_core::Params;
 use anomaly_eval::{
     evaluate_classifier_on, evaluate_monitor_alerts_on, evaluate_monitor_on,
@@ -251,39 +247,22 @@ fn parse_metric(text: &str, key: &str) -> Vec<(String, String, f64)> {
 fn main() {
     let out_path =
         std::env::var("EVAL_BENCH_OUT").unwrap_or_else(|_| "BENCH_eval.json".to_string());
-    let workers = env_usize("EVAL_BENCH_WORKERS", 4);
 
     let mut scores: Vec<ScenarioScore> = Vec::new();
     for entry in scenarios() {
         let scenario = entry.scenario.as_ref();
         let spec = scenario.spec();
         let tau = spec.params.tau();
-        // One generation per scenario: all four methods score the same run.
+        // One generation per scenario: all three methods score the same run.
         let run = scenario.generate().expect("the scenario generates");
 
         // Network scenarios additionally score the serve crate's alert
-        // pipeline (page precision/recall against the truth spans); the
-        // engine byte-equality assertion below then covers the alert fold.
-        let (paper, threaded) = match entry.alert_shape {
-            Some(shape) => (
-                evaluate_monitor_alerts_on(&spec, &run, Engine::Sequential, shape)
-                    .expect("sequential evaluation succeeds"),
-                evaluate_monitor_alerts_on(&spec, &run, Engine::Threaded { workers }, shape)
-                    .expect("threaded evaluation succeeds"),
-            ),
-            None => (
-                evaluate_monitor_on(&spec, &run, Engine::Sequential)
-                    .expect("sequential evaluation succeeds"),
-                evaluate_monitor_on(&spec, &run, Engine::Threaded { workers })
-                    .expect("threaded evaluation succeeds"),
-            ),
-        };
-        assert_eq!(
-            paper.metrics_json(),
-            threaded.metrics_json(),
-            "engines disagree on {}",
-            spec.name
-        );
+        // pipeline (page precision/recall against the truth spans).
+        let paper = match entry.alert_shape {
+            Some(shape) => evaluate_monitor_alerts_on(&spec, &run, shape),
+            None => evaluate_monitor_on(&spec, &run),
+        }
+        .expect("the paper's pipeline evaluates");
         if let Some(quality) = &paper.alerts {
             eprintln!(
                 "{:>22}: alerts {} / truth {} (page F1 {:.3}, {} recurrences, {} signatures)",
@@ -360,7 +339,7 @@ fn main() {
             );
         }
 
-        scores.extend([paper, threaded, km_score, tess_score]);
+        scores.extend([paper, km_score, tess_score]);
     }
 
     // Streaming-replay gate: one scenario driven through the ingest/seal
@@ -373,9 +352,8 @@ fn main() {
         let run = streamed_scenario
             .generate()
             .expect("the scenario generates");
-        let batch = evaluate_monitor_on(&spec, &run, Engine::Sequential)
-            .expect("batch evaluation succeeds");
-        let streamed = evaluate_monitor_streaming_on(&spec, &run, Engine::Sequential, 4242, 0.0, 1)
+        let batch = evaluate_monitor_on(&spec, &run).expect("batch evaluation succeeds");
+        let streamed = evaluate_monitor_streaming_on(&spec, &run, 4242, 0.0, 1)
             .expect("streaming evaluation succeeds");
         assert_eq!(
             batch.metrics_json(),
@@ -391,9 +369,11 @@ fn main() {
     }
 
     let entries_json: Vec<String> = scores.iter().map(ScenarioScore::to_json).collect();
+    // The header's `"workers":4` is the worker count of the retired
+    // threaded evaluation, kept so the header of the committed file does
+    // not change; it describes nothing that runs.
     let json = format!(
-        "{{\"bench\":\"eval\",\"workers\":{},\"entries\":[\n{}\n]}}\n",
-        workers,
+        "{{\"bench\":\"eval\",\"workers\":4,\"entries\":[\n{}\n]}}\n",
         entries_json.join(",\n")
     );
 
@@ -430,7 +410,7 @@ fn main() {
                     );
                 }
                 // The gate must not go vacuous: only deliberately re-shaped
-                // cells (a resized fleet, a renamed worker count) may be
+                // cells (a resized fleet, a retired method) may be
                 // skipped. If fewer than half the committed cells matched,
                 // something drifted — a scenario rename or a serialization
                 // change — and the "none worse" claim would be hollow.

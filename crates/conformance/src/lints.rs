@@ -1,7 +1,7 @@
 //! The five project-invariant lints (C1–C5) and the pragma machinery.
 //!
 //! Every hard guarantee the pipeline sells — byte-identical reports across
-//! engines, restarts, and streaming-vs-batch — is enforced dynamically by
+//! cached seals, restarts, and streaming-vs-batch — is enforced dynamically by
 //! equality gates over sampled seeds. These lints enforce the *source-level*
 //! discipline those gates rely on, so a refactor cannot silently reintroduce
 //! a panic path or an order-dependent iteration between two CI samples:

@@ -158,11 +158,10 @@ pub const DEFAULT_ENUMERATION_BUDGET: u64 = 500_000;
 ///
 /// Produced by [`AnalyzerCore::precompute_shard`] — a pure function of the
 /// table, the parameters, and the device's closed neighbourhood
-/// `N[j] = N(j) ∪ {j}`, so a pool of workers can compute the slices of
-/// disjoint device shards in parallel (each device's computation only
-/// reads its `2r`-neighbourhood; Definition 1's locality is what makes
-/// this embarrassingly parallel) — and merged back into a full engine by
-/// [`Analyzer::from_parts`]. Its window-move count and overflow flag are
+/// `N[j] = N(j) ∪ {j}` (each device's computation only reads its
+/// `2r`-neighbourhood; Definition 1's locality), so slices computed at
+/// different times — fresh ones beside cached ones — merge back into a
+/// full engine by [`Analyzer::from_parts`]. Its window-move count and overflow flag are
 /// those of the enumeration of `N[j]`, computed once per group of shard
 /// devices that share it.
 #[derive(Debug, Clone)]
@@ -202,8 +201,7 @@ impl DevicePrecompute {
 ///
 /// Numbering is deterministic and order-free: components are sorted by
 /// their smallest member device id and numbered `0..count`, so any
-/// permutation of the input parts — sequential loops, shard workers,
-/// cached slices — yields byte-identical ids. The ids are **epoch-local**:
+/// permutation of the input parts — fresh or cached slices — yields byte-identical ids. The ids are **epoch-local**:
 /// they are ranks within one instant's partition and must not be compared
 /// or cached across instants (a component vanishing elsewhere shifts every
 /// later rank).
@@ -335,16 +333,11 @@ fn union_toward_smaller(parent: &mut [u32], a: u32, b: u32) {
 /// The owned data half of an [`Analyzer`]: every per-device precompute
 /// slice merged into id-keyed maps, with no borrow of the table.
 ///
-/// The split from the borrowing [`Analyzer`] wrapper serves two callers:
-///
-/// * a **persistent worker pool**, which must ship one engine to `'static`
-///   worker threads (`Arc<AnalyzerCore>` beside an `Arc<TrajectoryTable>`)
-///   where a lifetime-carrying `Analyzer<'t>` cannot go;
-/// * an **incremental monitor**, which merges cached slices of unchanged
-///   devices with freshly computed ones —
-///   [`AnalyzerCore::from_parts`] is indifferent to where each
-///   [`DevicePrecompute`] came from, as long as the slice is valid for the
-///   table it is queried against.
+/// The split from the borrowing [`Analyzer`] wrapper serves the
+/// **incremental monitor**, which merges cached slices of unchanged
+/// devices with freshly computed ones — [`AnalyzerCore::from_parts`] is
+/// indifferent to where each [`DevicePrecompute`] came from, as long as
+/// the slice is valid for the table it is queried against.
 ///
 /// Every query takes the table the parts were computed from; handing a
 /// different table is a logic error (verdicts would be meaningless or the
@@ -373,7 +366,7 @@ pub struct AnalyzerCore {
 ///
 /// `Analyzer` is a thin borrow-carrying wrapper over [`AnalyzerCore`],
 /// which owns the merged precompute maps; use the core directly when the
-/// engine must outlive a borrow of the table (worker pools, caches).
+/// engine must outlive a borrow of the table (caches).
 #[derive(Debug, Clone)]
 pub struct Analyzer<'t> {
     table: &'t TrajectoryTable,
@@ -410,14 +403,12 @@ impl<'t> Analyzer<'t> {
         Self::from_parts(table, params, parts)
     }
 
-    /// The embarrassingly-parallel phase: precomputes one device's slice of
+    /// The per-device phase: precomputes one device's slice of
     /// the engine (`M(j)`, `W̄_k(j)`, enumeration cost).
     ///
     /// Reads only `j`'s `2r`-neighbourhood of `table`, takes no `&mut`
-    /// anywhere, and depends on nothing but its arguments — workers may call
-    /// it concurrently for disjoint (or even overlapping) device shards and
-    /// obtain results identical to the sequential [`Analyzer::new`] loop.
-    /// Because the result depends only on the trajectories of the
+    /// anywhere, and depends on nothing but its arguments, so its result
+    /// equals that device's slice of [`Analyzer::new`]. Because the result depends only on the trajectories of the
     /// `2r`-neighbourhood, a caller may also cache it across instants and
     /// reuse it verbatim while that neighbourhood is unchanged. It is the
     /// one-device case of [`AnalyzerCore::precompute_shard`].
@@ -434,9 +425,8 @@ impl<'t> Analyzer<'t> {
     ///
     /// The result is identical to [`Analyzer::new`] whatever order the
     /// parts arrive in — the internal maps are keyed by device id and the
-    /// overflow set is ordered — so a parallel driver may merge shard
-    /// results as workers finish. Parts may equally be a mix of freshly
-    /// computed and cached slices; see [`AnalyzerCore::from_parts`].
+    /// overflow set is ordered. Parts may be a mix of freshly computed and
+    /// cached slices; see [`AnalyzerCore::from_parts`].
     ///
     /// # Panics
     ///
@@ -460,7 +450,7 @@ impl<'t> Analyzer<'t> {
         Analyzer { table, core }
     }
 
-    /// The owned half of the engine, e.g. to ship to worker threads.
+    /// The owned half of the engine, e.g. to keep beyond the table borrow.
     pub fn core(&self) -> &AnalyzerCore {
         &self.core
     }
@@ -640,8 +630,8 @@ impl AnalyzerCore {
 
     /// Assembles an owned engine from per-device slices, in any order.
     ///
-    /// The slices may come from anywhere — a sequential loop, parallel
-    /// shard workers, or a cache of previous instants' parts for devices
+    /// The slices may come from anywhere — a fresh precompute, or a cache
+    /// of previous instants' parts for devices
     /// whose `2r`-neighbourhood did not change — as long as together they
     /// cover exactly the devices of `table`. The merge result is
     /// independent of part order and provenance: the maps are keyed by
@@ -723,8 +713,8 @@ impl AnalyzerCore {
 
     /// The epoch's [`ComponentPartition`]: connected components of the
     /// merged `W̄_k` dense motions, numbered by smallest member id. The
-    /// result is a pure function of the merged parts, so Sequential and
-    /// any Threaded merge agree byte-for-byte.
+    /// result is a pure function of the merged parts, so any mix of fresh
+    /// and cached parts agrees byte-for-byte with a full recompute.
     pub fn component_partition(&self) -> ComponentPartition {
         ComponentPartition::from_dense_sets(self.wbar.iter().map(|(&j, v)| (j, v.as_slice())))
     }
@@ -1125,7 +1115,7 @@ mod tests {
     fn from_parts_matches_sequential_construction_in_any_order() {
         let t = simple_table();
         let sequential = Analyzer::new(&t, params(3));
-        // Parts computed out of order, as shard workers would deliver them.
+        // Parts delivered out of order.
         let mut parts: Vec<(DeviceId, DevicePrecompute)> = t
             .ids()
             .iter()

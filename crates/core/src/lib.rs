@@ -67,7 +67,6 @@ pub mod observer;
 mod params;
 pub mod partition;
 mod set;
-mod shard;
 mod table;
 
 #[cfg(test)]
@@ -86,5 +85,4 @@ pub use maximal::{
 pub use params::{Params, ParamsError};
 pub use partition::{build_partition, AnomalyPartition, PartitionError};
 pub use set::DeviceSet;
-pub use shard::ShardPlan;
 pub use table::{TableError, TrajectoryTable};

@@ -23,18 +23,17 @@
 //!   (`anomaly-baselines`) on the *same* generated runs, so accuracy
 //!   comparisons are apples to apples;
 //! * the `workbench` binary in `anomaly-bench` runs the full scenario ×
-//!   engine matrix and writes `BENCH_eval.json` — the accuracy-regression
+//!   method matrix and writes `BENCH_eval.json` — the accuracy-regression
 //!   gate every future performance PR runs against.
 //!
 //! # Example
 //!
 //! ```
 //! use anomaly_baselines::TessellationClassifier;
-//! use anomaly_characterization::pipeline::Engine;
 //! use anomaly_eval::{evaluate_classifier, evaluate_monitor, NetworkFaultScenario};
 //!
 //! let scenario = NetworkFaultScenario::small_mixed("dslam-vs-cpe", 42, 3);
-//! let paper = evaluate_monitor(&scenario, Engine::Sequential)?;
+//! let paper = evaluate_monitor(&scenario)?;
 //! let tess = evaluate_classifier(&scenario, &TessellationClassifier::new(16, 3))?;
 //! assert!(paper.macro_f1() >= tess.macro_f1());
 //! # Ok::<(), anomaly_eval::EvalError>(())

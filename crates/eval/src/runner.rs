@@ -6,7 +6,7 @@ use crate::scenario::{Scenario, ScenarioRun, ScenarioSpec};
 use crate::workloads::StreamingScenario;
 use anomaly_baselines::Classifier;
 use anomaly_characterization::pipeline::{
-    read_log, Engine, EventDeltaKind, EventLog, Monitor, MonitorBuilder, Report, StalenessPolicy,
+    read_log, EventDeltaKind, EventLog, Monitor, MonitorBuilder, Report, StalenessPolicy,
 };
 use anomaly_characterization::store::{Dec, Enc};
 use anomaly_core::{AnomalyClass, DeviceSet};
@@ -151,8 +151,8 @@ impl AlertQuality {
 pub struct ScenarioScore {
     /// Scenario name (from [`ScenarioSpec::name`]).
     pub scenario: String,
-    /// Method label (`paper-sequential`, `paper-threaded-4`, or the
-    /// baseline's [`Classifier::name`]).
+    /// Method label (`paper-sequential`, `paper-streaming-sequential`, or
+    /// the baseline's [`Classifier::name`]).
     pub method: String,
     /// Steps scored.
     pub steps: usize,
@@ -350,29 +350,29 @@ fn spans_from_step_classes(per_step: &[Vec<(DeviceId, AnomalyClass)>]) -> Vec<Ev
     score::link_event_spans(grouped.iter().map(|g| g.iter()))
 }
 
+/// Method label of the paper's pipeline driven through the batch front-end.
+const PAPER_METHOD: &str = "paper-sequential";
+
+/// Method label of the paper's pipeline driven through the streaming
+/// front-end.
+const PAPER_STREAMING_METHOD: &str = "paper-streaming-sequential";
+
 /// Evaluates the paper's pipeline on a scenario: builds a [`Monitor`] from
 /// the scenario's spec (threshold detectors at the spec's delta), drives
 /// it over the generated run — applying churn between segments — and
 /// scores every per-step report against the ground truth.
-///
-/// The resulting metrics are engine-independent: any [`Engine`] produces
-/// byte-identical [`ScenarioScore::metrics_json`] (only the method label
-/// differs), which `tests/engine_determinism.rs` pins down.
 ///
 /// # Errors
 ///
 /// Propagates generator and monitor failures.
 ///
 /// [`Monitor`]: anomaly_characterization::pipeline::Monitor
-pub fn evaluate_monitor(
-    scenario: &dyn Scenario,
-    engine: Engine,
-) -> Result<ScenarioScore, EvalError> {
-    evaluate_monitor_on(&scenario.spec(), &scenario.generate()?, engine)
+pub fn evaluate_monitor(scenario: &dyn Scenario) -> Result<ScenarioScore, EvalError> {
+    evaluate_monitor_on(&scenario.spec(), &scenario.generate()?)
 }
 
 /// [`evaluate_monitor`] over a pre-generated run — use this to score
-/// several engines on one `generate()` call (generation of a large fleet
+/// several methods on one `generate()` call (generation of a large fleet
 /// dwarfs the scoring itself).
 ///
 /// # Errors
@@ -381,24 +381,15 @@ pub fn evaluate_monitor(
 pub fn evaluate_monitor_on(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
-    engine: Engine,
 ) -> Result<ScenarioScore, EvalError> {
-    let reports = drive_monitor(spec, run, engine)?;
-    let method = match engine {
-        Engine::Sequential => "paper-sequential".to_string(),
-        Engine::Threaded { workers } => format!("paper-threaded-{workers}"),
-    };
-    Ok(score_reports(spec, run, method, &reports))
+    let reports = drive_monitor(spec, run)?;
+    Ok(score_reports(spec, run, PAPER_METHOD, &reports))
 }
 
 /// Drives the standard evaluation monitor over a run (applying churn
 /// between segments) and returns the per-step reports.
-fn drive_monitor(
-    spec: &ScenarioSpec,
-    run: &ScenarioRun,
-    engine: Engine,
-) -> Result<Vec<Report>, EvalError> {
-    let mut monitor = build_monitor(spec, engine, StalenessPolicy::Reject)?;
+fn drive_monitor(spec: &ScenarioSpec, run: &ScenarioRun) -> Result<Vec<Report>, EvalError> {
+    let mut monitor = build_monitor(spec, StalenessPolicy::Reject)?;
     let mut reports: Vec<Report> = Vec::with_capacity(run.steps.len());
     let mut next = 0usize;
     for churn in &run.churn {
@@ -440,10 +431,9 @@ const EVAL_AUX_TAG: &[u8; 4] = b"EVL1";
 pub fn record_monitor_log<W: std::io::Write>(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
-    engine: Engine,
     sink: W,
 ) -> Result<(ScenarioScore, W), EvalError> {
-    let mut monitor = build_monitor(spec, engine, StalenessPolicy::Reject)?;
+    let mut monitor = build_monitor(spec, StalenessPolicy::Reject)?;
     let mut log = EventLog::create(sink)?;
     let mut reports: Vec<Report> = Vec::with_capacity(run.steps.len());
     let mut step_epochs: Vec<u64> = Vec::with_capacity(run.steps.len());
@@ -504,11 +494,7 @@ pub fn record_monitor_log<W: std::io::Write>(
     log.append_aux(&aux.into_bytes())?;
     let writer = log.finish(&monitor)?;
 
-    let method = match engine {
-        Engine::Sequential => "paper-sequential".to_string(),
-        Engine::Threaded { workers } => format!("paper-threaded-{workers}"),
-    };
-    Ok((score_reports(spec, run, method, &reports), writer))
+    Ok((score_reports(spec, run, PAPER_METHOD, &reports), writer))
 }
 
 /// Replays a persisted event/summary log through the event-scoring
@@ -614,16 +600,12 @@ pub fn evaluate_log(
 /// serve loop would see, and the resulting notification stream is scored
 /// against the ground-truth event spans.
 ///
-/// The metrics stay engine-independent: the sink consumes only report
-/// deltas, which are byte-identical across engines.
-///
 /// # Errors
 ///
 /// Propagates monitor failures.
 pub fn evaluate_monitor_alerts_on(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
-    engine: Engine,
     shape: (usize, usize, usize, usize),
 ) -> Result<ScenarioScore, EvalError> {
     let (cores, aggs, dslams, gateways) = shape;
@@ -640,7 +622,7 @@ pub fn evaluate_monitor_alerts_on(
         KeyMap::GatewayIndex,
         config,
     );
-    let mut monitor = build_monitor(spec, engine, StalenessPolicy::Reject)?;
+    let mut monitor = build_monitor(spec, StalenessPolicy::Reject)?;
     let mut reports: Vec<Report> = Vec::with_capacity(run.steps.len());
     // Step coordinate of every page/recurrence notification. Bridging
     // observations carry the upcoming step's coordinate — their closes
@@ -700,11 +682,7 @@ pub fn evaluate_monitor_alerts_on(
         )?;
     }
 
-    let method = match engine {
-        Engine::Sequential => "paper-sequential".to_string(),
-        Engine::Threaded { workers } => format!("paper-threaded-{workers}"),
-    };
-    let mut score = score_reports(spec, run, method, &reports);
+    let mut score = score_reports(spec, run, PAPER_METHOD, &reports);
     score.alerts = Some(alert_quality(spec, run, &sink, &notify_steps));
     Ok(score)
 }
@@ -757,17 +735,12 @@ fn alert_quality(
 }
 
 /// Builds the standard evaluation monitor for a scenario spec.
-fn build_monitor(
-    spec: &ScenarioSpec,
-    engine: Engine,
-    staleness: StalenessPolicy,
-) -> Result<Monitor, EvalError> {
+fn build_monitor(spec: &ScenarioSpec, staleness: StalenessPolicy) -> Result<Monitor, EvalError> {
     let services = spec.services;
     let delta = spec.detector_delta;
     Ok(MonitorBuilder::new()
         .params(spec.params)
         .services(services)
-        .engine(engine)
         .staleness(staleness)
         // Debounce 1 absorbs exactly the single discarded bridging epoch a
         // non-chained scenario inserts between steps, so "consecutive
@@ -789,7 +762,7 @@ fn build_monitor(
 fn score_reports(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
-    method: String,
+    method: &str,
     reports: &[Report],
 ) -> ScenarioScore {
     let per_step: Vec<Confusion> = run
@@ -806,7 +779,7 @@ fn score_reports(
         })
         .collect();
     let events = score::score_events(&truth_spans(spec, run), &spans_from_reports(reports));
-    aggregate(spec.clone(), method, per_step, events)
+    aggregate(spec.clone(), method.to_string(), per_step, events)
 }
 
 /// Evaluates the paper's pipeline over a scenario replayed through the
@@ -828,20 +801,18 @@ fn score_reports(
 /// [`StreamingScenario::max_age`]).
 pub fn evaluate_monitor_streaming<S: Scenario>(
     scenario: &StreamingScenario<S>,
-    engine: Engine,
 ) -> Result<ScenarioScore, EvalError> {
     let spec = scenario.spec();
     let run = scenario.generate()?;
     let streamed = evaluate_monitor_streaming_on(
         &spec,
         &run,
-        engine,
         scenario.shuffle_seed,
         scenario.drop_probability,
         scenario.max_age,
     )?;
     if scenario.drop_probability == 0.0 {
-        let batch = evaluate_monitor_on(&spec, &run, engine)?;
+        let batch = evaluate_monitor_on(&spec, &run)?;
         assert_eq!(
             batch.metrics_json(),
             streamed.metrics_json(),
@@ -860,7 +831,6 @@ pub fn evaluate_monitor_streaming<S: Scenario>(
 pub fn evaluate_monitor_streaming_on(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
-    engine: Engine,
     shuffle_seed: u64,
     drop_probability: f64,
     max_age: u64,
@@ -870,7 +840,7 @@ pub fn evaluate_monitor_streaming_on(
     } else {
         StalenessPolicy::Reject
     };
-    let mut monitor = build_monitor(spec, engine, staleness)?;
+    let mut monitor = build_monitor(spec, staleness)?;
     let mut rng = StdRng::seed_from_u64(shuffle_seed);
     // Keys with at least one sealed position: only they can be dropped
     // (carry-forward needs a row to bridge with).
@@ -980,11 +950,7 @@ pub fn evaluate_monitor_streaming_on(
         )?);
     }
 
-    let method = match engine {
-        Engine::Sequential => "paper-streaming-sequential".to_string(),
-        Engine::Threaded { workers } => format!("paper-streaming-threaded-{workers}"),
-    };
-    Ok(score_reports(spec, run, method, &reports))
+    Ok(score_reports(spec, run, PAPER_STREAMING_METHOD, &reports))
 }
 
 /// Evaluates a centralized baseline on the identical scenario: each step's
@@ -1066,7 +1032,7 @@ mod tests {
     #[test]
     fn monitor_evaluation_scores_every_truth_device() {
         let scenario = fleet_scenario();
-        let score = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+        let score = evaluate_monitor(&scenario).unwrap();
         assert_eq!(score.scenario, "fleet");
         assert_eq!(score.method, "paper-sequential");
         assert_eq!(score.steps, 3);
@@ -1091,7 +1057,7 @@ mod tests {
     #[test]
     fn network_evaluation_beats_or_meets_a_degenerate_baseline() {
         let scenario = NetworkFaultScenario::small_mixed("net", 3, 4);
-        let paper = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+        let paper = evaluate_monitor(&scenario).unwrap();
         let degenerate = TessellationClassifier::new(1, 3);
         let baseline = evaluate_classifier(&scenario, &degenerate).unwrap();
         assert_eq!(paper.confusion.total(), baseline.confusion.total());
@@ -1112,7 +1078,7 @@ mod tests {
             churn_devices: 25,
             churn_every: 1,
         };
-        let churned = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+        let churned = evaluate_monitor(&scenario).unwrap();
         assert_eq!(churned.steps, 3);
         // Every truth device is still accounted for: joiners that flag
         // while warming are scored as missing, not dropped.
@@ -1129,10 +1095,10 @@ mod tests {
     #[test]
     fn lossless_streaming_replay_matches_the_batch_path() {
         let scenario = StreamingScenario::shuffled(fleet_scenario(), 77);
-        let streamed = evaluate_monitor_streaming(&scenario, Engine::Sequential).unwrap();
+        let streamed = evaluate_monitor_streaming(&scenario).unwrap();
         // evaluate_monitor_streaming already asserts byte equality with the
         // batch path internally; double-check the visible surface.
-        let batch = evaluate_monitor(&scenario.inner, Engine::Sequential).unwrap();
+        let batch = evaluate_monitor(&scenario.inner).unwrap();
         assert_eq!(batch.metrics_json(), streamed.metrics_json());
         assert_eq!(streamed.method, "paper-streaming-sequential");
     }
@@ -1145,7 +1111,7 @@ mod tests {
             drop_probability: 0.2,
             max_age: 8,
         };
-        let streamed = evaluate_monitor_streaming(&scenario, Engine::Sequential).unwrap();
+        let streamed = evaluate_monitor_streaming(&scenario).unwrap();
         let truth_total: u64 = scenario
             .generate()
             .unwrap()
@@ -1158,7 +1124,7 @@ mod tests {
 
     #[test]
     fn json_renderings_are_stable() {
-        let score = evaluate_monitor(&fleet_scenario(), Engine::Sequential).unwrap();
+        let score = evaluate_monitor(&fleet_scenario()).unwrap();
         let json = score.to_json();
         assert!(json.contains("\"scenario\":\"fleet\""));
         assert!(json.contains("\"method\":\"paper-sequential\""));
@@ -1176,7 +1142,7 @@ mod tests {
             devices: 120,
             ..PersistentAnomalyScenario::standard("persist-eval", 31)
         };
-        let score = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+        let score = evaluate_monitor(&scenario).unwrap();
         // Device-level: the well-separated cluster and flappers classify
         // cleanly.
         assert!(
@@ -1207,8 +1173,8 @@ mod tests {
         let shape = scenario.config.shape;
         let run = scenario.generate().unwrap();
         let spec = scenario.spec();
-        let plain = evaluate_monitor_on(&spec, &run, Engine::Sequential).unwrap();
-        let scored = evaluate_monitor_alerts_on(&spec, &run, Engine::Sequential, shape).unwrap();
+        let plain = evaluate_monitor_on(&spec, &run).unwrap();
+        let scored = evaluate_monitor_alerts_on(&spec, &run, shape).unwrap();
         // The alert fold rides along without disturbing the base metrics.
         assert_eq!(plain.confusion, scored.confusion);
         assert!(plain.alerts.is_none());
@@ -1231,11 +1197,6 @@ mod tests {
         let json = scored.metrics_json();
         assert!(json.contains("\"alerts\":{\"truth_events\""), "{json}");
         assert!(json.contains("\"page_f1\""), "{json}");
-        // Engine independence extends to the alert fold.
-        let threaded =
-            evaluate_monitor_alerts_on(&spec, &run, Engine::Threaded { workers: 3 }, shape)
-                .unwrap();
-        assert_eq!(scored.metrics_json(), threaded.metrics_json());
     }
 
     #[test]

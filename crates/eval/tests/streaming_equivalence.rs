@@ -2,9 +2,8 @@
 //! workload in the zoo, replaying the scenario through `ingest` + `seal`
 //! with a seed-fixed shuffled arrival order produces evaluation metrics
 //! byte-identical to the batch `observe()` path — per-instant breakdowns
-//! included — across both engines.
+//! included.
 
-use anomaly_characterization::pipeline::Engine;
 use anomaly_core::Params;
 use anomaly_eval::{
     evaluate_monitor_on, evaluate_monitor_streaming_on, AdversaryScenario, ChurnScenario,
@@ -80,24 +79,21 @@ fn every_scenario_streams_byte_identically_to_the_batch_path() {
     for scenario in scenario_zoo() {
         let spec = scenario.spec();
         let run = scenario.generate().unwrap();
-        for engine in [Engine::Sequential, Engine::Threaded { workers: 3 }] {
-            let batch = evaluate_monitor_on(&spec, &run, engine).unwrap();
-            assert!(
-                batch.confusion.total() > 0,
-                "{}: scenario must score something",
+        let batch = evaluate_monitor_on(&spec, &run).unwrap();
+        assert!(
+            batch.confusion.total() > 0,
+            "{}: scenario must score something",
+            spec.name
+        );
+        // Two different shuffle seeds: arrival order must never show.
+        for seed in [7u64, 12345] {
+            let streamed = evaluate_monitor_streaming_on(&spec, &run, seed, 0.0, 1).unwrap();
+            assert_eq!(
+                batch.metrics_json(),
+                streamed.metrics_json(),
+                "{}: streaming replay (seed {seed}) diverged",
                 spec.name
             );
-            // Two different shuffle seeds: arrival order must never show.
-            for seed in [7u64, 12345] {
-                let streamed =
-                    evaluate_monitor_streaming_on(&spec, &run, engine, seed, 0.0, 1).unwrap();
-                assert_eq!(
-                    batch.metrics_json(),
-                    streamed.metrics_json(),
-                    "{}: streaming replay (seed {seed}, {engine:?}) diverged",
-                    spec.name
-                );
-            }
         }
     }
 }

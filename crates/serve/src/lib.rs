@@ -20,8 +20,7 @@
 //!
 //! Everything is logical-time and fully deterministic: the same
 //! measurement stream produces a byte-identical alert stream across
-//! engines, worker counts, grid-maintenance modes, and checkpointless
-//! restarts.
+//! cached and recomputed seals and checkpointless restarts.
 //!
 //! [`Report`]: anomaly_characterization::pipeline::Report
 

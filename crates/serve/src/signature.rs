@@ -3,7 +3,7 @@
 //!
 //! Deduplication and "same incident class again" tracking need a key that
 //! is *stable* — the same physical failure mode must reduce to the same ID
-//! across runs, engines, worker counts, and restarts of the serve loop —
+//! across runs and restarts of the serve loop —
 //! and *canonical* — superficially different descriptions of the same
 //! lifecycle (e.g. "opened isolated, peaked massive" vs "massive with an
 //! isolated onset") must collapse to one representative before hashing.
@@ -129,7 +129,7 @@ pub struct SignatureAtoms {
     /// *own* devices — its spatial component's blast-radius root, not the
     /// merged root of whatever alert it folded into. `None` when no
     /// device maps into the topology. Node ids are deterministic per
-    /// topology shape, so the atom is stable across runs and engines.
+    /// topology shape, so the atom is stable across runs.
     pub component_root: Option<u32>,
 }
 
@@ -198,8 +198,8 @@ fn mix(mut x: u64) -> u64 {
     x
 }
 
-/// A canonical root-cause signature ID. Stable across runs, engines,
-/// worker counts, and serve-loop restarts; versioned via
+/// A canonical root-cause signature ID. Stable across runs and
+/// serve-loop restarts; versioned via
 /// [`SIGNATURE_VERSION`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Signature(pub u64);

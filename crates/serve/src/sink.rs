@@ -12,7 +12,7 @@
 //! Determinism: deltas are folded in ascending event-id order (the order
 //! the tracker emits), every index is a `BTreeMap`, and time is the
 //! sealed-epoch instant — the emitted action stream is byte-identical
-//! across engines, worker counts, and grid-maintenance modes.
+//! whether the monitor served cached verdicts or recomputed them.
 
 use crate::alerts::{
     severity, Alert, AlertAction, AlertActionKind, AlertId, AlertPhase, Severity, TokenBucket,

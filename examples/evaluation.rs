@@ -4,7 +4,6 @@
 //! Run with `cargo run --example evaluation`.
 
 use anomaly_baselines::{KMeansClassifier, TessellationClassifier};
-use anomaly_characterization::pipeline::Engine;
 use anomaly_eval::{
     evaluate_classifier, evaluate_monitor, NetworkFaultScenario, Scenario, ScenarioScore,
     SimScenario,
@@ -32,7 +31,7 @@ fn evaluate(scenario: &dyn Scenario) -> Result<(), Box<dyn std::error::Error>> {
         spec.params.radius(),
         spec.params.tau()
     );
-    let paper = evaluate_monitor(scenario, Engine::Sequential)?;
+    let paper = evaluate_monitor(scenario)?;
     let kmeans = KMeansClassifier::new(8, spec.params.tau(), 1);
     let tess = TessellationClassifier::new(16, spec.params.tau());
     let km_score = evaluate_classifier(scenario, &kmeans)?;

@@ -35,7 +35,6 @@ pub struct MonitorBuilder {
     factory: Option<DetectorFactory>,
     capacity: usize,
     max_population: u64,
-    engine: Engine,
     staleness: StalenessPolicy,
     epoch_start: Option<u64>,
     history: usize,
@@ -53,7 +52,6 @@ impl std::fmt::Debug for MonitorBuilder {
             .field("custom_factory", &self.factory.is_some())
             .field("capacity", &self.capacity)
             .field("max_population", &self.max_population)
-            .field("engine", &self.engine)
             .field("staleness", &self.staleness)
             .field("epoch_start", &self.epoch_start)
             .field("history", &self.history)
@@ -81,7 +79,6 @@ impl MonitorBuilder {
             factory: None,
             capacity: 0,
             max_population: MAX_FLEET,
-            engine: Engine::Sequential,
             staleness: StalenessPolicy::Reject,
             epoch_start: None,
             history: 16,
@@ -148,12 +145,9 @@ impl MonitorBuilder {
         self.epoch_start
     }
 
-    /// Execution strategy for the per-instant characterization:
-    /// [`Engine::Sequential`] (default) or [`Engine::Threaded`]. The
-    /// resulting [`Report`](super::Report)s are identical either way — only
-    /// wall-clock timings differ.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+    /// Accepted for source compatibility and ignored: characterization
+    /// always runs on the calling thread, whichever [`Engine`] is named.
+    pub fn engine(self, _engine: Engine) -> Self {
         self
     }
 
@@ -285,7 +279,6 @@ impl MonitorBuilder {
             space,
             self.capacity,
             self.max_population,
-            self.engine,
             self.staleness,
             self.epoch_start.unwrap_or(0),
             self.history,

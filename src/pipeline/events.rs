@@ -58,8 +58,8 @@
 //!
 //! Everything here is deterministic: events are processed in id order,
 //! devices in key order, and the tracker consumes only the (already
-//! engine-independent) report — so event streams are byte-identical across
-//! [`Engine`](super::Engine) variants and grid-maintenance modes.
+//! deterministic) report — so event streams are byte-identical between a
+//! monitor serving cached verdicts and one recomputing every seal.
 
 use super::key::DeviceKey;
 use super::report::{Report, ReportSummary};

@@ -75,7 +75,6 @@ mod ingest;
 mod key;
 mod monitor;
 mod persist;
-mod pool;
 mod replay;
 mod report;
 mod timings;

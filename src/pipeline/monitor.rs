@@ -1,15 +1,13 @@
-use super::engine::Engine;
 use super::error::MonitorError;
 use super::events::{AnomalyEvent, EventDelta, EventTracker};
 use super::ingest::{EpochState, StalenessPolicy};
 use super::key::DeviceKey;
 use super::persist;
-use super::pool::{Job, JobOutput, WorkerPool};
 use super::report::{DeviceVerdict, Report, ReportSummary, Stragglers};
 use super::timings::Stopwatch;
 use anomaly_core::{
-    AnalyzerCore, Characterization, ComponentPartition, DevicePrecompute, Params, ShardPlan,
-    TrajectoryTable,
+    AnalyzerCore, Characterization, ComponentPartition, DevicePrecompute, Params, TrajectoryTable,
+    DEFAULT_ENUMERATION_BUDGET,
 };
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
@@ -125,22 +123,14 @@ pub struct Monitor {
     /// `keys` Arc.
     previous_keys: Option<Arc<Vec<DeviceKey>>>,
     /// Vicinity index over the last characterized interval's cohort, keyed
-    /// by each device's `(before-cell, after-cell)`, kept across instants.
-    /// Arc'd so the worker pool can share it during a parallel phase;
-    /// between epochs the monitor holds the only reference and mutates in
-    /// place through [`Arc::make_mut`].
-    trajectory_index: Option<Arc<TrajectoryIndex>>,
+    /// by each device's `(before-cell, after-cell)`, kept across instants
+    /// and updated in place.
+    trajectory_index: Option<TrajectoryIndex>,
     /// The cell layout of the index and of the cache's dirty cells: a
     /// function of the service count and the window alone, fixed for the
     /// monitor's lifetime, so cell ids stay comparable across rebuilds and
     /// exist before the first one.
     geometry: CellGeometry,
-    /// Execution strategy for the characterization phase.
-    engine: Engine,
-    /// Persistent characterization workers, spawned lazily at the first
-    /// epoch whose flagged set warrants more than one shard and parked on
-    /// channel receives between epochs.
-    pool: Option<WorkerPool>,
     /// Last detector verdict per dense slot: `(is_anomalous, score)`.
     /// Slot-aligned with `keys`; slots whose detector is not fed this
     /// epoch (carried or defaulted rows) keep — "freeze" — their last
@@ -324,7 +314,6 @@ impl Monitor {
         space: QosSpace,
         capacity: usize,
         max_population: u64,
-        engine: Engine,
         staleness: StalenessPolicy,
         epoch_start: u64,
         history: usize,
@@ -345,8 +334,6 @@ impl Monitor {
             previous_keys: None,
             trajectory_index: None,
             geometry: CellGeometry::new(services, params.window().max(1e-6)),
-            engine,
-            pool: None,
             flag_state: Vec::with_capacity(capacity),
             flagged_slots: BTreeSet::new(),
             char_cache: CharCache::default(),
@@ -361,11 +348,6 @@ impl Monitor {
             last_grid_update: None,
             tracker: EventTracker::new(history, debounce),
         }
-    }
-
-    /// The execution strategy for the characterization phase.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// How the most recent seal brought the trajectory index up to date:
@@ -592,30 +574,6 @@ impl Monitor {
             }
         }
         AnalyzerCore::from_parts(table, self.params, parts)
-    }
-
-    /// Runs `jobs` and returns their outputs in submission order: inline
-    /// on the calling thread when `pooled` is false, else on the
-    /// persistent worker pool (spawned on first use).
-    ///
-    /// # Errors
-    ///
-    /// [`MonitorError::Internal`] when a pool worker panicked or hung up.
-    /// The failed pool has already been taken out of `self` and is dropped
-    /// (joining its workers) on the way out; the next pooled epoch spawns
-    /// a fresh one.
-    fn run_jobs(&mut self, jobs: Vec<Job>, pooled: bool) -> Result<Vec<JobOutput>, MonitorError> {
-        let workers = match self.engine {
-            Engine::Threaded { workers } if pooled => workers,
-            _ => return Ok(jobs.into_iter().map(Job::run).collect()),
-        };
-        let mut pool = match self.pool.take() {
-            Some(pool) if pool.workers() == workers => pool,
-            _ => WorkerPool::spawn(workers),
-        };
-        let outputs = pool.run(jobs)?;
-        self.pool = Some(pool);
-        Ok(outputs)
     }
 
     /// Enrolls a device, building its detector with the configured factory.
@@ -944,7 +902,7 @@ impl Monitor {
         };
         // Fold the epoch into the event tracker and record the summary in
         // the history ring. The tracker consumes only the (already
-        // engine-independent) report, so events inherit its determinism.
+        // deterministic) report, so events inherit its determinism.
         report.event_deltas = self.tracker.observe(&report);
         report.events_open = self.tracker.open().len();
         self.tracker.push_history(report.summary());
@@ -1050,10 +1008,10 @@ impl Monitor {
         let cell_side = window.max(1e-6);
         self.last_grid_update = Some(match &mut self.trajectory_index {
             Some(index) if steady && self.index_synced => {
-                Arc::make_mut(index).apply_moves(&pair, cell_side, &self.index_staged)
+                index.apply_moves(&pair, cell_side, &self.index_staged)
             }
             index => {
-                *index = Some(Arc::new(TrajectoryIndex::build(&pair, cell_side)));
+                *index = Some(TrajectoryIndex::build(&pair, cell_side));
                 GridUpdate::Rebuilt
             }
         });
@@ -1096,71 +1054,31 @@ impl Monitor {
             fresh.extend(abnormal.iter().copied());
         }
 
-        // Fresh characterization in two per-device phases (both
-        // embarrassingly parallel, per Definition 1's locality): per-device
-        // motion precompute, merged with the cached slices into one
-        // engine, then verdicts and vicinities for the fresh devices only.
-        // Both phases are the same jobs for every engine; only where they
-        // run differs. The merge is deterministic — parts are keyed by
-        // dense id — so the report is identical for every engine and
-        // worker count, and to a full recompute.
-        let mut fresh_rows: Vec<(DeviceId, Characterization, usize)> =
-            Vec::with_capacity(fresh.len());
+        // Fresh characterization: per-device motion precompute for the
+        // fresh devices, merged with the cached slices into one engine,
+        // then verdicts and vicinities for the fresh devices only. The
+        // merge is keyed by dense id, so the report is identical to a full
+        // recompute.
+        let mut fresh_rows: Vec<(DeviceId, Characterization, usize)> = Vec::new();
         let mut fresh_pre: BTreeMap<u32, DevicePrecompute> = BTreeMap::new();
-        let (pair, partition) = if fresh.is_empty() {
-            // Full cache hit: no trajectory table, no analyzer, no shard
-            // plan. The characterization cost of the epoch is the index
-            // update plus one map lookup per flagged device. The spatial
-            // partition comes from the cached dense slices — component ids
-            // are epoch-local ranks, so a cached id could go stale when an
+        let partition = if fresh.is_empty() {
+            // Full cache hit: no trajectory table, no analyzer. The
+            // characterization cost of the epoch is the index update plus
+            // one map lookup per flagged device. The spatial partition
+            // comes from the cached dense slices — component ids are
+            // epoch-local ranks, so a cached id could go stale when an
             // unrelated component vanishes, but the dense sets themselves
             // are exactly as valid as the cached verdicts — and is reused
             // while neither they nor the abnormal set change.
-            let partition = self.char_cache.partition_of(&abnormal);
-            (pair, partition)
+            self.char_cache.partition_of(&abnormal)
         } else {
-            let table = Arc::new(TrajectoryTable::from_state_pair(&pair, &abnormal));
-            // One shard runs inline; more go to the pool, split by the
-            // grid-locality-aware plan over the whole abnormal set,
-            // restricted to the fresh devices.
-            let shard_count = self.engine.shard_count(fresh.len());
-            let pooled = shard_count > 1;
-            let shards: Vec<Vec<DeviceId>> = if pooled {
-                let fresh_set: BTreeSet<DeviceId> = fresh.into_iter().collect();
-                ShardPlan::build(&table, window, shard_count)
-                    .shards()
-                    .iter()
-                    .map(|shard| {
-                        shard
-                            .iter()
-                            .copied()
-                            .filter(|j| fresh_set.contains(j))
-                            .collect::<Vec<DeviceId>>()
-                    })
-                    .filter(|shard| !shard.is_empty())
-                    .collect()
-            } else {
-                vec![fresh]
-            };
-            let jobs: Vec<Job> = shards
-                .iter()
-                .map(|shard| Job::Precompute {
-                    table: Arc::clone(&table),
-                    params: self.params,
-                    shard: shard.clone(),
-                })
-                .collect();
-            let mut fresh_parts: Vec<(DeviceId, DevicePrecompute)> = Vec::new();
-            for output in self.run_jobs(jobs, pooled)? {
-                match output {
-                    JobOutput::Parts(parts) => fresh_parts.extend(parts),
-                    JobOutput::Verdicts(_) => {
-                        return Err(MonitorError::internal(
-                            "precompute phase returned verdict output",
-                        ))
-                    }
-                }
-            }
+            let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
+            let fresh_parts = AnalyzerCore::precompute_shard(
+                &table,
+                &self.params,
+                &fresh,
+                DEFAULT_ENUMERATION_BUDGET,
+            );
             if steady {
                 for (j, pre) in &fresh_parts {
                     fresh_pre.insert(j.0, pre.clone());
@@ -1169,41 +1087,21 @@ impl Monitor {
             // The merged core covers the whole abnormal set (fresh slices
             // plus every cached one), so its partition is the epoch's
             // global one.
-            let core = Arc::new(self.merged_core(&table, fresh_parts));
-            let partition = Arc::new(core.component_partition());
-            let index = Arc::clone(self.trajectory_index.as_ref().ok_or(
-                MonitorError::internal("trajectory index missing after update"),
-            )?);
-            let pair = Arc::new(pair);
-            let jobs: Vec<Job> = shards
-                .into_iter()
-                .map(|shard| Job::Verdicts {
-                    core: Arc::clone(&core),
-                    table: Arc::clone(&table),
-                    pair: Arc::clone(&pair),
-                    index: Arc::clone(&index),
-                    window,
-                    shard,
+            let core = self.merged_core(&table, fresh_parts);
+            let index = self
+                .trajectory_index
+                .as_ref()
+                .ok_or(MonitorError::internal(
+                    "trajectory index missing after update",
+                ))?;
+            fresh_rows = fresh
+                .iter()
+                .map(|&j| {
+                    let vicinity = index.vicinity(&pair, j, window);
+                    (j, core.characterize_full(&table, j), vicinity)
                 })
                 .collect();
-            for output in self.run_jobs(jobs, pooled)? {
-                match output {
-                    JobOutput::Verdicts(rows) => fresh_rows.extend(rows),
-                    JobOutput::Parts(_) => {
-                        return Err(MonitorError::internal(
-                            "verdict phase returned precompute output",
-                        ))
-                    }
-                }
-            }
-            // Every job consumed its Arc clones before reporting its
-            // result, so after collecting all of them this is the only
-            // reference again (the clone arm is unreachable
-            // belt-and-braces).
-            (
-                Arc::try_unwrap(pair).unwrap_or_else(|arc| (*arc).clone()),
-                partition,
-            )
+            Arc::new(core.component_partition())
         };
 
         // Freshly decided devices enter the cache (with their precompute
@@ -1237,7 +1135,7 @@ impl Monitor {
 
         // Deterministic merge: cohort ids map monotonically to current
         // dense ids, so id order here is exactly the report's verdict order
-        // whatever sharding produced the rows.
+        // whatever mix of cached and fresh rows produced them.
         rows.sort_unstable_by_key(|r| r.j);
         for row in rows {
             let j = row.j;
@@ -1289,7 +1187,7 @@ impl Monitor {
     /// fleet keys, per-device detector state, frozen verdicts, the last
     /// sealed snapshot (and its key order, if membership churned since),
     /// the open epoch with its staleness ages, the event tracker, and the
-    /// clock. Derived structures — trajectory index, worker pool,
+    /// clock. Derived structures — trajectory index,
     /// characterization cache, recycled snapshot buffers — are
     /// deliberately absent: they are rebuilt lazily, and the determinism
     /// suites prove reports are identical with or without them.
@@ -1951,7 +1849,7 @@ mod tests {
                         }
                     }
                     let before = m.last_snapshot().cloned();
-                    let old = m.trajectory_index.as_deref().cloned();
+                    let old = m.trajectory_index.clone();
                     m.ingest_many(rows).unwrap();
                     let report = m.seal().unwrap();
                     let characterized = !report.verdicts().is_empty();
@@ -1966,7 +1864,7 @@ mod tests {
                     let after = m.last_snapshot().cloned();
                     let pair = StatePair::new(before.unwrap(), after.unwrap()).unwrap();
                     let fresh = TrajectoryIndex::build(&pair, m.params().window());
-                    prop_assert_eq!(m.trajectory_index.as_deref(), Some(&fresh), "epoch {}", e);
+                    prop_assert_eq!(m.trajectory_index.as_ref(), Some(&fresh), "epoch {}", e);
                     let expected = match (&old, synced) {
                         (Some(old), true) => GridUpdate::Incremental {
                             rebucketed: pair

@@ -22,10 +22,8 @@
 //! `debounce`, `history`), and a builder that disagrees on any of them
 //! fails with [`MonitorError::CheckpointMismatch`] naming the field —
 //! resuming under a different configuration would silently diverge from
-//! the run that wrote the checkpoint. The one execution-strategy knob,
-//! `engine`, is deliberately *not* reconciled: the determinism suites
-//! prove reports are byte-identical across engines, so a checkpoint
-//! written under `Sequential` may resume under `Threaded` and vice versa.
+//! the run that wrote the checkpoint. [`Engine`](super::Engine) is not a
+//! knob: the builder ignores it, so there is nothing to reconcile.
 
 use super::builder::MonitorBuilder;
 use super::error::MonitorError;

@@ -2,7 +2,7 @@
 //! read time (conformance lint C3, `no-wallclock`).
 //!
 //! Reports must be pure functions of their inputs: byte-identical across
-//! `Engine::Sequential`/`Threaded`, restarts, streaming-vs-batch, and
+//! cached and recomputed seals, restarts, streaming-vs-batch, and
 //! `Trace::slice` replay. A stray `Instant::now()` can never change a
 //! verdict, but it *can* tempt one to — gating work on elapsed time is the
 //! classic way determinism dies between two CI samples. So the clock is

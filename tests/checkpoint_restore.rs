@@ -1,7 +1,7 @@
 //! The persistence determinism gate: a monitor checkpointed mid-trace and
 //! restored into a fresh process continues its report, event-delta, and
 //! summary streams **byte-identically** to the uninterrupted run — across
-//! engines, fleet churn, carry-forward bridging, and arbitrary cut points
+//! fleet churn, carry-forward bridging, and arbitrary cut points
 //! (including mid-epoch, with updates staged) — and so does the
 //! full-recompute [`Oracle`], which restarts from a checkpoint before
 //! every seal.
@@ -17,7 +17,7 @@ mod common;
 use anomaly_characterization::core::Params;
 use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
 use anomaly_characterization::pipeline::{
-    read_log, Engine, EventLog, Monitor, MonitorBuilder, MonitorError, Report, StalenessPolicy,
+    read_log, EventLog, Monitor, MonitorBuilder, MonitorError, Report, StalenessPolicy,
 };
 use anomaly_characterization::qos::{DeviceId, NormKind, Snapshot};
 use anomaly_characterization::simulator::FleetSpec;
@@ -55,13 +55,12 @@ fn observable(report: &Report) -> String {
 }
 
 /// A monitor builder matching `spec`, with every behavioural knob pinned.
-fn builder_for(spec: &ScenarioSpec, engine: Engine) -> MonitorBuilder {
+fn builder_for(spec: &ScenarioSpec) -> MonitorBuilder {
     let services = spec.services;
     let delta = spec.detector_delta;
     MonitorBuilder::new()
         .params(spec.params)
         .services(services)
-        .engine(engine)
         .staleness(StalenessPolicy::CarryForward { max_age: 32 })
         .debounce(1)
         .history(16)
@@ -195,72 +194,42 @@ fn churn_scenario() -> ChurnScenario {
 }
 
 /// Runs the identity gate at one cut point: the uninterrupted stream must
-/// equal prefix-stream + checkpoint + restore + rest-stream, even when the
-/// restored monitor runs under a different engine. Returns the
+/// equal prefix-stream + checkpoint + restore + rest-stream. Returns the
 /// uninterrupted stream.
-fn assert_resumes_identically(
-    spec: &ScenarioSpec,
-    actions: &[Action],
-    cut: usize,
-    engine: Engine,
-    restore_engine: Engine,
-) -> String {
+fn assert_resumes_identically(spec: &ScenarioSpec, actions: &[Action], cut: usize) -> String {
     let mut full = String::new();
-    let mut monitor = builder_for(spec, engine)
-        .fleet(spec.population)
-        .build()
-        .unwrap();
+    let mut monitor = builder_for(spec).fleet(spec.population).build().unwrap();
     play(&mut monitor, actions, &mut full);
 
     let mut resumed = String::new();
-    let mut monitor = builder_for(spec, engine)
-        .fleet(spec.population)
-        .build()
-        .unwrap();
+    let mut monitor = builder_for(spec).fleet(spec.population).build().unwrap();
     play(&mut monitor, &actions[..cut], &mut resumed);
     let mut bytes = Vec::new();
     let written = monitor.checkpoint(&mut bytes).unwrap();
     assert_eq!(written, bytes.len() as u64);
     drop(monitor);
 
-    let mut restored =
-        Monitor::restore(bytes.as_slice(), builder_for(spec, restore_engine)).unwrap();
+    let mut restored = Monitor::restore(bytes.as_slice(), builder_for(spec)).unwrap();
     play(&mut restored, &actions[cut..], &mut resumed);
-    assert_eq!(resumed, full, "cut {cut}: {engine:?} -> {restore_engine:?}");
+    assert_eq!(resumed, full, "cut {cut}");
     full
 }
 
 #[test]
-fn checkpointed_run_continues_byte_identically_across_engines_and_grids() {
+fn checkpointed_run_continues_byte_identically_and_matches_the_oracle() {
     let scenario = churn_scenario();
     let spec = scenario.spec();
     let run = scenario.generate().unwrap();
     let actions = schedule_of(&run, 0);
     let cut = actions.len() / 2;
     // Restarting before every seal — the oracle — changes no byte either.
-    let monitor = builder_for(&spec, Engine::Sequential)
-        .fleet(spec.population)
-        .build()
-        .unwrap();
+    let monitor = builder_for(&spec).fleet(spec.population).build().unwrap();
     let restart_spec = spec.clone();
-    let mut oracle = Oracle::new(monitor, move || {
-        builder_for(&restart_spec, Engine::Sequential)
-    });
+    let mut oracle = Oracle::new(monitor, move || builder_for(&restart_spec));
     let mut reference = String::new();
     play(&mut oracle, &actions, &mut reference);
-    for engine in [Engine::Sequential, Engine::Threaded { workers: 4 }] {
-        let full = assert_resumes_identically(&spec, &actions, cut, engine, engine);
-        assert_eq!(full, reference, "{engine:?} diverged from the oracle");
-    }
-    // A checkpoint written under one engine restores under another: the
-    // engine is deliberately not reconciled.
-    assert_resumes_identically(
-        &spec,
-        &actions,
-        cut,
-        Engine::Sequential,
-        Engine::Threaded { workers: 2 },
-    );
+    let full = assert_resumes_identically(&spec, &actions, cut);
+    assert_eq!(full, reference, "the monitor diverged from the oracle");
 }
 
 #[test]
@@ -280,13 +249,7 @@ fn mid_epoch_checkpoint_keeps_staged_updates() {
         .nth(spec.population + 7)
         .unwrap();
     assert!(matches!(actions[mid_epoch], Action::Ingest(..)));
-    assert_resumes_identically(
-        &spec,
-        &actions,
-        mid_epoch,
-        Engine::Sequential,
-        Engine::Sequential,
-    );
+    assert_resumes_identically(&spec, &actions, mid_epoch);
 }
 
 /// The ISP fault workload with synthesized tail churn — every step has a
@@ -318,22 +281,13 @@ proptest! {
     fn any_cut_of_a_churnful_network_run_resumes_identically(
         seed in 0u64..1_000,
         cut_frac in 0.05f64..0.95,
-        engine_pick in 0usize..2,
-        restore_engine_pick in 0usize..2,
     ) {
-        let engines = [Engine::Sequential, Engine::Threaded { workers: 3 }];
         let (spec, run) = churnful_network_run(seed % 17);
         // Odd seeds enable random report drops, exercising the
         // carry-forward bridging across the checkpoint boundary.
         let actions = schedule_of(&run, seed | 1);
         let cut = ((actions.len() as f64) * cut_frac) as usize;
-        assert_resumes_identically(
-            &spec,
-            &actions,
-            cut.min(actions.len()),
-            engines[engine_pick],
-            engines[restore_engine_pick],
-        );
+        assert_resumes_identically(&spec, &actions, cut.min(actions.len()));
     }
 }
 
@@ -349,21 +303,19 @@ proptest! {
     fn open_event_components_survive_any_checkpoint_cut(
         seed in 0u64..1_000,
         cut_frac in 0.05f64..0.95,
-        workers in 1usize..=8,
     ) {
         let (spec, run) = churnful_network_run(seed % 17);
         let actions = schedule_of(&run, 0);
         let cut = (((actions.len() as f64) * cut_frac) as usize).min(actions.len());
-        let engine = Engine::Threaded { workers };
 
         let mut sink = String::new();
-        let mut full = builder_for(&spec, Engine::Sequential)
+        let mut full = builder_for(&spec)
             .fleet(spec.population)
             .build()
             .unwrap();
         play(&mut full, &actions, &mut sink);
 
-        let mut interrupted = builder_for(&spec, engine)
+        let mut interrupted = builder_for(&spec)
             .fleet(spec.population)
             .build()
             .unwrap();
@@ -372,7 +324,7 @@ proptest! {
         interrupted.checkpoint(&mut bytes).unwrap();
         drop(interrupted);
         let mut restored =
-            Monitor::restore(bytes.as_slice(), builder_for(&spec, engine)).unwrap();
+            Monitor::restore(bytes.as_slice(), builder_for(&spec)).unwrap();
         play(&mut restored, &actions[cut..], &mut sink);
 
         prop_assert_eq!(full.events().open(), restored.events().open());
@@ -539,10 +491,7 @@ fn event_log_replays_summaries_and_closed_events() {
     let spec = scenario.spec();
     let run = scenario.generate().unwrap();
     let actions = schedule_of(&run, 0);
-    let mut monitor = builder_for(&spec, Engine::Sequential)
-        .fleet(spec.population)
-        .build()
-        .unwrap();
+    let mut monitor = builder_for(&spec).fleet(spec.population).build().unwrap();
     let mut log = EventLog::create(Vec::new()).unwrap();
     let mut summaries = Vec::new();
     let mut seals = 0usize;
@@ -578,8 +527,7 @@ fn event_log_replays_summaries_and_closed_events() {
     assert_eq!(open, monitor.events().open().len());
     assert_eq!(closed as u64, monitor.events().closed_total());
     // And the same log restores the monitor it chronicles.
-    let restored =
-        Monitor::restore(bytes.as_slice(), builder_for(&spec, Engine::Sequential)).unwrap();
+    let restored = Monitor::restore(bytes.as_slice(), builder_for(&spec)).unwrap();
     assert_eq!(restored.instant(), monitor.instant());
     assert_eq!(restored.keys(), monitor.keys());
 }

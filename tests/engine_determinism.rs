@@ -1,14 +1,14 @@
-//! The engine knob must be unobservable in reports: `Threaded` with any
-//! worker count produces exactly the verdicts, ordering, and summary of
-//! `Sequential` — on steady fleets, on the churn trace of `monitor_v2.rs`,
-//! and on a generated large-ish fleet — and the incremental vicinity grid
-//! and the characterization cache must be equally invisible next to the
-//! full-recompute [`Oracle`].
+//! The incremental trajectory index and the characterization cache must
+//! be unobservable in reports: on the churn trace of `monitor_v2.rs`, on a
+//! generated large-ish fleet, and through the event tracker and the serve
+//! crate's alert stream, the monitor produces exactly the verdicts,
+//! ordering, and summary of the full-recompute [`Oracle`]. The retired
+//! [`Engine`] knob is accepted and changes none of it.
 
 mod common;
 
 use anomaly_characterization::core::Params;
-use anomaly_characterization::pipeline::{Engine, Monitor, MonitorBuilder, Report};
+use anomaly_characterization::pipeline::{Engine, MonitorBuilder, Report};
 use anomaly_characterization::qos::{QosSpace, Snapshot, StatePair};
 use anomaly_characterization::simulator::fleet::{generate_fleet, FleetSpec};
 use anomaly_characterization::simulator::trace::{Trace, TraceStep};
@@ -65,20 +65,16 @@ fn assert_reports_identical(a: &Report, b: &Report, context: &str) {
     assert_eq!(normalized(a), normalized(b), "{context}: JSON summary");
 }
 
-fn churn_builder(engine: Engine) -> MonitorBuilder {
-    MonitorBuilder::new().engine(engine)
-}
-
-/// Replays the monitor_v2 churn scenario on a monitor under `engine`,
+/// Replays the monitor_v2 churn scenario on a monitor built by `builder`,
 /// returning every report produced.
-fn churn_scenario(engine: Engine) -> Vec<Report> {
-    churn_scenario_on(&mut churn_builder(engine).fleet(8).build().unwrap())
+fn churn_scenario(builder: MonitorBuilder) -> Vec<Report> {
+    churn_scenario_on(&mut builder.fleet(8).build().unwrap())
 }
 
 /// The same scenario on the full-recompute oracle.
-fn churn_scenario_on_the_oracle(engine: Engine) -> Vec<Report> {
-    let monitor = churn_builder(engine).fleet(8).build().unwrap();
-    churn_scenario_on(&mut Oracle::new(monitor, move || churn_builder(engine)))
+fn churn_scenario_on_the_oracle() -> Vec<Report> {
+    let monitor = MonitorBuilder::new().fleet(8).build().unwrap();
+    churn_scenario_on(&mut Oracle::new(monitor, MonitorBuilder::new))
 }
 
 fn churn_scenario_on(m: &mut dyn Drive) -> Vec<Report> {
@@ -109,37 +105,41 @@ fn churn_scenario_on(m: &mut dyn Drive) -> Vec<Report> {
     reports
 }
 
+/// The characterization cache and the incremental grid must be
+/// unobservable next to full recomputation: the churn trace's reports
+/// match the oracle's byte for byte.
 #[test]
-fn threaded_1_to_8_workers_match_sequential_on_the_churn_trace() {
-    let baseline = churn_scenario(Engine::Sequential);
+fn characterization_cache_is_unobservable_on_the_churn_trace() {
+    let baseline = churn_scenario(MonitorBuilder::new());
     assert!(baseline.iter().any(|r| !r.verdicts().is_empty()));
-    for workers in 1..=8 {
-        let threaded = churn_scenario(Engine::Threaded { workers });
-        assert_eq!(baseline.len(), threaded.len());
-        for (a, b) in baseline.iter().zip(&threaded) {
+    let oracle = churn_scenario_on_the_oracle();
+    assert_eq!(baseline.len(), oracle.len());
+    for (a, b) in baseline.iter().zip(&oracle) {
+        assert_reports_identical(a, b, &format!("oracle, k={}", a.instant()));
+    }
+}
+
+/// [`Engine`] is accepted and ignored: a monitor built with perfbench's
+/// `Threaded { workers: 2 }`, and one asking for `usize::MAX` workers,
+/// both run the churn trace — whose incident seals have several fresh
+/// devices — on the calling thread and match the oracle. Were a worker
+/// count still honoured, the second would ask the OS for `usize::MAX`
+/// threads, so finishing at all is part of the check.
+#[test]
+fn threaded_engine_runs_inline_and_matches_the_oracle() {
+    let oracle = churn_scenario_on_the_oracle();
+    assert!(oracle.iter().any(|r| r.verdicts().len() > 1));
+    for workers in [2, usize::MAX] {
+        let reports = churn_scenario(MonitorBuilder::new().engine(Engine::Threaded { workers }));
+        assert_eq!(oracle.len(), reports.len());
+        for (a, b) in oracle.iter().zip(&reports) {
             assert_reports_identical(a, b, &format!("workers={workers} k={}", a.instant()));
         }
     }
 }
 
-/// The characterization cache and the incremental grid must be
-/// unobservable next to full recomputation, under every engine: the churn
-/// trace's reports match the oracle's byte for byte.
 #[test]
-fn characterization_cache_is_unobservable_on_the_churn_trace() {
-    let baseline = churn_scenario(Engine::Sequential);
-    assert!(baseline.iter().any(|r| !r.verdicts().is_empty()));
-    for engine in [Engine::Sequential, Engine::Threaded { workers: 4 }] {
-        let oracle = churn_scenario_on_the_oracle(engine);
-        assert_eq!(baseline.len(), oracle.len());
-        for (a, b) in baseline.iter().zip(&oracle) {
-            assert_reports_identical(a, b, &format!("{engine:?} oracle, k={}", a.instant()));
-        }
-    }
-}
-
-#[test]
-fn engines_agree_on_a_generated_fleet_with_clusters() {
+fn monitor_matches_the_oracle_on_a_generated_fleet_with_clusters() {
     // A denser scenario than the churn trace: co-moving clusters, lone
     // jumpers, and calm jitter, across multiple chained instants.
     let spec = FleetSpec {
@@ -155,16 +155,13 @@ fn engines_agree_on_a_generated_fleet_with_clusters() {
         seed: 11,
     };
     let fleet = generate_fleet(&spec, 3).unwrap();
-    let builder = |engine: Engine| {
+    let builder = || {
         use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
-        MonitorBuilder::new()
-            .services(2)
-            .engine(engine)
-            .detector_factory(|_| {
-                Box::new(VectorDetector::homogeneous(2, || {
-                    ThresholdDetector::with_delta(0.16)
-                }))
-            })
+        MonitorBuilder::new().services(2).detector_factory(|_| {
+            Box::new(VectorDetector::homogeneous(2, || {
+                ThresholdDetector::with_delta(0.16)
+            }))
+        })
     };
     let run = |m: &mut dyn Drive| -> Vec<Report> {
         fleet
@@ -172,87 +169,28 @@ fn engines_agree_on_a_generated_fleet_with_clusters() {
             .map(|instant| m.observe(instant.snapshot.clone()).unwrap())
             .collect()
     };
-    let monitor = builder(Engine::Sequential).fleet(600).build().unwrap();
-    let baseline = run(&mut Oracle::new(monitor, move || {
-        builder(Engine::Sequential)
-    }));
+    let monitor = builder().fleet(600).build().unwrap();
+    let baseline = run(&mut Oracle::new(monitor, builder));
     let total: usize = baseline.iter().map(|r| r.verdicts().len()).sum();
     assert!(total > 0, "scenario must flag devices");
     assert!(baseline.iter().any(|r| r.has_network_event()));
-    for workers in [1, 2, 5, 8] {
-        let threaded = run(&mut builder(Engine::Threaded { workers })
-            .fleet(600)
-            .build()
-            .unwrap());
-        for (a, b) in baseline.iter().zip(&threaded) {
-            assert_reports_identical(a, b, &format!("fleet workers={workers} k={}", a.instant()));
-        }
-    }
-}
-
-/// The evaluation subsystem inherits the engine invariance: scenario
-/// scores — confusion matrices, per-instant breakdowns, every serialized
-/// byte of the metrics — are identical across `Engine::Sequential` and
-/// `Engine::Threaded` for workers 1..=8, on a fault-injected network
-/// scenario and on a churned fleet.
-#[test]
-fn evaluation_scores_are_byte_identical_across_engines() {
-    use anomaly_eval::{
-        evaluate_monitor, ChurnScenario, FleetScenario, NetworkFaultScenario, Scenario,
-    };
-
-    let network = NetworkFaultScenario::small_mixed("det-network", 29, 3);
-    let churn = ChurnScenario {
-        fleet: FleetScenario {
-            name: "det-churn".into(),
-            fleet: FleetSpec {
-                devices: 400,
-                services: 2,
-                massive_clusters: 2,
-                cluster_size: 6,
-                isolated: 4,
-                cohesion: 0.05,
-                calm_activity: 0.4,
-                jitter: 0.02,
-                shift: 0.3,
-                seed: 23,
-            },
-            steps: 4,
-            params: Params::new(0.03, 3).unwrap(),
-        },
-        churn_devices: 30,
-        churn_every: 2,
-    };
-    let scenarios: [&dyn Scenario; 2] = [&network, &churn];
-    for scenario in scenarios {
-        let name = scenario.spec().name;
-        let baseline = evaluate_monitor(scenario, Engine::Sequential).unwrap();
-        assert!(
-            baseline.confusion.total() > 0,
-            "{name}: the scenario must score something"
-        );
-        let reference = baseline.metrics_json();
-        for workers in 1..=8 {
-            let threaded = evaluate_monitor(scenario, Engine::Threaded { workers }).unwrap();
-            assert_eq!(
-                reference,
-                threaded.metrics_json(),
-                "{name}: workers={workers} diverged"
-            );
-        }
+    let reports = run(&mut builder().fleet(600).build().unwrap());
+    assert_eq!(baseline.len(), reports.len());
+    for (a, b) in baseline.iter().zip(&reports) {
+        assert_reports_identical(a, b, &format!("fleet k={}", a.instant()));
     }
 }
 
 /// The event tracker's standing state — open events, recently closed
 /// events, lifetime counters, and the history ring — is byte-identical
-/// across `Sequential` vs `Threaded{1..=8}` and the full-recompute
-/// oracle, not just the per-report delta feed.
+/// between the monitor and the full-recompute oracle, not just the
+/// per-report delta feed.
 #[test]
-fn event_tracker_state_is_identical_across_engines_and_grid_modes() {
+fn event_tracker_state_matches_the_oracle() {
     use anomaly_characterization::pipeline::AnomalyEvent;
 
-    fn builder(engine: Engine) -> MonitorBuilder {
-        MonitorBuilder::new().engine(engine).debounce(1)
+    fn builder() -> MonitorBuilder {
+        MonitorBuilder::new().debounce(1)
     }
 
     fn run(m: &mut dyn Drive) -> (Vec<AnomalyEvent>, Vec<AnomalyEvent>, String) {
@@ -291,19 +229,16 @@ fn event_tracker_state_is_identical_across_engines_and_grid_modes() {
         )
     }
 
-    let monitor = builder(Engine::Sequential).fleet(8).build().unwrap();
-    let baseline = run(&mut Oracle::new(monitor, || builder(Engine::Sequential)));
+    let monitor = builder().fleet(8).build().unwrap();
+    let baseline = run(&mut Oracle::new(monitor, builder));
     assert!(
         !baseline.0.is_empty() || !baseline.1.is_empty(),
         "the scenario must produce events"
     );
-    let threaded = (1..=8).map(|workers| Engine::Threaded { workers });
-    for engine in std::iter::once(Engine::Sequential).chain(threaded) {
-        let state = run(&mut builder(engine).fleet(8).build().unwrap());
-        assert_eq!(baseline.0, state.0, "open events, {engine:?}");
-        assert_eq!(baseline.1, state.1, "closed events, {engine:?}");
-        assert_eq!(baseline.2, state.2, "history ring, {engine:?}");
-    }
+    let state = run(&mut builder().fleet(8).build().unwrap());
+    assert_eq!(baseline.0, state.0, "open events");
+    assert_eq!(baseline.1, state.1, "closed events");
+    assert_eq!(baseline.2, state.2, "history ring");
 }
 
 proptest::proptest! {
@@ -353,23 +288,20 @@ proptest::proptest! {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-    /// The spatial layer is engine-invariant on random traces: every
+    /// The spatial layer is cache-invariant on random traces: every
     /// verdict's component id, the summary's distinct-component count,
     /// and the component-split event-delta feed (which events open, which
-    /// devices join which) match the full-recompute oracle byte-for-byte
-    /// under a random `Threaded` worker count.
+    /// devices join which) match the full-recompute oracle byte-for-byte.
     #[test]
-    fn component_numbering_and_event_split_are_engine_invariant(
+    fn component_numbering_and_event_split_match_the_oracle(
         levels in proptest::collection::vec(
             proptest::collection::vec(0.05..=0.95f64, 8), 3..7),
-        workers in 1usize..=8,
     ) {
         use anomaly_characterization::detectors::ThresholdDetector;
         use proptest::prelude::*;
 
-        let builder = |engine: Engine| {
+        let builder = || {
             MonitorBuilder::new()
-                .engine(engine)
                 .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
                 .debounce(1)
         };
@@ -390,30 +322,24 @@ proptest::proptest! {
             }
             surface
         };
-        let monitor = builder(Engine::Sequential).fleet(8).build().unwrap();
-        let baseline = run(&mut Oracle::new(monitor, move || builder(Engine::Sequential)));
-        let mut threaded = builder(Engine::Threaded { workers }).fleet(8).build().unwrap();
-        prop_assert_eq!(baseline, run(&mut threaded));
+        let monitor = builder().fleet(8).build().unwrap();
+        let baseline = run(&mut Oracle::new(monitor, builder));
+        prop_assert_eq!(baseline, run(&mut builder().fleet(8).build().unwrap()));
     }
 }
 
-/// The serve crate's alert stream inherits the full engine invariance:
-/// the same measurement stream produces a byte-identical action stream —
-/// pages, recurrences, resolutions, signatures — across
-/// `Sequential`/`Threaded{1..=8}` and the full-recompute oracle, and
-/// replaying the run from a cold start (checkpointless restart)
-/// reproduces it exactly.
+/// The serve crate's alert stream inherits the cache invariance: the
+/// same measurement stream produces a byte-identical action stream —
+/// pages, recurrences, resolutions, signatures — on the monitor and the
+/// full-recompute oracle, and replaying the run from a cold start
+/// (checkpointless restart) reproduces it exactly.
 #[test]
-fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
+fn serve_alert_stream_matches_the_oracle_and_a_rerun() {
     use anomaly_characterization::network::Topology;
     use anomaly_serve::{actions_to_json, AlertConfig, AlertSink, KeyMap};
 
-    fn builder(engine: Engine) -> MonitorBuilder {
-        MonitorBuilder::new().engine(engine).debounce(1)
-    }
-
-    fn run(engine: Engine) -> String {
-        on(&mut builder(engine).fleet(64).build().unwrap())
+    fn builder() -> MonitorBuilder {
+        MonitorBuilder::new().debounce(1)
     }
 
     fn on(m: &mut dyn Drive) -> String {
@@ -463,8 +389,8 @@ fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
         actions_to_json(&actions)
     }
 
-    let monitor = builder(Engine::Sequential).fleet(64).build().unwrap();
-    let baseline = on(&mut Oracle::new(monitor, || builder(Engine::Sequential)));
+    let monitor = builder().fleet(64).build().unwrap();
+    let baseline = on(&mut Oracle::new(monitor, builder));
     assert!(
         baseline.contains("\"kind\":\"page\""),
         "the scenario must page: {baseline}"
@@ -474,14 +400,7 @@ fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
         "the scenario must resolve: {baseline}"
     );
     // Checkpointless restart: a byte-identical rerun.
-    assert_eq!(baseline, run(Engine::Sequential));
-    for workers in 1..=8 {
-        assert_eq!(
-            baseline,
-            run(Engine::Threaded { workers }),
-            "alert stream diverged: workers={workers}"
-        );
-    }
+    assert_eq!(baseline, on(&mut builder().fleet(64).build().unwrap()));
 }
 
 proptest::proptest! {
@@ -537,22 +456,5 @@ proptest::proptest! {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn builder_exposes_the_engine_knob() {
-    let m: Monitor = MonitorBuilder::new()
-        .engine(Engine::Threaded { workers: 3 })
-        .build()
-        .unwrap();
-    assert_eq!(m.engine(), Engine::Threaded { workers: 3 });
-    // Default: sequential engine.
-    let d = MonitorBuilder::new().build().unwrap();
-    assert_eq!(d.engine(), Engine::Sequential);
-    // threaded_auto never yields a zero worker count.
-    match Engine::threaded_auto() {
-        Engine::Threaded { workers } => assert!(workers > 1),
-        Engine::Sequential => {}
     }
 }

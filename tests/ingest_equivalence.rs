@@ -2,16 +2,14 @@
 //! any permutation of per-device updates — duplicates included, last
 //! write wins — sealed once yields a report identical (modulo wall-clock
 //! timings) to `observe()` on the assembled snapshot — observed through
-//! the full-recompute [`Oracle`] — under both engines. And sealing a small
+//! the full-recompute [`Oracle`]. And sealing a small
 //! epoch over a calm fleet must maintain the vicinity grid incrementally,
 //! not rebuild it.
 
 mod common;
 
 use anomaly_characterization::detectors::ThresholdDetector;
-use anomaly_characterization::pipeline::{
-    Engine, Monitor, MonitorBuilder, Report, StalenessPolicy,
-};
+use anomaly_characterization::pipeline::{Monitor, MonitorBuilder, Report, StalenessPolicy};
 use anomaly_characterization::qos::GridUpdate;
 use common::{Drive, Oracle};
 use proptest::prelude::*;
@@ -37,10 +35,8 @@ fn fingerprint(r: &Report) -> String {
     )
 }
 
-fn builder(engine: Engine) -> MonitorBuilder {
-    MonitorBuilder::new()
-        .engine(engine)
-        .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.08)))
+fn builder() -> MonitorBuilder {
+    MonitorBuilder::new().detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.08)))
 }
 
 proptest! {
@@ -56,43 +52,38 @@ proptest! {
         n in 2..=8usize,
         seed in 0u64..10_000,
     ) {
-        for engine in [Engine::Sequential, Engine::Threaded { workers: 3 }] {
-            let mut batch = Oracle::new(builder(engine).fleet(n).build().unwrap(), move || {
-                builder(engine)
-            });
-            let mut stream = builder(engine).fleet(n).build().unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            for epoch in &levels {
-                let rows: Vec<Vec<f64>> = epoch[..n].iter().map(|&v| vec![v]).collect();
-                // Stale duplicates first (they must be overwritten) …
-                for slot in 0..n {
-                    if rng.gen_bool(0.3) {
-                        let junk = rng.gen_range(0.0..=1.0);
-                        stream.ingest(slot as u64, vec![junk]).unwrap();
-                    }
+        let mut batch = Oracle::new(builder().fleet(n).build().unwrap(), builder);
+        let mut stream = builder().fleet(n).build().unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for epoch in &levels {
+            let rows: Vec<Vec<f64>> = epoch[..n].iter().map(|&v| vec![v]).collect();
+            // Stale duplicates first (they must be overwritten) …
+            for slot in 0..n {
+                if rng.gen_bool(0.3) {
+                    let junk = rng.gen_range(0.0..=1.0);
+                    stream.ingest(slot as u64, vec![junk]).unwrap();
                 }
-                // … then the real updates, in a random arrival order.
-                let mut updates: Vec<(u64, Vec<f64>)> = rows
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, row)| (slot as u64, row.clone()))
-                    .collect();
-                updates.shuffle(&mut rng);
-                stream.ingest_many(updates).unwrap();
-                let streamed = stream.seal().unwrap();
-
-                let observed = batch.observe_rows(rows).unwrap();
-                prop_assert_eq!(
-                    fingerprint(&observed),
-                    fingerprint(&streamed),
-                    "epoch {} diverged under {:?}",
-                    observed.instant(),
-                    engine
-                );
             }
-            // Both monitors agree on the final snapshot too.
-            prop_assert_eq!(batch.monitor().last_snapshot(), stream.last_snapshot());
+            // … then the real updates, in a random arrival order.
+            let mut updates: Vec<(u64, Vec<f64>)> = rows
+                .iter()
+                .enumerate()
+                .map(|(slot, row)| (slot as u64, row.clone()))
+                .collect();
+            updates.shuffle(&mut rng);
+            stream.ingest_many(updates).unwrap();
+            let streamed = stream.seal().unwrap();
+
+            let observed = batch.observe_rows(rows).unwrap();
+            prop_assert_eq!(
+                fingerprint(&observed),
+                fingerprint(&streamed),
+                "epoch {} diverged",
+                observed.instant()
+            );
         }
+        // Both monitors agree on the final snapshot too.
+        prop_assert_eq!(batch.monitor().last_snapshot(), stream.last_snapshot());
     }
 }
 
@@ -101,7 +92,7 @@ proptest! {
 
     /// The characterization cache and the incremental grid must be
     /// unobservable: shuffled-silence ingest sequences with mid-run churn,
-    /// under every staleness policy and both engines, produce
+    /// under every staleness policy, produce
     /// byte-identical reports and final snapshots on the monitor and on
     /// the full-recompute oracle.
     #[test]
@@ -119,46 +110,43 @@ proptest! {
             StalenessPolicy::Default(vec![0.5]),
         ];
         for policy in &policies {
-            for engine in [Engine::Sequential, Engine::Threaded { workers: 3 }] {
-                let configured = {
-                    let policy = policy.clone();
-                    move || builder(engine).staleness(policy.clone())
-                };
-                let run = |m: &mut dyn Drive| {
-                    let mut prints = Vec::new();
-                    for (e, epoch) in levels.iter().enumerate() {
-                        if e == churn_at {
-                            m.monitor().leave(0u64).unwrap();
-                            m.monitor().join(1_000u64).unwrap();
-                        }
-                        let keys = m.monitor().keys().to_vec();
-                        for (i, &key) in keys.iter().enumerate() {
-                            // Epoch 0 and the fresh joiner always
-                            // report; under Reject everyone does.
-                            let may_skip = e > 0
-                                && !matches!(policy, StalenessPolicy::Reject)
-                                && (key.0 as usize) < n
-                                && silence[e][key.0 as usize] == 0;
-                            if may_skip {
-                                continue;
-                            }
-                            m.monitor().ingest(key, vec![epoch[i % epoch.len()]]).unwrap();
-                        }
-                        prints.push(fingerprint(&m.seal().unwrap()));
+            let configured = {
+                let policy = policy.clone();
+                move || builder().staleness(policy.clone())
+            };
+            let run = |m: &mut dyn Drive| {
+                let mut prints = Vec::new();
+                for (e, epoch) in levels.iter().enumerate() {
+                    if e == churn_at {
+                        m.monitor().leave(0u64).unwrap();
+                        m.monitor().join(1_000u64).unwrap();
                     }
-                    (prints, m.monitor().last_snapshot().cloned())
-                };
-                let mut monitor = configured().fleet(n).build().unwrap();
-                let mut oracle =
-                    Oracle::new(configured().fleet(n).build().unwrap(), configured.clone());
-                prop_assert_eq!(
-                    run(&mut monitor),
-                    run(&mut oracle),
-                    "{:?} under {:?} diverged",
-                    policy,
-                    engine
-                );
-            }
+                    let keys = m.monitor().keys().to_vec();
+                    for (i, &key) in keys.iter().enumerate() {
+                        // Epoch 0 and the fresh joiner always
+                        // report; under Reject everyone does.
+                        let may_skip = e > 0
+                            && !matches!(policy, StalenessPolicy::Reject)
+                            && (key.0 as usize) < n
+                            && silence[e][key.0 as usize] == 0;
+                        if may_skip {
+                            continue;
+                        }
+                        m.monitor().ingest(key, vec![epoch[i % epoch.len()]]).unwrap();
+                    }
+                    prints.push(fingerprint(&m.seal().unwrap()));
+                }
+                (prints, m.monitor().last_snapshot().cloned())
+            };
+            let mut monitor = configured().fleet(n).build().unwrap();
+            let mut oracle =
+                Oracle::new(configured().fleet(n).build().unwrap(), configured.clone());
+            prop_assert_eq!(
+                run(&mut monitor),
+                run(&mut oracle),
+                "{:?} diverged",
+                policy
+            );
         }
     }
 }

@@ -149,7 +149,6 @@ fn dimensioning_bounds_the_empirical_false_massive_rate() {
     use anomaly_characterization::analytic::{
         prob_false_dense_exceeds, prob_false_dense_exceeds_poisson, solve_tau,
     };
-    use anomaly_characterization::pipeline::Engine;
     use anomaly_characterization::simulator::score::{Prediction, TruthClass};
     use anomaly_characterization::simulator::DestinationModel;
     use anomaly_eval::{evaluate_monitor, SimScenario};
@@ -166,7 +165,7 @@ fn dimensioning_bounds_the_empirical_false_massive_rate() {
         steps,
         detector_delta: 0.02,
     };
-    let score = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+    let score = evaluate_monitor(&scenario).unwrap();
 
     let truth_isolated = score.confusion.truth_total(TruthClass::Isolated);
     assert!(truth_isolated > 500, "enough samples to estimate a rate");

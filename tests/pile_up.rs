@@ -5,7 +5,7 @@
 //! The 64 movers share one closed neighbourhood, so the monitor runs
 //! Algorithm 2 once for all of them, and their vicinity queries fall in
 //! one grid cell crowded with the healthy groups around them. Every report
-//! must equal the full-recompute [`Oracle`] on both engines, and every
+//! must equal the full-recompute [`Oracle`], and every
 //! verdict's cost and vicinity must equal the ones a per-device
 //! enumeration and a linear vicinity scan give.
 
@@ -16,7 +16,7 @@ use anomaly_characterization::core::{
     Params, TrajectoryTable, DEFAULT_ENUMERATION_BUDGET,
 };
 use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
-use anomaly_characterization::pipeline::{DeviceKey, Engine, MonitorBuilder, Report};
+use anomaly_characterization::pipeline::{DeviceKey, MonitorBuilder, Report};
 use anomaly_characterization::qos::{DeviceId, QosSpace, Snapshot, StatePair};
 use common::{Drive, Oracle};
 
@@ -54,12 +54,11 @@ fn trace() -> Vec<Vec<Vec<f64>>> {
         .collect()
 }
 
-fn builder(engine: Engine, devices: usize) -> MonitorBuilder {
+fn builder(devices: usize) -> MonitorBuilder {
     MonitorBuilder::new()
         .services(2)
         .radius(RADIUS)
         .tau(3)
-        .engine(engine)
         .detector_factory(|_| {
             Box::new(VectorDetector::homogeneous(2, || {
                 ThresholdDetector::with_delta(0.15)
@@ -150,12 +149,11 @@ fn assert_per_device_reference(report: &Report, before: &[Vec<f64>], after: &[Ve
     }
 }
 
-fn run(engine: Engine) {
+#[test]
+fn a_pile_up_matches_the_oracle_and_the_per_device_reference_sequentially() {
     let trace = trace();
-    let mut monitor = builder(engine, DEVICES).build().unwrap();
-    let mut oracle = Oracle::new(builder(engine, DEVICES).build().unwrap(), move || {
-        builder(engine, 0)
-    });
+    let mut monitor = builder(DEVICES).build().unwrap();
+    let mut oracle = Oracle::new(builder(DEVICES).build().unwrap(), || builder(0));
     let mut reports = Vec::with_capacity(trace.len());
     for rows in &trace {
         let epoch: Vec<(u64, Vec<f64>)> = rows
@@ -190,14 +188,4 @@ fn run(engine: Engine) {
     for e in [1, 3, 4, 6, 7] {
         assert!(reports[e].verdicts().is_empty(), "epoch {e}");
     }
-}
-
-#[test]
-fn a_pile_up_matches_the_oracle_and_the_per_device_reference_sequentially() {
-    run(Engine::Sequential);
-}
-
-#[test]
-fn a_pile_up_matches_the_oracle_and_the_per_device_reference_on_two_workers() {
-    run(Engine::Threaded { workers: 2 });
 }

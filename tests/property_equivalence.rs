@@ -1,5 +1,5 @@
 //! Property-based equivalence: on random small fleets, the deployed
-//! `Monitor` (any engine) must classify every flagged device exactly as the
+//! `Monitor` must classify every flagged device exactly as the
 //! omniscient observer does by enumerating all anomaly partitions
 //! (Relations (2)–(3), Definition 8) — across random radii, densities,
 //! dimensions, and populations.
@@ -11,7 +11,7 @@
 use anomaly_characterization::core::observer::brute_force_classes;
 use anomaly_characterization::core::{Params, TrajectoryTable};
 use anomaly_characterization::detectors::{DeviceDetector, Verdict};
-use anomaly_characterization::pipeline::{Engine, MonitorBuilder};
+use anomaly_characterization::pipeline::MonitorBuilder;
 use anomaly_characterization::qos::{DeviceId, QosSpace, Snapshot, StatePair};
 use proptest::prelude::*;
 
@@ -43,10 +43,9 @@ impl DeviceDetector for AlwaysFlag {
     }
 }
 
-/// Feeds the two snapshots through a monitor with the given engine and
-/// checks every verdict against the observer's ground truth.
-fn check_engine_against_observer(
-    engine: Engine,
+/// Feeds the two snapshots through a monitor and checks every verdict
+/// against the observer's ground truth.
+fn check_monitor_against_observer(
     rows_before: &[Vec<f64>],
     rows_after: &[Vec<f64>],
     radius: f64,
@@ -62,7 +61,6 @@ fn check_engine_against_observer(
         .radius(radius)
         .tau(tau)
         .services(d)
-        .engine(engine)
         .detector_factory(move |_| {
             Box::new(AlwaysFlag {
                 services: d,
@@ -96,7 +94,7 @@ fn check_engine_against_observer(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sequential monitor == omniscient observer on every flagged device.
+    /// Monitor == omniscient observer on every flagged device.
     #[test]
     fn monitor_matches_observer_on_random_small_fleets(
         d in 1..=2usize,
@@ -111,27 +109,6 @@ proptest! {
         let cut = |rows: &[Vec<f64>]| -> Vec<Vec<f64>> {
             rows[..n].iter().map(|r| r[..d].to_vec()).collect()
         };
-        check_engine_against_observer(
-            Engine::Sequential, &cut(&raw_before), &cut(&raw_after), radius, tau);
-    }
-
-    /// The threaded engine satisfies the same ground-truth equivalence
-    /// directly (not only by agreeing with the sequential engine).
-    #[test]
-    fn threaded_monitor_matches_observer_too(
-        d in 1..=2usize,
-        raw_before in proptest::collection::vec(
-            proptest::collection::vec(0.0..=1.0f64, 2), 2..=12),
-        raw_after in proptest::collection::vec(
-            proptest::collection::vec(0.0..=1.0f64, 2), 2..=12),
-        radius in 0.01..0.12f64,
-        tau in 1..=4usize,
-    ) {
-        let n = raw_before.len().min(raw_after.len());
-        let cut = |rows: &[Vec<f64>]| -> Vec<Vec<f64>> {
-            rows[..n].iter().map(|r| r[..d].to_vec()).collect()
-        };
-        check_engine_against_observer(
-            Engine::Threaded { workers: 3 }, &cut(&raw_before), &cut(&raw_after), radius, tau);
+        check_monitor_against_observer(&cut(&raw_before), &cut(&raw_after), radius, tau);
     }
 }
