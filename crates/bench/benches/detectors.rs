@@ -2,8 +2,8 @@
 //! cost every monitored device pays).
 
 use anomaly_detectors::{
-    CusumDetector, Detector, EwmaDetector, HoltWintersDetector, KalmanDetector,
-    PageHinkleyDetector, ThresholdDetector, VectorDetector,
+    CusumDetector, Detector, EwmaDetector, HoltWintersDetector, KalmanDetector, ThresholdDetector,
+    VectorDetector,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -42,9 +42,6 @@ fn bench_detectors(c: &mut Criterion) {
     });
     group.bench_function("cusum", |b| {
         b.iter(|| black_box(run(CusumDetector::new(0.02, 0.3), &sig)))
-    });
-    group.bench_function("page_hinkley", |b| {
-        b.iter(|| black_box(run(PageHinkleyDetector::new(0.01, 0.5), &sig)))
     });
     group.bench_function("kalman", |b| {
         b.iter(|| black_box(run(KalmanDetector::new(1e-4, 1e-3, 5.0), &sig)))

@@ -369,11 +369,8 @@ fn main() {
     }
 
     let entries_json: Vec<String> = scores.iter().map(ScenarioScore::to_json).collect();
-    // The header's `"workers":4` is the worker count of the retired
-    // threaded evaluation, kept so the header of the committed file does
-    // not change; it describes nothing that runs.
     let json = format!(
-        "{{\"bench\":\"eval\",\"workers\":4,\"entries\":[\n{}\n]}}\n",
+        "{{\"bench\":\"eval\",\"entries\":[\n{}\n]}}\n",
         entries_json.join(",\n")
     );
 

@@ -131,8 +131,9 @@ impl Characterization {
     }
 }
 
-/// Default bound on the number of collections the Theorem 7 search visits
-/// per device before giving up and reporting the device unresolved.
+/// Bound on the number of collections the Theorem 7 search visits per
+/// device before giving up and reporting the device unresolved (with
+/// `Rule::Corollary8` provenance).
 ///
 /// The collection space is exponential in the number of disjoint escape
 /// motions around the device; a pathological superposition of many
@@ -156,14 +157,14 @@ pub const DEFAULT_ENUMERATION_BUDGET: u64 = 500_000;
 /// The per-device slice of an [`Analyzer`]'s precomputation: `M(j)`,
 /// `W̄_k(j)`, and the enumeration cost, for one device.
 ///
-/// Produced by [`AnalyzerCore::precompute_shard`] — a pure function of the
+/// Produced by [`Analyzer::precompute_shard`] — a pure function of the
 /// table, the parameters, and the device's closed neighbourhood
 /// `N[j] = N(j) ∪ {j}` (each device's computation only reads its
 /// `2r`-neighbourhood; Definition 1's locality), so slices computed at
 /// different times — fresh ones beside cached ones — merge back into a
-/// full engine by [`Analyzer::from_parts`]. Its window-move count and overflow flag are
-/// those of the enumeration of `N[j]`, computed once per group of shard
-/// devices that share it.
+/// full engine by [`Analyzer::from_parts`]. Its window-move count and
+/// overflow flag are those of the enumeration of `N[j]`, computed once per
+/// group of shard devices that share it.
 #[derive(Debug, Clone)]
 pub struct DevicePrecompute {
     motions: Vec<DeviceSet>,
@@ -218,7 +219,7 @@ impl ComponentPartition {
     /// Builds the partition from per-device dense-motion slices, in any
     /// order. Every member of every set is assigned to a component; the
     /// slices may be freshly computed, cached, or a mixture, exactly as
-    /// with [`AnalyzerCore::from_parts`]. Duplicate device entries are
+    /// with [`Analyzer::from_parts`]. Duplicate device entries are
     /// harmless (their sets just union again).
     ///
     /// A union-find over the sorted, deduplicated index of every device the
@@ -330,20 +331,22 @@ fn union_toward_smaller(parent: &mut [u32], a: u32, b: u32) {
     }
 }
 
-/// The owned data half of an [`Analyzer`]: every per-device precompute
-/// slice merged into id-keyed maps, with no borrow of the table.
+/// Per-population characterization engine.
 ///
-/// The split from the borrowing [`Analyzer`] wrapper serves the
-/// **incremental monitor**, which merges cached slices of unchanged
-/// devices with freshly computed ones — [`AnalyzerCore::from_parts`] is
-/// indifferent to where each [`DevicePrecompute`] came from, as long as
-/// the slice is valid for the table it is queried against.
+/// Precomputes `M(j)` and `W̄_k(j)` for every device of the table (each
+/// computation is local to the device's `2r`-neighbourhood), merges the
+/// per-device slices into id-keyed maps, and answers per-device queries
+/// against the table it borrows. See the crate docs for an end-to-end
+/// example.
 ///
-/// Every query takes the table the parts were computed from; handing a
-/// different table is a logic error (verdicts would be meaningless or the
-/// lookup panics on an unknown id), though never memory-unsafe.
+/// The slices need not be computed together: the **incremental monitor**
+/// merges cached slices of unchanged devices with freshly computed ones,
+/// and [`Analyzer::from_parts`] is indifferent to where each
+/// [`DevicePrecompute`] came from, as long as the slice is valid for the
+/// borrowed table.
 #[derive(Debug, Clone)]
-pub struct AnalyzerCore {
+pub struct Analyzer<'t> {
+    table: &'t TrajectoryTable,
     params: Params,
     /// All maximal motions containing each device.
     motions: BTreeMap<DeviceId, Vec<DeviceSet>>,
@@ -354,23 +357,6 @@ pub struct AnalyzerCore {
     /// Devices whose motion enumeration exceeded the budget; their verdict
     /// degrades conservatively to unresolved.
     overflowed: std::collections::BTreeSet<DeviceId>,
-    /// Bound on collections visited per NSC search.
-    collection_budget: u64,
-}
-
-/// Per-population characterization engine.
-///
-/// Precomputes `M(j)` and `W̄_k(j)` for every device of the table (each
-/// computation is local to the device's `2r`-neighbourhood) and answers
-/// per-device queries. See the crate docs for an end-to-end example.
-///
-/// `Analyzer` is a thin borrow-carrying wrapper over [`AnalyzerCore`],
-/// which owns the merged precompute maps; use the core directly when the
-/// engine must outlive a borrow of the table (caches).
-#[derive(Debug, Clone)]
-pub struct Analyzer<'t> {
-    table: &'t TrajectoryTable,
-    core: AnalyzerCore,
 }
 
 impl<'t> Analyzer<'t> {
@@ -384,14 +370,6 @@ impl<'t> Analyzer<'t> {
         Analyzer::with_enumeration_budget(table, params, DEFAULT_ENUMERATION_BUDGET)
     }
 
-    /// Sets the bound on collections visited per Theorem 7 search; when the
-    /// budget is exhausted the device is conservatively reported
-    /// unresolved (with `Rule::Corollary8` provenance).
-    pub fn with_collection_budget(mut self, budget: u64) -> Self {
-        self.core = self.core.with_collection_budget(budget);
-        self
-    }
-
     /// Rebuilds the engine with a custom per-device enumeration budget
     /// (window moves). Devices exceeding it are reported unresolved.
     pub fn with_enumeration_budget(
@@ -399,7 +377,7 @@ impl<'t> Analyzer<'t> {
         params: Params,
         max_window_moves: u64,
     ) -> Self {
-        let parts = AnalyzerCore::precompute_shard(table, &params, table.ids(), max_window_moves);
+        let parts = Self::precompute_shard(table, &params, table.ids(), max_window_moves);
         Self::from_parts(table, params, parts)
     }
 
@@ -408,147 +386,11 @@ impl<'t> Analyzer<'t> {
     ///
     /// Reads only `j`'s `2r`-neighbourhood of `table`, takes no `&mut`
     /// anywhere, and depends on nothing but its arguments, so its result
-    /// equals that device's slice of [`Analyzer::new`]. Because the result depends only on the trajectories of the
-    /// `2r`-neighbourhood, a caller may also cache it across instants and
-    /// reuse it verbatim while that neighbourhood is unchanged. It is the
-    /// one-device case of [`AnalyzerCore::precompute_shard`].
-    pub fn precompute_device(
-        table: &TrajectoryTable,
-        params: &Params,
-        j: DeviceId,
-        max_window_moves: u64,
-    ) -> DevicePrecompute {
-        AnalyzerCore::precompute_device(table, params, j, max_window_moves)
-    }
-
-    /// The merge phase: assembles an engine from per-device slices.
-    ///
-    /// The result is identical to [`Analyzer::new`] whatever order the
-    /// parts arrive in — the internal maps are keyed by device id and the
-    /// overflow set is ordered. Parts may be a mix of freshly computed and
-    /// cached slices; see [`AnalyzerCore::from_parts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `parts` covers exactly the devices of `table` (one
-    /// part per id, no strangers).
-    pub fn from_parts(
-        table: &'t TrajectoryTable,
-        params: Params,
-        parts: impl IntoIterator<Item = (DeviceId, DevicePrecompute)>,
-    ) -> Self {
-        Analyzer {
-            table,
-            core: AnalyzerCore::from_parts(table, params, parts),
-        }
-    }
-
-    /// Wraps an owned engine back around a table borrow. The caller is
-    /// responsible for handing the table the core's parts were computed
-    /// from (same devices, same trajectories).
-    pub fn from_core(table: &'t TrajectoryTable, core: AnalyzerCore) -> Self {
-        Analyzer { table, core }
-    }
-
-    /// The owned half of the engine, e.g. to keep beyond the table borrow.
-    pub fn core(&self) -> &AnalyzerCore {
-        &self.core
-    }
-
-    /// Unwraps the owned half of the engine, dropping the table borrow.
-    pub fn into_core(self) -> AnalyzerCore {
-        self.core
-    }
-
-    /// Devices whose enumeration overflowed (conservatively unresolved).
-    pub fn overflowed_devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
-        self.core.overflowed_devices()
-    }
-
-    /// The parameters in force.
-    pub fn params(&self) -> &Params {
-        self.core.params()
-    }
-
-    /// The table under analysis.
-    pub fn table(&self) -> &TrajectoryTable {
-        self.table
-    }
-
-    /// `M(j)`: all maximal motions containing `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn motions_of(&self, j: DeviceId) -> &[DeviceSet] {
-        self.core.motions_of(j)
-    }
-
-    /// `W̄_k(j)`: maximal τ-dense motions containing `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn wbar_of(&self, j: DeviceId) -> &[DeviceSet] {
-        self.core.wbar_of(j)
-    }
-
-    /// The epoch's spatial [`ComponentPartition`] over all dense motions.
-    pub fn component_partition(&self) -> ComponentPartition {
-        self.core.component_partition()
-    }
-
-    /// The Section V families of `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn families_of(&self, j: DeviceId) -> Families {
-        self.core.families_of(j)
-    }
-
-    /// Algorithm 3: Theorem 5 / Theorem 6 / tentative unresolved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn characterize(&self, j: DeviceId) -> Characterization {
-        self.core.characterize(self.table, j)
-    }
-
-    /// Algorithm 3 + Algorithms 4–5: exact verdict via the Theorem 7 NSC
-    /// when the fast path is inconclusive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn characterize_full(&self, j: DeviceId) -> Characterization {
-        self.core.characterize_full(self.table, j)
-    }
-
-    /// Characterizes every device with the fast path (Algorithm 3).
-    pub fn classify_all(&self) -> Vec<(DeviceId, Characterization)> {
-        self.table
-            .ids()
-            .iter()
-            .map(|&j| (j, self.characterize(j)))
-            .collect()
-    }
-
-    /// Characterizes every device exactly (with the Theorem 7 NSC).
-    pub fn classify_all_full(&self) -> Vec<(DeviceId, Characterization)> {
-        self.table
-            .ids()
-            .iter()
-            .map(|&j| (j, self.characterize_full(j)))
-            .collect()
-    }
-}
-
-impl AnalyzerCore {
-    /// Owned form of [`Analyzer::precompute_device`] — same function, same
-    /// guarantees (pure, local to `j`'s `2r`-neighbourhood): the one-device
-    /// case of [`AnalyzerCore::precompute_shard`].
+    /// equals that device's slice of [`Analyzer::new`]. Because the result
+    /// depends only on the trajectories of the `2r`-neighbourhood, a caller
+    /// may also cache it across instants and reuse it verbatim while that
+    /// neighbourhood is unchanged. It is the one-device case of
+    /// [`Analyzer::precompute_shard`].
     pub fn precompute_device(
         table: &TrajectoryTable,
         params: &Params,
@@ -628,21 +470,22 @@ impl AnalyzerCore {
         slices.into_iter().map(|(_, j, part)| (j, part)).collect()
     }
 
-    /// Assembles an owned engine from per-device slices, in any order.
+    /// The merge phase: assembles an engine from per-device slices, in any
+    /// order.
     ///
     /// The slices may come from anywhere — a fresh precompute, or a cache
-    /// of previous instants' parts for devices
-    /// whose `2r`-neighbourhood did not change — as long as together they
-    /// cover exactly the devices of `table`. The merge result is
-    /// independent of part order and provenance: the maps are keyed by
-    /// device id and the overflow set is ordered.
+    /// of previous instants' parts for devices whose `2r`-neighbourhood did
+    /// not change — as long as together they cover exactly the devices of
+    /// `table`. The result is identical to [`Analyzer::new`] whatever the
+    /// part order and provenance: the maps are keyed by device id and the
+    /// overflow set is ordered.
     ///
     /// # Panics
     ///
     /// Panics unless `parts` covers exactly the devices of `table` (one
     /// part per id, no strangers).
     pub fn from_parts(
-        table: &TrajectoryTable,
+        table: &'t TrajectoryTable,
         params: Params,
         parts: impl IntoIterator<Item = (DeviceId, DevicePrecompute)>,
     ) -> Self {
@@ -667,20 +510,14 @@ impl AnalyzerCore {
             table.len(),
             "parts must cover every device of the table exactly once"
         );
-        AnalyzerCore {
+        Analyzer {
+            table,
             params,
             motions,
             wbar,
             precompute_moves,
             overflowed,
-            collection_budget: DEFAULT_COLLECTION_BUDGET,
         }
-    }
-
-    /// Sets the bound on collections visited per Theorem 7 search.
-    pub fn with_collection_budget(mut self, budget: u64) -> Self {
-        self.collection_budget = budget.max(1);
-        self
     }
 
     /// Devices whose enumeration overflowed (conservatively unresolved).
@@ -697,7 +534,7 @@ impl AnalyzerCore {
     ///
     /// # Panics
     ///
-    /// Panics if no part was merged for `j`.
+    /// Panics if `j` is not in the table.
     pub fn motions_of(&self, j: DeviceId) -> &[DeviceSet] {
         &self.motions[&j]
     }
@@ -706,7 +543,7 @@ impl AnalyzerCore {
     ///
     /// # Panics
     ///
-    /// Panics if no part was merged for `j`.
+    /// Panics if `j` is not in the table.
     pub fn wbar_of(&self, j: DeviceId) -> &[DeviceSet] {
         &self.wbar[&j]
     }
@@ -723,20 +560,19 @@ impl AnalyzerCore {
     ///
     /// # Panics
     ///
-    /// Panics if no part was merged for `j`.
+    /// Panics if `j` is not in the table.
     pub fn families_of(&self, j: DeviceId) -> Families {
         Families::build(j, &self.wbar[&j], |id| {
             self.wbar.get(&id).map(|v| v.as_slice()).unwrap_or(&[])
         })
     }
 
-    /// Algorithm 3 against `table`, which must be the table the parts were
-    /// computed from.
+    /// Algorithm 3: Theorem 5 / Theorem 6 / tentative unresolved.
     ///
     /// # Panics
     ///
-    /// Panics if no part was merged for `j`.
-    pub fn characterize(&self, _table: &TrajectoryTable, j: DeviceId) -> Characterization {
+    /// Panics if `j` is not in the table.
+    pub fn characterize(&self, j: DeviceId) -> Characterization {
         let mut cost = Cost {
             maximal_motions: self.motions[&j].len(),
             dense_motions: self.wbar[&j].len(),
@@ -795,14 +631,14 @@ impl AnalyzerCore {
         }
     }
 
-    /// Algorithm 3 + Algorithms 4–5 against `table`: exact verdict via the
-    /// Theorem 7 NSC when the fast path is inconclusive.
+    /// Algorithm 3 + Algorithms 4–5: exact verdict via the Theorem 7 NSC
+    /// when the fast path is inconclusive.
     ///
     /// # Panics
     ///
-    /// Panics if no part was merged for `j`.
-    pub fn characterize_full(&self, table: &TrajectoryTable, j: DeviceId) -> Characterization {
-        let quick = self.characterize(table, j);
+    /// Panics if `j` is not in the table.
+    pub fn characterize_full(&self, j: DeviceId) -> Characterization {
+        let quick = self.characterize(j);
         if quick.rule != Rule::Algorithm3 {
             return quick;
         }
@@ -817,7 +653,7 @@ impl AnalyzerCore {
         {
             return quick;
         }
-        let (massive, tested) = self.nsc_massive(table, j, &families);
+        let (massive, tested) = self.nsc_massive(j, &families);
         let mut cost = quick.cost;
         cost.collections_tested = tested;
         if massive {
@@ -833,6 +669,24 @@ impl AnalyzerCore {
                 cost,
             }
         }
+    }
+
+    /// Characterizes every device with the fast path (Algorithm 3).
+    pub fn classify_all(&self) -> Vec<(DeviceId, Characterization)> {
+        self.table
+            .ids()
+            .iter()
+            .map(|&j| (j, self.characterize(j)))
+            .collect()
+    }
+
+    /// Characterizes every device exactly (with the Theorem 7 NSC).
+    pub fn classify_all_full(&self) -> Vec<(DeviceId, Characterization)> {
+        self.table
+            .ids()
+            .iter()
+            .map(|&j| (j, self.characterize_full(j)))
+            .collect()
     }
 
     /// Theorem 7 search: returns `(j ∈ M_k, collections tested)`.
@@ -859,12 +713,7 @@ impl AnalyzerCore {
     /// the search. When the pool or the collection count exceeds the
     /// budget, the verdict degrades conservatively to "not provably
     /// massive" (unresolved).
-    fn nsc_massive(
-        &self,
-        table: &TrajectoryTable,
-        j: DeviceId,
-        families: &Families,
-    ) -> (bool, u64) {
+    fn nsc_massive(&self, j: DeviceId, families: &Families) -> (bool, u64) {
         // Deduplicated base motions: maximal dense motions of the escape
         // devices, avoiding j.
         let mut bases: Vec<DeviceSet> = Vec::new();
@@ -899,11 +748,11 @@ impl AnalyzerCore {
                 if candidate.is_disjoint(&families.l_set) {
                     continue;
                 }
-                if extends_consistently(table, &candidate, j, window) {
+                if extends_consistently(self.table, &candidate, j, window) {
                     continue;
                 }
                 pool.insert(candidate);
-                if pool.len() as u64 > self.collection_budget {
+                if pool.len() as u64 > DEFAULT_COLLECTION_BUDGET {
                     overflow = true;
                     break;
                 }
@@ -912,8 +761,7 @@ impl AnalyzerCore {
         let pool: Vec<DeviceSet> = pool.into_iter().collect();
         let mut tested = 0u64;
         let mut chosen: Vec<usize> = Vec::new();
-        let outcome =
-            self.search_collections(table, j, families, &pool, 0, &mut chosen, &mut tested);
+        let outcome = self.search_collections(j, families, &pool, 0, &mut chosen, &mut tested);
         // Budget/size overflow means the violation search was incomplete:
         // conservatively not provably massive.
         let massive = outcome == SearchOutcome::Exhausted && !overflow;
@@ -921,10 +769,8 @@ impl AnalyzerCore {
     }
 
     /// Depth-first enumeration of disjoint collections.
-    #[allow(clippy::too_many_arguments)]
     fn search_collections(
         &self,
-        table: &TrajectoryTable,
         j: DeviceId,
         families: &Families,
         pool: &[DeviceSet],
@@ -933,16 +779,16 @@ impl AnalyzerCore {
         tested: &mut u64,
     ) -> SearchOutcome {
         *tested += 1;
-        if *tested > self.collection_budget {
+        if *tested > DEFAULT_COLLECTION_BUDGET {
             return SearchOutcome::BudgetSpent;
         }
-        if self.collection_violates(table, j, families, pool, chosen) {
+        if self.collection_violates(j, families, pool, chosen) {
             return SearchOutcome::Violated;
         }
         for i in start..pool.len() {
             if chosen.iter().all(|&c| pool[c].is_disjoint(&pool[i])) {
                 chosen.push(i);
-                let sub = self.search_collections(table, j, families, pool, i + 1, chosen, tested);
+                let sub = self.search_collections(j, families, pool, i + 1, chosen, tested);
                 chosen.pop();
                 if sub != SearchOutcome::Exhausted {
                     return sub;
@@ -955,7 +801,6 @@ impl AnalyzerCore {
     /// True when the collection satisfies **neither** relation (4) nor (5).
     fn collection_violates(
         &self,
-        table: &TrajectoryTable,
         j: DeviceId,
         families: &Families,
         pool: &[DeviceSet],
@@ -965,7 +810,7 @@ impl AnalyzerCore {
         let tau = self.params.tau();
         // Relation (5): some chosen dense motion absorbs j consistently.
         for &c in chosen {
-            if extends_consistently(table, &pool[c], j, window) {
+            if extends_consistently(self.table, &pool[c], j, window) {
                 return false;
             }
         }
@@ -1341,7 +1186,7 @@ mod tests {
         assert_eq!(p.component_of(DeviceId(0)), None);
     }
 
-    /// The per-device reference for [`AnalyzerCore::precompute_shard`]:
+    /// The per-device reference for [`Analyzer::precompute_shard`]:
     /// Algorithm 2 over `j`'s own closed neighbourhood, with fresh
     /// counters.
     fn reference_slice(
@@ -1424,7 +1269,7 @@ mod tests {
                 shard.swap(i, (state >> 33) as usize % (i + 1));
             }
             for budget in [1, 10, 1_000, DEFAULT_ENUMERATION_BUDGET] {
-                let got = AnalyzerCore::precompute_shard(&t, &p, &shard, budget);
+                let got = Analyzer::precompute_shard(&t, &p, &shard, budget);
                 let ids: Vec<DeviceId> = got.iter().map(|(j, _)| *j).collect();
                 proptest::prop_assert_eq!(&ids, &shard);
                 for (j, slice) in &got {
@@ -1449,7 +1294,7 @@ mod tests {
         let one = reference_slice(&t, &p, DeviceId(0), DEFAULT_ENUMERATION_BUDGET);
         assert!(!one.overflowed);
         for budget in [one.window_moves, one.window_moves - 1] {
-            let got = AnalyzerCore::precompute_shard(&t, &p, t.ids(), budget);
+            let got = Analyzer::precompute_shard(&t, &p, t.ids(), budget);
             assert_eq!(got.len(), t.len());
             for (j, slice) in &got {
                 let want = reference_slice(&t, &p, *j, budget);
@@ -1462,7 +1307,7 @@ mod tests {
             );
         }
         assert_same_slice(
-            &AnalyzerCore::precompute_device(&t, &p, DeviceId(61), 1_000),
+            &Analyzer::precompute_device(&t, &p, DeviceId(61), 1_000),
             &reference_slice(&t, &p, DeviceId(61), 1_000),
             "the loner",
         );

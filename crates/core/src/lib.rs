@@ -73,8 +73,8 @@ mod table;
 mod figures;
 
 pub use characterize::{
-    Analyzer, AnalyzerCore, AnomalyClass, Characterization, ComponentPartition, Cost,
-    DevicePrecompute, Rule, DEFAULT_COLLECTION_BUDGET, DEFAULT_ENUMERATION_BUDGET,
+    Analyzer, AnomalyClass, Characterization, ComponentPartition, Cost, DevicePrecompute, Rule,
+    DEFAULT_COLLECTION_BUDGET, DEFAULT_ENUMERATION_BUDGET,
 };
 pub use families::Families;
 pub use local::LocalContext;

@@ -14,7 +14,6 @@
 //!   (trend-aware forecasting, refs \[6\]\[12\] of the paper);
 //! * [`CusumDetector`] — Page's two-sided cumulative-sum change detector
 //!   (ref \[10\]);
-//! * [`PageHinkleyDetector`] — the streaming Page-Hinkley variant;
 //! * [`KalmanDetector`] — a scalar constant-velocity Kalman filter with an
 //!   innovation gate (ref \[7\]);
 //! * [`VectorDetector`] — one detector per service; the device-level
@@ -43,24 +42,18 @@
 
 mod cusum;
 mod device;
-mod ensemble;
 mod ewma;
 mod holt_winters;
 mod kalman;
-mod page_hinkley;
-mod seasonal;
 mod state;
 mod threshold;
 mod vector;
 
 pub use cusum::CusumDetector;
 pub use device::DeviceDetector;
-pub use ensemble::EnsembleDetector;
 pub use ewma::EwmaDetector;
 pub use holt_winters::HoltWintersDetector;
 pub use kalman::KalmanDetector;
-pub use page_hinkley::PageHinkleyDetector;
-pub use seasonal::SeasonalHoltWintersDetector;
 pub use state::{StateError, StateReader, StateWriter};
 pub use threshold::ThresholdDetector;
 pub use vector::VectorDetector;
@@ -191,7 +184,6 @@ mod tests {
             Box::new(ThresholdDetector::with_delta(0.2)),
             Box::new(EwmaDetector::new(0.3, 4.0)),
             Box::new(CusumDetector::new(0.05, 0.5)),
-            Box::new(PageHinkleyDetector::new(0.05, 0.5)),
             Box::new(HoltWintersDetector::new(0.4, 0.2, 4.0)),
             Box::new(KalmanDetector::new(1e-4, 1e-3, 4.0)),
         ];

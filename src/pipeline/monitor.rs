@@ -6,7 +6,7 @@ use super::persist;
 use super::report::{DeviceVerdict, Report, ReportSummary, Stragglers};
 use super::timings::Stopwatch;
 use anomaly_core::{
-    AnalyzerCore, Characterization, ComponentPartition, DevicePrecompute, Params, TrajectoryTable,
+    Analyzer, Characterization, ComponentPartition, DevicePrecompute, Params, TrajectoryTable,
     DEFAULT_ENUMERATION_BUDGET,
 };
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
@@ -183,8 +183,8 @@ pub struct Monitor {
     tracker: EventTracker,
 }
 
-/// Per-device result of the parallel phase, keyed by cohort id for the
-/// deterministic merge.
+/// One device's verdict and vicinity, cached or fresh, keyed by cohort id
+/// for the deterministic merge into the report.
 struct VerdictRow {
     j: DeviceId,
     characterization: Characterization,
@@ -563,17 +563,17 @@ impl Monitor {
     /// computed precompute slices plus the stored slices of every
     /// cache-served device. Together the parts cover the abnormal set
     /// exactly, whatever mix produced them.
-    fn merged_core(
+    fn merged_analyzer<'t>(
         &self,
-        table: &TrajectoryTable,
+        table: &'t TrajectoryTable,
         mut parts: Vec<(DeviceId, DevicePrecompute)>,
-    ) -> AnalyzerCore {
+    ) -> Analyzer<'t> {
         for &j in table.ids() {
             if let Some(entry) = self.char_cache.get(j.0) {
                 parts.push((j, entry.precompute.clone()));
             }
         }
-        AnalyzerCore::from_parts(table, self.params, parts)
+        Analyzer::from_parts(table, self.params, parts)
     }
 
     /// Enrolls a device, building its detector with the configured factory.
@@ -1059,7 +1059,7 @@ impl Monitor {
         // then verdicts and vicinities for the fresh devices only. The
         // merge is keyed by dense id, so the report is identical to a full
         // recompute.
-        let mut fresh_rows: Vec<(DeviceId, Characterization, usize)> = Vec::new();
+        let mut fresh_rows: Vec<VerdictRow> = Vec::new();
         let mut fresh_pre: BTreeMap<u32, DevicePrecompute> = BTreeMap::new();
         let partition = if fresh.is_empty() {
             // Full cache hit: no trajectory table, no analyzer. The
@@ -1073,7 +1073,7 @@ impl Monitor {
             self.char_cache.partition_of(&abnormal)
         } else {
             let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
-            let fresh_parts = AnalyzerCore::precompute_shard(
+            let fresh_parts = Analyzer::precompute_shard(
                 &table,
                 &self.params,
                 &fresh,
@@ -1084,10 +1084,10 @@ impl Monitor {
                     fresh_pre.insert(j.0, pre.clone());
                 }
             }
-            // The merged core covers the whole abnormal set (fresh slices
-            // plus every cached one), so its partition is the epoch's
-            // global one.
-            let core = self.merged_core(&table, fresh_parts);
+            // The merged analyzer covers the whole abnormal set (fresh
+            // slices plus every cached one), so its partition is the
+            // epoch's global one.
+            let analyzer = self.merged_analyzer(&table, fresh_parts);
             let index = self
                 .trajectory_index
                 .as_ref()
@@ -1096,18 +1096,24 @@ impl Monitor {
                 ))?;
             fresh_rows = fresh
                 .iter()
-                .map(|&j| {
-                    let vicinity = index.vicinity(&pair, j, window);
-                    (j, core.characterize_full(&table, j), vicinity)
+                .map(|&j| VerdictRow {
+                    j,
+                    characterization: analyzer.characterize_full(j),
+                    vicinity: index.vicinity(&pair, j, window),
                 })
                 .collect();
-            Arc::new(core.component_partition())
+            Arc::new(analyzer.component_partition())
         };
 
         // Freshly decided devices enter the cache (with their precompute
         // slice, for future merges) before joining the cached rows.
         if steady && !fresh_rows.is_empty() {
-            for &(j, characterization, vicinity) in &fresh_rows {
+            for &VerdictRow {
+                j,
+                characterization,
+                vicinity,
+            } in &fresh_rows
+            {
                 let precompute = fresh_pre.remove(&j.0).ok_or(MonitorError::internal(
                     "fresh device missing its precompute slice",
                 ))?;
@@ -1123,15 +1129,7 @@ impl Monitor {
                 );
             }
         }
-        rows.extend(
-            fresh_rows
-                .into_iter()
-                .map(|(j, characterization, vicinity)| VerdictRow {
-                    j,
-                    characterization,
-                    vicinity,
-                }),
-        );
+        rows.extend(fresh_rows);
 
         // Deterministic merge: cohort ids map monotonically to current
         // dense ids, so id order here is exactly the report's verdict order
@@ -1718,24 +1716,24 @@ mod tests {
             .iter()
             .map(|&j| {
                 let pre =
-                    AnalyzerCore::precompute_device(&table, &params, j, DEFAULT_ENUMERATION_BUDGET);
+                    Analyzer::precompute_device(&table, &params, j, DEFAULT_ENUMERATION_BUDGET);
                 (j, pre)
             })
             .collect();
-        let core = AnalyzerCore::from_parts(&table, params, parts.clone());
+        let analyzer = Analyzer::from_parts(&table, params, parts.clone());
         let mut cache = CharCache::default();
         for (j, precompute) in parts {
             let entry = CacheEntry {
                 cell: 0,
                 precompute,
-                characterization: core.characterize_full(&table, j),
+                characterization: analyzer.characterize_full(j),
                 vicinity: 0,
             };
             cache.insert(j.0, entry);
         }
         let all = table.ids().to_vec();
         let both = cache.partition_of(&all);
-        assert_eq!(*both, core.component_partition());
+        assert_eq!(*both, analyzer.component_partition());
         assert_eq!(both.component_of(DeviceId(4)), Some(1));
         assert!(Arc::ptr_eq(&both, &cache.partition_of(&all)), "memo reused");
         let second: Vec<DeviceId> = all.iter().copied().filter(|j| j.0 >= 4).collect();

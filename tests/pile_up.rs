@@ -12,8 +12,8 @@
 mod common;
 
 use anomaly_characterization::core::{
-    maximal_motions_involving_bounded, AnalyzerCore, AnomalyClass, DevicePrecompute, MotionOps,
-    Params, TrajectoryTable, DEFAULT_ENUMERATION_BUDGET,
+    maximal_motions_involving_bounded, Analyzer, AnomalyClass, DevicePrecompute, MotionOps, Params,
+    TrajectoryTable, DEFAULT_ENUMERATION_BUDGET,
 };
 use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
 use anomaly_characterization::pipeline::{DeviceKey, MonitorBuilder, Report};
@@ -112,15 +112,14 @@ fn assert_per_device_reference(report: &Report, before: &[Vec<f64>], after: &[Ve
         .ids()
         .iter()
         .map(|&j| {
-            let part =
-                AnalyzerCore::precompute_device(&table, &params, j, DEFAULT_ENUMERATION_BUDGET);
+            let part = Analyzer::precompute_device(&table, &params, j, DEFAULT_ENUMERATION_BUDGET);
             (j, part)
         })
         .collect();
-    let core = AnalyzerCore::from_parts(&table, params, parts);
+    let analyzer = Analyzer::from_parts(&table, params, parts);
     let pair = state_pair(before, after);
     for v in report.verdicts() {
-        let want = core.characterize_full(&table, v.id);
+        let want = analyzer.characterize_full(v.id);
         assert_eq!(v.characterization, want, "device {}", v.key);
         let mut ops = MotionOps::default();
         let motions = maximal_motions_involving_bounded(
