@@ -22,8 +22,9 @@ use crate::params::Params;
 use crate::set::DeviceSet;
 use crate::table::TrajectoryTable;
 use anomaly_qos::DeviceId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// The three possible verdicts for an abnormal device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,6 +155,46 @@ pub const MAX_BASE_MOTION_FOR_SUBSETS: usize = 16;
 /// reported unresolved instead of stalling the monitoring round.
 pub const DEFAULT_ENUMERATION_BUDGET: u64 = 500_000;
 
+/// The maximal motions Algorithm 2 enumerated over one closed
+/// neighbourhood `N[j]`, held once behind an `Arc` by the slices of every
+/// device of the precompute group that shares it.
+///
+/// Every member of the group lies in every motion: each member is within
+/// `2r` of all of `N[j]`, so it extends any motion there, and a maximal
+/// one already holds it. The family is therefore `M(j)` of each member.
+#[derive(Debug)]
+struct Family {
+    /// The maximal motions, sorted; empty when the enumeration overflowed.
+    motions: Vec<DeviceSet>,
+    /// Indices into `motions` of the τ-dense ones: `W̄_k(j)`.
+    dense: Vec<usize>,
+    /// Sliding-window placements the enumeration spent.
+    window_moves: u64,
+    /// True when the enumeration exceeded its budget.
+    overflowed: bool,
+}
+
+impl Family {
+    fn new(motions: Vec<DeviceSet>, params: &Params, ops: MotionOps) -> Self {
+        let dense = motions
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| params.is_dense(m.len()))
+            .map(|(i, _)| i)
+            .collect();
+        Family {
+            motions,
+            dense,
+            window_moves: ops.window_moves,
+            overflowed: ops.truncated,
+        }
+    }
+
+    fn dense(&self) -> impl Iterator<Item = &DeviceSet> + '_ {
+        self.dense.iter().filter_map(|&i| self.motions.get(i))
+    }
+}
+
 /// The per-device slice of an [`Analyzer`]'s precomputation: `M(j)`,
 /// `W̄_k(j)`, and the enumeration cost, for one device.
 ///
@@ -162,30 +203,40 @@ pub const DEFAULT_ENUMERATION_BUDGET: u64 = 500_000;
 /// `N[j] = N(j) ∪ {j}` (each device's computation only reads its
 /// `2r`-neighbourhood; Definition 1's locality), so slices computed at
 /// different times — fresh ones beside cached ones — merge back into a
-/// full engine by [`Analyzer::from_parts`]. Its window-move count and
-/// overflow flag are those of the enumeration of `N[j]`, computed once per
-/// group of shard devices that share it.
+/// full engine by [`Analyzer::from_parts`]. A slice is the enumerated
+/// family of `N[j]`, shared behind an `Arc` by every device of the group
+/// that enumerated it, so cloning one copies a pointer, never device
+/// sets. Its window-move count and overflow flag are those of the
+/// enumeration of `N[j]`.
 #[derive(Debug, Clone)]
 pub struct DevicePrecompute {
-    motions: Vec<DeviceSet>,
-    dense: Vec<DeviceSet>,
-    window_moves: u64,
-    overflowed: bool,
+    family: Arc<Family>,
 }
 
 impl DevicePrecompute {
     /// True when the device's motion enumeration exceeded its budget (the
     /// merged analyzer will conservatively report it unresolved).
     pub fn overflowed(&self) -> bool {
-        self.overflowed
+        self.family.overflowed
+    }
+
+    /// `M(j)` as precomputed: the maximal motions containing the device.
+    fn motions(&self) -> impl Iterator<Item = &DeviceSet> + '_ {
+        self.family.motions.iter()
     }
 
     /// `W̄_k(j)` as precomputed: the maximal τ-dense motions containing the
-    /// device. Callers that cache slices across instants feed these into
-    /// [`ComponentPartition::from_dense_sets`] to recover the epoch's
+    /// device. Callers that cache slices across instants hand the slices
+    /// to [`ComponentPartition::from_slices`] to recover the epoch's
     /// spatial partition without rebuilding an engine.
-    pub fn dense(&self) -> &[DeviceSet] {
-        &self.dense
+    pub fn dense(&self) -> impl Iterator<Item = &DeviceSet> + '_ {
+        self.family.dense()
+    }
+
+    /// What makes two slices twins: the same enumerated family, so the
+    /// same `N[j]`, window moves, `M(j)` and `W̄_k(j)`.
+    fn twin_key(&self) -> *const Family {
+        Arc::as_ptr(&self.family)
     }
 }
 
@@ -216,43 +267,45 @@ pub struct ComponentPartition {
 }
 
 impl ComponentPartition {
-    /// Builds the partition from per-device dense-motion slices, in any
-    /// order. Every member of every set is assigned to a component; the
-    /// slices may be freshly computed, cached, or a mixture, exactly as
-    /// with [`Analyzer::from_parts`]. Duplicate device entries are
-    /// harmless (their sets just union again).
+    /// Builds the partition from per-device precompute slices, in any
+    /// order. Every member of every dense motion is assigned to a
+    /// component; the slices may be freshly computed, cached, or a
+    /// mixture, exactly as with [`Analyzer::from_parts`]. Duplicate slices
+    /// are harmless.
     ///
-    /// A union-find over the sorted, deduplicated index of every device the
-    /// parts name: node `i` is the `i`-th smallest device, and unions root
-    /// toward the smaller node, so every root is the smallest member of its
-    /// component. A device belongs to each of its dense motions, so
-    /// joining every member of a set to the part's own device `j` merges
-    /// `set ∪ {j}`, whichever way the slices were produced.
-    pub fn from_dense_sets<'a>(
-        parts: impl IntoIterator<Item = (DeviceId, &'a [DeviceSet])>,
-    ) -> Self {
-        let parts: Vec<(DeviceId, &'a [DeviceSet])> = parts
-            .into_iter()
-            .filter(|(_, sets)| !sets.is_empty())
-            .collect();
+    /// Each distinct enumerated family, however many slices share it, has
+    /// its dense motions unioned once; a slice's device lies in every
+    /// motion of its family, so it needs no join of its own. A pile-up of
+    /// `m` devices sharing one family costs `O(m)` here, not `O(m²)`.
+    pub fn from_slices<'a>(slices: impl IntoIterator<Item = &'a DevicePrecompute>) -> Self {
+        let mut families: BTreeMap<*const Family, &'a Family> = BTreeMap::new();
+        for slice in slices {
+            families.insert(Arc::as_ptr(&slice.family), &slice.family);
+        }
+        let motions: Vec<&DeviceSet> = families.values().flat_map(|f| f.dense()).collect();
+        ComponentPartition::from_motions(&motions)
+    }
+
+    /// The union-find kernel over the union of `motions`.
+    ///
+    /// Nodes are the sorted, deduplicated members: node `i` is the `i`-th
+    /// smallest device, and unions root toward the smaller node, so every
+    /// root is the smallest member of its component. Each motion's members
+    /// are joined to its first member.
+    fn from_motions(motions: &[&DeviceSet]) -> Self {
         let mut devices: Vec<DeviceId> = Vec::new();
-        for &(j, sets) in &parts {
-            devices.push(j);
-            for set in sets {
-                devices.extend_from_slice(set.as_slice());
-            }
+        for motion in motions {
+            devices.extend_from_slice(motion.as_slice());
         }
         devices.sort_unstable();
         devices.dedup();
         let node = |d: DeviceId| devices.binary_search(&d).ok().map(|i| i as u32);
         let mut parent: Vec<u32> = (0..devices.len() as u32).collect();
-        for &(j, sets) in &parts {
-            let Some(anchor) = node(j) else { continue };
-            for set in sets {
-                for &member in set.as_slice() {
-                    if let Some(m) = node(member) {
-                        union_toward_smaller(&mut parent, anchor, m);
-                    }
+        for motion in motions {
+            let mut members = motion.iter().filter_map(node);
+            if let Some(head) = members.next() {
+                for member in members {
+                    union_toward_smaller(&mut parent, head, member);
                 }
             }
         }
@@ -334,10 +387,10 @@ fn union_toward_smaller(parent: &mut [u32], a: u32, b: u32) {
 /// Per-population characterization engine.
 ///
 /// Precomputes `M(j)` and `W̄_k(j)` for every device of the table (each
-/// computation is local to the device's `2r`-neighbourhood), merges the
-/// per-device slices into id-keyed maps, and answers per-device queries
-/// against the table it borrows. See the crate docs for an end-to-end
-/// example.
+/// computation is local to the device's `2r`-neighbourhood), keeps the
+/// per-device slices in one `Vec` indexed by table slot, and answers
+/// per-device queries against the table it borrows. See the crate docs
+/// for an end-to-end example.
 ///
 /// The slices need not be computed together: the **incremental monitor**
 /// merges cached slices of unchanged devices with freshly computed ones,
@@ -348,16 +401,14 @@ fn union_toward_smaller(parent: &mut [u32], a: u32, b: u32) {
 pub struct Analyzer<'t> {
     table: &'t TrajectoryTable,
     params: Params,
-    /// All maximal motions containing each device.
-    motions: BTreeMap<DeviceId, Vec<DeviceSet>>,
-    /// The dense (`> τ`) subset of `motions`.
-    wbar: BTreeMap<DeviceId, Vec<DeviceSet>>,
-    /// Window moves spent per device during precomputation.
-    precompute_moves: BTreeMap<DeviceId, u64>,
-    /// Devices whose motion enumeration exceeded the budget; their verdict
-    /// degrades conservatively to unresolved.
-    overflowed: std::collections::BTreeSet<DeviceId>,
+    /// The slice of the device in each table slot.
+    slices: Vec<DevicePrecompute>,
 }
+
+/// Algorithm 3's verdict for one device, with the Section V families when
+/// it had to build them (every verdict but an overflow of the device's own
+/// enumeration and Theorem 5).
+type Quick = (Characterization, Option<Families>);
 
 impl<'t> Analyzer<'t> {
     /// Builds the engine over all devices of `table` (conceptually `A_k`).
@@ -412,13 +463,15 @@ impl<'t> Analyzer<'t> {
     /// that candidate set, and `M(j)` is the enumerated sets that contain
     /// `j`. Devices that move together — a pile-up — share one `N[j]`, so
     /// the shard is grouped by it and each group's family is enumerated
-    /// once, under the per-device budget `max_window_moves`. Every member
-    /// keeps the sets containing it plus the group's window-move count and
-    /// truncation flag, so each slice equals what a per-device enumeration
-    /// of `N[j]` gives. Groups are formed in an ordered map and only one
-    /// group's family is alive at a time. The neighbourhoods themselves
-    /// come from one trajectory index over the table
-    /// ([`TrajectoryTable::neighborhoods`]), not a scan per device.
+    /// once, under the per-device budget `max_window_moves`, and stored
+    /// once behind an `Arc`. Every member's slice is that `Arc`: every
+    /// member lies in every enumerated motion (see `Family`), so each
+    /// slice describes what a per-device enumeration of `N[j]` gives,
+    /// window moves and truncation flag included. Groups are formed in an
+    /// ordered map.
+    /// The neighbourhoods themselves come from one trajectory index over
+    /// the table ([`TrajectoryTable::neighborhoods`]), not a scan per
+    /// device.
     ///
     /// # Panics
     ///
@@ -443,27 +496,19 @@ impl<'t> Analyzer<'t> {
         let mut slices: Vec<(usize, DeviceId, DevicePrecompute)> = Vec::with_capacity(shard.len());
         for (candidates, members) in groups {
             let mut ops = MotionOps::default();
-            let family =
-                maximal_motions_bounded(table, &candidates, window, &mut ops, max_window_moves);
+            let motions =
+                maximal_motions_bounded(table, &candidates, window, &mut ops, max_window_moves)
+                    .unwrap_or_default();
+            let family = Arc::new(Family::new(motions, params, ops));
+            debug_assert!(
+                members
+                    .iter()
+                    .all(|&(_, j)| family.motions.iter().all(|m| m.contains(j))),
+                "a group member missing from a motion of its closed neighbourhood"
+            );
             for (slot, j) in members {
-                let motions: Vec<DeviceSet> = family
-                    .iter()
-                    .flatten()
-                    .filter(|m| m.contains(j))
-                    .cloned()
-                    .collect();
-                let dense: Vec<DeviceSet> = motions
-                    .iter()
-                    .filter(|s| params.is_dense(s.len()))
-                    .cloned()
-                    .collect();
-                let part = DevicePrecompute {
-                    motions,
-                    dense,
-                    window_moves: ops.window_moves,
-                    overflowed: ops.truncated,
-                };
-                slices.push((slot, j, part));
+                let family = Arc::clone(&family);
+                slices.push((slot, j, DevicePrecompute { family }));
             }
         }
         slices.sort_unstable_by_key(|&(slot, _, _)| slot);
@@ -477,8 +522,8 @@ impl<'t> Analyzer<'t> {
     /// of previous instants' parts for devices whose `2r`-neighbourhood did
     /// not change — as long as together they cover exactly the devices of
     /// `table`. The result is identical to [`Analyzer::new`] whatever the
-    /// part order and provenance: the maps are keyed by device id and the
-    /// overflow set is ordered.
+    /// part order and provenance: each slice lands in its device's table
+    /// slot.
     ///
     /// # Panics
     ///
@@ -489,40 +534,37 @@ impl<'t> Analyzer<'t> {
         params: Params,
         parts: impl IntoIterator<Item = (DeviceId, DevicePrecompute)>,
     ) -> Self {
-        let mut motions = BTreeMap::new();
-        let mut wbar = BTreeMap::new();
-        let mut precompute_moves = BTreeMap::new();
-        let mut overflowed = std::collections::BTreeSet::new();
+        let mut slots: Vec<Option<DevicePrecompute>> = vec![None; table.len()];
         for (j, part) in parts {
-            assert!(table.contains(j), "part for unknown device {j:?}");
-            if part.overflowed {
-                overflowed.insert(j);
-            }
-            precompute_moves.insert(j, part.window_moves);
+            let Some(slot) = table.slot(j) else {
+                panic!("part for unknown device {j:?}");
+            };
             assert!(
-                motions.insert(j, part.motions).is_none(),
+                slots[slot].replace(part).is_none(),
                 "duplicate part for device {j:?}"
             );
-            wbar.insert(j, part.dense);
         }
+        let slices: Vec<DevicePrecompute> = slots.into_iter().flatten().collect();
         assert_eq!(
-            motions.len(),
+            slices.len(),
             table.len(),
             "parts must cover every device of the table exactly once"
         );
         Analyzer {
             table,
             params,
-            motions,
-            wbar,
-            precompute_moves,
-            overflowed,
+            slices,
         }
     }
 
     /// Devices whose enumeration overflowed (conservatively unresolved).
     pub fn overflowed_devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
-        self.overflowed.iter().copied()
+        self.table
+            .ids()
+            .iter()
+            .zip(&self.slices)
+            .filter(|(_, slice)| slice.overflowed())
+            .map(|(&j, _)| j)
     }
 
     /// The parameters in force.
@@ -530,13 +572,30 @@ impl<'t> Analyzer<'t> {
         &self.params
     }
 
+    /// The slice of `j`, if `j` is in the table.
+    fn try_slice(&self, j: DeviceId) -> Option<&DevicePrecompute> {
+        self.table.slot(j).and_then(|slot| self.slices.get(slot))
+    }
+
+    /// The slice of `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not in the table.
+    fn slice(&self, j: DeviceId) -> &DevicePrecompute {
+        match self.try_slice(j) {
+            Some(slice) => slice,
+            None => panic!("device {j} not in table"),
+        }
+    }
+
     /// `M(j)`: all maximal motions containing `j`.
     ///
     /// # Panics
     ///
     /// Panics if `j` is not in the table.
-    pub fn motions_of(&self, j: DeviceId) -> &[DeviceSet] {
-        &self.motions[&j]
+    pub fn motions_of(&self, j: DeviceId) -> impl Iterator<Item = &DeviceSet> + '_ {
+        self.slice(j).motions()
     }
 
     /// `W̄_k(j)`: maximal τ-dense motions containing `j`.
@@ -544,8 +603,8 @@ impl<'t> Analyzer<'t> {
     /// # Panics
     ///
     /// Panics if `j` is not in the table.
-    pub fn wbar_of(&self, j: DeviceId) -> &[DeviceSet] {
-        &self.wbar[&j]
+    pub fn wbar_of(&self, j: DeviceId) -> impl Iterator<Item = &DeviceSet> + '_ {
+        self.slice(j).dense()
     }
 
     /// The epoch's [`ComponentPartition`]: connected components of the
@@ -553,7 +612,7 @@ impl<'t> Analyzer<'t> {
     /// result is a pure function of the merged parts, so any mix of fresh
     /// and cached parts agrees byte-for-byte with a full recompute.
     pub fn component_partition(&self) -> ComponentPartition {
-        ComponentPartition::from_dense_sets(self.wbar.iter().map(|(&j, v)| (j, v.as_slice())))
+        ComponentPartition::from_slices(&self.slices)
     }
 
     /// The Section V families of `j`.
@@ -562,9 +621,20 @@ impl<'t> Analyzer<'t> {
     ///
     /// Panics if `j` is not in the table.
     pub fn families_of(&self, j: DeviceId) -> Families {
-        Families::build(j, &self.wbar[&j], |id| {
-            self.wbar.get(&id).map(|v| v.as_slice()).unwrap_or(&[])
+        Families::build(j, self.wbar_of(j), |id| {
+            self.try_slice(id)
+                .into_iter()
+                .flat_map(DevicePrecompute::dense)
         })
+    }
+
+    /// True when a device the families consulted overflowed its own
+    /// enumeration: its escape motions are unknown.
+    fn consults_overflow(&self, families: &Families) -> bool {
+        families
+            .d_set
+            .iter()
+            .any(|m| self.try_slice(m).is_some_and(DevicePrecompute::overflowed))
     }
 
     /// Algorithm 3: Theorem 5 / Theorem 6 / tentative unresolved.
@@ -573,87 +643,154 @@ impl<'t> Analyzer<'t> {
     ///
     /// Panics if `j` is not in the table.
     pub fn characterize(&self, j: DeviceId) -> Characterization {
-        let mut cost = Cost {
-            maximal_motions: self.motions[&j].len(),
-            dense_motions: self.wbar[&j].len(),
-            collections_tested: 0,
-            window_moves: self.precompute_moves[&j],
+        self.algorithm3(j).0
+    }
+
+    /// Algorithm 3 for `j`, keeping the families it built.
+    fn algorithm3(&self, j: DeviceId) -> Quick {
+        let slice = self.slice(j);
+        let verdict = |class, rule| Characterization {
+            class,
+            rule,
+            cost: Cost {
+                maximal_motions: slice.family.motions.len(),
+                dense_motions: slice.family.dense.len(),
+                collections_tested: 0,
+                window_moves: slice.family.window_moves,
+            },
         };
         // Enumeration overflow: the neighbourhood was too pathological to
         // analyze within budget — conservatively unresolved.
-        if self.overflowed.contains(&j) {
-            return Characterization {
-                class: AnomalyClass::Unresolved,
-                rule: Rule::Algorithm3,
-                cost,
-            };
+        if slice.overflowed() {
+            return (verdict(AnomalyClass::Unresolved, Rule::Algorithm3), None);
         }
         // Theorem 5: no dense motion at all.
-        if self.wbar[&j].is_empty() {
-            return Characterization {
-                class: AnomalyClass::Isolated,
-                rule: Rule::Theorem5,
-                cost,
-            };
+        if slice.family.dense.is_empty() {
+            return (verdict(AnomalyClass::Isolated, Rule::Theorem5), None);
         }
         let families = self.families_of(j);
         // If any neighbour consulted by the families overflowed its own
         // enumeration, its escape motions are unknown — degrade to
         // unresolved rather than decide from incomplete data.
-        if !self.overflowed.is_empty()
-            && families.d_set.iter().any(|m| self.overflowed.contains(&m))
-        {
-            return Characterization {
-                class: AnomalyClass::Unresolved,
-                rule: Rule::Algorithm3,
-                cost,
-            };
+        if self.consults_overflow(&families) {
+            return (
+                verdict(AnomalyClass::Unresolved, Rule::Algorithm3),
+                Some(families),
+            );
         }
         // Theorem 6 via Algorithm 3 line 17: a maximal dense motion whose
         // intersection with J_k(j) is itself dense. (That intersection is a
         // motion — subset of one — and contains j.)
         let tau = self.params.tau();
-        if self.wbar[&j]
+        let theorem6 = families
+            .dense
             .iter()
-            .any(|m| m.intersection_len(&families.j_set) > tau)
-        {
-            return Characterization {
-                class: AnomalyClass::Massive,
-                rule: Rule::Theorem6,
-                cost,
-            };
-        }
-        cost.collections_tested = 0;
-        Characterization {
-            class: AnomalyClass::Unresolved,
-            rule: Rule::Algorithm3,
-            cost,
-        }
+            .any(|m| m.intersection_len(&families.j_set) > tau);
+        let quick = if theorem6 {
+            verdict(AnomalyClass::Massive, Rule::Theorem6)
+        } else {
+            verdict(AnomalyClass::Unresolved, Rule::Algorithm3)
+        };
+        (quick, Some(families))
     }
 
     /// Algorithm 3 + Algorithms 4–5: exact verdict via the Theorem 7 NSC
-    /// when the fast path is inconclusive.
+    /// when the fast path is inconclusive. The one-device case of
+    /// [`Analyzer::characterize_full_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `j` is not in the table.
     pub fn characterize_full(&self, j: DeviceId) -> Characterization {
-        let quick = self.characterize(j);
-        if quick.rule != Rule::Algorithm3 {
-            return quick;
+        self.characterize_full_batch(&[j])
+            .pop()
+            .unwrap_or_else(|| unreachable!("one device in, one verdict out"))
+    }
+
+    /// [`Analyzer::characterize_full`] of every device of `js`, in order,
+    /// `Cost` included, deciding Algorithm 3 once per twin class.
+    ///
+    /// Twins are devices whose slices share one enumerated family (the
+    /// same `N[j]`, so the same window moves, `M(j)` and `W̄_k(j)`).
+    /// Algorithm 3 reads a device only
+    /// through those, through `D_k(j) = ∪ W̄_k(j)`, and through which
+    /// neighbour motions contain it. So once no dense motion of a
+    /// `D_k(j)` device contains some twins but not others — checked once
+    /// per distinct motion — every twin's families, Theorem 5/6 verdict
+    /// and `Cost` (`collections_tested = 0`) equal the first twin's, and
+    /// are copied. A class that such a motion splits is decided device by
+    /// device; that happens only at the `2r` boundary, where the
+    /// enumeration's tolerance puts in one motion two devices that the
+    /// exact neighbourhood test keeps apart. The Theorem 7 / Corollary 8
+    /// search, when Algorithm 3 is inconclusive, runs per device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a device of `js` is not in the table.
+    pub fn characterize_full_batch(&self, js: &[DeviceId]) -> Vec<Characterization> {
+        let mut classes: BTreeMap<*const Family, Vec<usize>> = BTreeMap::new();
+        for (i, &j) in js.iter().enumerate() {
+            classes.entry(self.slice(j).twin_key()).or_default().push(i);
         }
+        let mut verdicts: Vec<Option<Characterization>> = vec![None; js.len()];
+        for members in classes.values() {
+            let Some(&first) = members.first() else {
+                continue;
+            };
+            let class: DeviceSet = members.iter().map(|&i| js[i]).collect();
+            let (quick, families) = self.algorithm3(js[first]);
+            let twins_agree = families
+                .as_ref()
+                .is_none_or(|families| !self.splits(families, &class));
+            for &i in members {
+                let j = js[i];
+                verdicts[i] = Some(if twins_agree || i == first {
+                    self.finish(j, quick, families.as_ref())
+                } else {
+                    let (quick, families) = self.algorithm3(j);
+                    self.finish(j, quick, families.as_ref())
+                });
+            }
+        }
+        verdicts.into_iter().flatten().collect()
+    }
+
+    /// True when some dense motion of a member of `families.d_set`
+    /// contains some but not all devices of `class`: Algorithm 3 could
+    /// then tell them apart. Each distinct family is tested once.
+    fn splits(&self, families: &Families, class: &DeviceSet) -> bool {
+        if class.len() < 2 {
+            return false;
+        }
+        let mut seen: BTreeSet<*const Family> = BTreeSet::new();
+        families.d_set.iter().any(|member| {
+            self.try_slice(member).is_some_and(|slice| {
+                seen.insert(slice.twin_key())
+                    && slice.family.dense().any(|m| {
+                        let shared = m.intersection_len(class);
+                        shared != 0 && shared != class.len()
+                    })
+            })
+        })
+    }
+
+    /// Completes Algorithm 3's verdict for `j`: an inconclusive one on
+    /// complete data goes on to the Theorem 7 search, any other stands.
+    fn finish(
+        &self,
+        j: DeviceId,
+        quick: Characterization,
+        families: Option<&Families>,
+    ) -> Characterization {
         // Overflowed neighbourhoods stay conservatively unresolved; the
         // NSC cannot run on incomplete motion families.
-        if self.overflowed.contains(&j) {
+        let Some(families) = families else {
+            return quick;
+        };
+        if quick.rule != Rule::Algorithm3 || self.consults_overflow(families) {
             return quick;
         }
-        let families = self.families_of(j);
-        if !self.overflowed.is_empty()
-            && families.d_set.iter().any(|m| self.overflowed.contains(&m))
-        {
-            return quick;
-        }
-        let (massive, tested) = self.nsc_massive(j, &families);
+        let (massive, tested) = self.nsc_massive(j, families);
         let mut cost = quick.cost;
         cost.collections_tested = tested;
         if massive {
@@ -682,10 +819,10 @@ impl<'t> Analyzer<'t> {
 
     /// Characterizes every device exactly (with the Theorem 7 NSC).
     pub fn classify_all_full(&self) -> Vec<(DeviceId, Characterization)> {
-        self.table
-            .ids()
-            .iter()
-            .map(|&j| (j, self.characterize_full(j)))
+        let ids = self.table.ids();
+        ids.iter()
+            .copied()
+            .zip(self.characterize_full_batch(ids))
             .collect()
     }
 
@@ -718,7 +855,7 @@ impl<'t> Analyzer<'t> {
         // devices, avoiding j.
         let mut bases: Vec<DeviceSet> = Vec::new();
         for member in &families.l_set {
-            for motion in &self.wbar[&member] {
+            for motion in self.wbar_of(member) {
                 if !motion.contains(j) && !bases.contains(motion) {
                     bases.push(motion.clone());
                 }
@@ -727,7 +864,7 @@ impl<'t> Analyzer<'t> {
         // Expand each base into its useful dense sub-motions.
         let tau = self.params.tau();
         let window = self.params.window();
-        let mut pool: std::collections::BTreeSet<DeviceSet> = std::collections::BTreeSet::new();
+        let mut pool: BTreeSet<DeviceSet> = BTreeSet::new();
         let mut overflow = false;
         for base in &bases {
             let ids: Vec<DeviceId> = base.iter().collect();
@@ -1075,9 +1212,7 @@ mod tests {
             })
             .collect();
         parts.reverse();
-        let dense_slices: Vec<(DeviceId, &[DeviceSet])> =
-            parts.iter().map(|(j, part)| (*j, part.dense())).collect();
-        let from_slices = ComponentPartition::from_dense_sets(dense_slices);
+        let from_slices = ComponentPartition::from_slices(parts.iter().map(|(_, part)| part));
         assert_eq!(sequential, from_slices);
         let merged = Analyzer::from_parts(&t, params(3), parts).component_partition();
         assert_eq!(sequential, merged);
@@ -1136,39 +1271,48 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The union-find kernel agrees with the reference on random
-        /// dense-set families, whatever order the parts arrive in.
+        /// The distinct-family kernel agrees with the reference on random
+        /// dense-set families, whatever order the slices arrive in, whether
+        /// the members of a group share one `Arc` or each hold a copy of
+        /// their own. As in a precompute group, every motion of a family
+        /// holds all of the group's members.
         #[test]
         fn partition_kernel_matches_the_reference(
-            family in proptest::collection::vec(
-                (0u32..48, proptest::collection::vec(
-                    proptest::collection::vec(0u32..48, 0..7), 0..4)),
-                0..24),
+            groups in proptest::collection::vec(
+                (proptest::collection::vec(0u32..48, 1..4),
+                 proptest::collection::vec(proptest::collection::vec(0u32..48, 0..7), 0..4)),
+                0..12),
             rotate in 0usize..24,
             reverse in 0u8..2,
+            share in 0u8..2,
         ) {
-            let mut parts: Vec<(DeviceId, Vec<DeviceSet>)> = family
-                .into_iter()
-                .map(|(j, sets)| {
-                    (
-                        DeviceId(j),
-                        sets.into_iter()
-                            .map(|set| set.into_iter().map(DeviceId).collect())
-                            .collect(),
-                    )
-                })
-                .collect();
+            let mut parts: Vec<(DeviceId, Vec<DeviceSet>)> = Vec::new();
+            let mut slices: Vec<DevicePrecompute> = Vec::new();
+            for (members, sets) in groups {
+                let motions: Vec<DeviceSet> = sets
+                    .into_iter()
+                    .map(|set| set.into_iter().chain(members.iter().copied()).map(DeviceId).collect())
+                    .collect();
+                let family = Arc::new(dense_family(motions.clone()));
+                for &j in &members {
+                    parts.push((DeviceId(j), motions.clone()));
+                    let family = if share == 1 {
+                        Arc::clone(&family)
+                    } else {
+                        Arc::new(dense_family(motions.clone()))
+                    };
+                    slices.push(DevicePrecompute { family });
+                }
+            }
             let expected = oracle_partition(&parts);
-            if !parts.is_empty() {
-                let by = rotate % parts.len();
-                parts.rotate_left(by);
+            if !slices.is_empty() {
+                let by = rotate % slices.len();
+                slices.rotate_left(by);
             }
             if reverse == 1 {
-                parts.reverse();
+                slices.reverse();
             }
-            let p = ComponentPartition::from_dense_sets(
-                parts.iter().map(|(j, sets)| (*j, sets.as_slice())),
-            );
+            let p = ComponentPartition::from_slices(&slices);
             let got: Vec<(DeviceId, u32)> = p.iter().collect();
             proptest::prop_assert_eq!(&got, &expected.0);
             proptest::prop_assert_eq!(p.count(), expected.1);
@@ -1178,23 +1322,48 @@ mod tests {
         }
     }
 
+    /// A family whose motions are all dense.
+    fn dense_family(motions: Vec<DeviceSet>) -> Family {
+        Family {
+            dense: (0..motions.len()).collect(),
+            motions,
+            window_moves: 0,
+            overflowed: false,
+        }
+    }
+
     #[test]
     fn empty_partition_reports_empty() {
-        let p = ComponentPartition::from_dense_sets(std::iter::empty());
+        let p = ComponentPartition::from_slices(&[]);
         assert!(p.is_empty());
         assert_eq!(p.count(), 0);
         assert_eq!(p.component_of(DeviceId(0)), None);
     }
 
+    /// A slice spelled out: `M(j)`, `W̄_k(j)`, window moves, overflow.
+    #[derive(Debug, PartialEq)]
+    struct Slice {
+        motions: Vec<DeviceSet>,
+        dense: Vec<DeviceSet>,
+        window_moves: u64,
+        overflowed: bool,
+    }
+
+    impl Slice {
+        fn of(part: &DevicePrecompute) -> Slice {
+            Slice {
+                motions: part.motions().cloned().collect(),
+                dense: part.dense().cloned().collect(),
+                window_moves: part.family.window_moves,
+                overflowed: part.overflowed(),
+            }
+        }
+    }
+
     /// The per-device reference for [`Analyzer::precompute_shard`]:
     /// Algorithm 2 over `j`'s own closed neighbourhood, with fresh
     /// counters.
-    fn reference_slice(
-        t: &TrajectoryTable,
-        p: &Params,
-        j: DeviceId,
-        budget: u64,
-    ) -> DevicePrecompute {
+    fn reference_slice(t: &TrajectoryTable, p: &Params, j: DeviceId, budget: u64) -> Slice {
         let mut ops = MotionOps::default();
         let motions =
             crate::maximal::maximal_motions_involving_bounded(t, j, p.window(), &mut ops, budget);
@@ -1205,7 +1374,7 @@ mod tests {
             .filter(|s| p.is_dense(s.len()))
             .cloned()
             .collect();
-        DevicePrecompute {
+        Slice {
             motions,
             dense,
             window_moves: ops.window_moves,
@@ -1213,18 +1382,30 @@ mod tests {
         }
     }
 
-    fn assert_same_slice(got: &DevicePrecompute, want: &DevicePrecompute, what: &str) {
-        assert_eq!(got.motions, want.motions, "{what}: motions");
-        assert_eq!(got.dense, want.dense, "{what}: dense");
-        assert_eq!(got.window_moves, want.window_moves, "{what}: window moves");
-        assert_eq!(got.overflowed, want.overflowed, "{what}: overflowed");
+    fn assert_same_slice(got: &DevicePrecompute, want: &Slice, what: &str) {
+        assert_eq!(&Slice::of(got), want, "{what}");
+    }
+
+    /// Deterministic Fisher–Yates shuffle driven by `seed`.
+    fn shuffled(mut ids: Vec<DeviceId>, seed: u64) -> Vec<DeviceId> {
+        let mut state = seed | 1;
+        for i in (1..ids.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ids.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        ids
     }
 
     /// A table of `d`-service devices around a few anchors: `kind` 0 sits
     /// exactly on its anchor (identical points), 1 on a grid-aligned
     /// offset, 2 anywhere within one window of it.
-    fn clustered_table(dim: usize, rows: &[(u8, u8, f64, f64)]) -> TrajectoryTable {
-        let anchors = [0.10, 0.35, 0.60, 0.85];
+    fn clustered_table(
+        dim: usize,
+        anchors: &[f64],
+        rows: &[(u8, u8, f64, f64)],
+    ) -> TrajectoryTable {
         let rows = rows
             .iter()
             .enumerate()
@@ -1258,16 +1439,9 @@ mod tests {
             tau in 1usize..6,
             shuffle in 0u64..u64::MAX,
         ) {
-            let t = clustered_table(dim, &rows);
+            let t = clustered_table(dim, &[0.10, 0.35, 0.60, 0.85], &rows);
             let p = Params::new(0.05, tau).unwrap();
-            let mut shard = t.ids().to_vec();
-            let mut state = shuffle | 1;
-            for i in (1..shard.len()).rev() {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                shard.swap(i, (state >> 33) as usize % (i + 1));
-            }
+            let shard = shuffled(t.ids().to_vec(), shuffle);
             for budget in [1, 10, 1_000, DEFAULT_ENUMERATION_BUDGET] {
                 let got = Analyzer::precompute_shard(&t, &p, &shard, budget);
                 let ids: Vec<DeviceId> = got.iter().map(|(j, _)| *j).collect();
@@ -1275,6 +1449,46 @@ mod tests {
                 for (j, slice) in &got {
                     let want = reference_slice(&t, &p, *j, budget);
                     assert_same_slice(slice, &want, &format!("device {j}, budget {budget}"));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Deciding twins once is invisible: every batch verdict equals the
+        /// device's own Algorithm 3 + Theorem 7 path and its one-device
+        /// batch, `Cost` included. Anchors half a window apart make the
+        /// clusters overlap, so many precompute groups hold motions with
+        /// equal ids (the family must be part of the twin key), neighbours
+        /// escape into other clusters (Theorem 7 runs), and gaps of
+        /// exactly one window put devices in a neighbour's motion but not
+        /// in its closed neighbourhood. Queries come shuffled, some twice,
+        /// under a budget that truncates some enumerations and one that
+        /// truncates none.
+        #[test]
+        fn batch_verdicts_match_the_per_device_path(
+            rows in proptest::collection::vec(
+                (0u8..4, 0u8..3, 0.0..0.1f64, 0.0..0.1f64), 1..16),
+            dim in 1usize..3,
+            tau in 1usize..5,
+            shuffle in 0u64..u64::MAX,
+            repeats in 0usize..4,
+        ) {
+            let t = clustered_table(dim, &[0.10, 0.15, 0.20, 0.30], &rows);
+            let p = Params::new(0.05, tau).unwrap();
+            let mut js = shuffled(t.ids().to_vec(), shuffle);
+            js.extend_from_within(..repeats.min(js.len()));
+            for budget in [60, DEFAULT_ENUMERATION_BUDGET] {
+                let a = Analyzer::with_enumeration_budget(&t, p, budget);
+                let got = a.characterize_full_batch(&js);
+                proptest::prop_assert_eq!(got.len(), js.len());
+                for (&j, verdict) in js.iter().zip(&got) {
+                    let (quick, families) = a.algorithm3(j);
+                    let alone = a.finish(j, quick, families.as_ref());
+                    proptest::prop_assert_eq!(verdict, &alone, "device {} budget {}", j, budget);
+                    proptest::prop_assert_eq!(verdict, &a.characterize_full(j));
                 }
             }
         }
@@ -1300,7 +1514,7 @@ mod tests {
                 let want = reference_slice(&t, &p, *j, budget);
                 assert_same_slice(slice, &want, &format!("device {j}, budget {budget}"));
             }
-            let overflowed = got.iter().filter(|(_, s)| s.overflowed).count();
+            let overflowed = got.iter().filter(|(_, s)| s.overflowed()).count();
             assert!(
                 overflowed == 0 || overflowed >= 60,
                 "{overflowed} at {budget}"

@@ -33,19 +33,17 @@ impl Families {
     /// Builds the families for `j` from `j`'s maximal dense motions and a
     /// lookup for the maximal dense motions of any neighbour.
     ///
-    /// `dense_of(ℓ)` must return `W̄_k(ℓ)`; it is only called for members of
+    /// `dense_of(ℓ)` must yield `W̄_k(ℓ)`; it is only called for members of
     /// `D_k(j)`. When `W̄_k(j)` is empty (Theorem 5 applies) all families
     /// are empty.
-    pub fn build<'a>(
+    pub fn build<'a, D: IntoIterator<Item = &'a DeviceSet>>(
         j: DeviceId,
-        wbar_j: &[DeviceSet],
-        mut dense_of: impl FnMut(DeviceId) -> &'a [DeviceSet],
+        wbar_j: impl IntoIterator<Item = &'a DeviceSet>,
+        mut dense_of: impl FnMut(DeviceId) -> D,
     ) -> Families {
-        let dense: Vec<DeviceSet> = wbar_j.to_vec();
+        let dense: Vec<DeviceSet> = wbar_j.into_iter().cloned().collect();
         let mut d_set = DeviceSet::new();
-        for motion in &dense {
-            d_set.extend(motion.iter());
-        }
+        d_set.extend(dense.iter().flat_map(DeviceSet::iter));
         let mut j_set = DeviceSet::new();
         let mut l_set = DeviceSet::new();
         for member in &d_set {
@@ -54,7 +52,7 @@ impl Families {
                 j_set.insert(member);
                 continue;
             }
-            let escapes = dense_of(member).iter().any(|m| !m.contains(j));
+            let escapes = dense_of(member).into_iter().any(|m| !m.contains(j));
             if escapes {
                 l_set.insert(member);
             } else {

@@ -132,28 +132,30 @@ impl DeviceSet {
         DeviceSet { ids }
     }
 
-    /// Set difference `self \ other`.
+    /// Set difference `self \ other`, by a linear merge walk.
     pub fn difference(&self, other: &DeviceSet) -> DeviceSet {
-        DeviceSet {
-            ids: self
-                .ids
-                .iter()
-                .filter(|id| !other.contains(**id))
-                .copied()
-                .collect(),
+        let mut ids = Vec::with_capacity(self.ids.len());
+        let mut rest = other.ids.iter().peekable();
+        for &id in &self.ids {
+            while rest.next_if(|&&o| o < id).is_some() {}
+            if rest.peek() != Some(&&id) {
+                ids.push(id);
+            }
         }
+        DeviceSet { ids }
     }
 
-    /// Set intersection.
+    /// Set intersection, by a linear merge walk.
     pub fn intersection(&self, other: &DeviceSet) -> DeviceSet {
-        DeviceSet {
-            ids: self
-                .ids
-                .iter()
-                .filter(|id| other.contains(**id))
-                .copied()
-                .collect(),
+        let mut ids = Vec::with_capacity(self.ids.len().min(other.ids.len()));
+        let mut rest = other.ids.iter().peekable();
+        for &id in &self.ids {
+            while rest.next_if(|&&o| o < id).is_some() {}
+            if rest.peek() == Some(&&id) {
+                ids.push(id);
+            }
         }
+        DeviceSet { ids }
     }
 
     /// Number of elements shared with `other`.
@@ -200,10 +202,15 @@ impl FromIterator<DeviceId> for DeviceSet {
     }
 }
 
+/// Appends every id, then sorts and deduplicates once: unioning `k`
+/// overlapping sets of size `m` costs one sort, not `k·m` shifting inserts.
 impl Extend<DeviceId> for DeviceSet {
     fn extend<T: IntoIterator<Item = DeviceId>>(&mut self, iter: T) {
-        for id in iter {
-            self.insert(id);
+        let sorted = self.ids.len();
+        self.ids.extend(iter);
+        if self.ids.len() > sorted {
+            self.ids.sort_unstable();
+            self.ids.dedup();
         }
     }
 }
@@ -329,6 +336,30 @@ mod tests {
             let d = u.difference(&sb);
             prop_assert!(d.is_disjoint(&sb));
             prop_assert!(d.is_subset(&sa));
+        }
+
+        /// The merge walks and the batched `Extend` agree with a
+        /// `BTreeSet` reference, on sets that overlap often.
+        #[test]
+        fn algebra_matches_a_btreeset(a in proptest::collection::vec(0u32..24, 0..16),
+                                      b in proptest::collection::vec(0u32..24, 0..16),
+                                      c in proptest::collection::vec(0u32..24, 0..16)) {
+            use std::collections::BTreeSet;
+            let (sa, sb) = (DeviceSet::from(a.as_slice()), DeviceSet::from(b.as_slice()));
+            let (ra, rb): (BTreeSet<u32>, BTreeSet<u32>) =
+                (a.iter().copied().collect(), b.iter().copied().collect());
+            let ids = |s: &DeviceSet| s.iter().map(|d| d.0).collect::<Vec<u32>>();
+            prop_assert_eq!(ids(&sa.difference(&sb)), ra.difference(&rb).copied().collect::<Vec<u32>>());
+            prop_assert_eq!(ids(&sa.intersection(&sb)), ra.intersection(&rb).copied().collect::<Vec<u32>>());
+            prop_assert_eq!(ids(&sa.union(&sb)), ra.union(&rb).copied().collect::<Vec<u32>>());
+            let mut grown = sa.clone();
+            grown.extend(b.iter().copied().map(DeviceId));
+            grown.extend(c.iter().copied().map(DeviceId));
+            grown.extend(std::iter::empty());
+            let mut want = ra.clone();
+            want.extend(b.iter().copied());
+            want.extend(c.iter().copied());
+            prop_assert_eq!(ids(&grown), want.into_iter().collect::<Vec<u32>>());
         }
     }
 }

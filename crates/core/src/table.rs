@@ -187,7 +187,7 @@ impl TrajectoryTable {
     }
 
     /// The slot of `id`: its rank among the table's ids.
-    fn slot(&self, id: DeviceId) -> Option<usize> {
+    pub(crate) fn slot(&self, id: DeviceId) -> Option<usize> {
         self.ids.binary_search(&id).ok()
     }
 
@@ -233,10 +233,11 @@ impl TrajectoryTable {
     }
 
     /// [`TrajectoryTable::neighborhood`] of every device of `js`, in
-    /// order, from one [`TrajectoryIndex`] over the table: each query
-    /// examines only the devices filed under the `(before-cell,
-    /// after-cell)` keys around its own, then tests them exactly. An id
-    /// not in the table gets an empty list.
+    /// order, from one [`TrajectoryIndex`] over the table. The index is
+    /// walked once per distinct `(before-cell, after-cell)` key among the
+    /// queries ([`TrajectoryIndex::candidates_per_key`]), so devices that
+    /// moved together share one walk; each device then tests the key's
+    /// candidates exactly. An id not in the table gets an empty list.
     pub fn neighborhoods(&self, js: &[DeviceId], window: f64) -> Vec<Vec<DeviceId>> {
         let d = self.dim;
         let geometry = CellGeometry::new(d, window);
@@ -244,27 +245,29 @@ impl TrajectoryTable {
             geometry,
             (0..self.len()).map(|slot| self.row(slot).split_at(d)),
         );
-        js.iter()
-            .map(|&j| {
-                let Some(slot) = self.slot(j) else {
-                    return Vec::new();
-                };
+        let queries = js.iter().enumerate().filter_map(|(q, &j)| {
+            let slot = self.slot(j)?;
+            let (before, after) = self.row(slot).split_at(d);
+            Some(((q, slot), before, after))
+        });
+        let mut out = vec![Vec::new(); js.len()];
+        index.candidates_per_key(queries, window, |candidates, queries| {
+            // Slots ascend with ids.
+            let mut candidates = candidates.to_vec();
+            candidates.sort_unstable();
+            for &(q, slot) in queries {
                 let row = self.row(slot);
-                let (before, after) = row.split_at(d);
-                let mut near: Vec<usize> = Vec::new();
-                index.candidates(before, after, window, |other| {
-                    let other = other as usize;
-                    if other != slot && uniform_distance(row, self.row(other)) <= window {
-                        near.push(other);
-                    }
-                });
-                // Slots ascend with ids.
-                near.sort_unstable();
-                near.iter()
-                    .filter_map(|&s| self.ids.get(s).copied())
-                    .collect()
-            })
-            .collect()
+                out[q] = candidates
+                    .iter()
+                    .map(|&other| other as usize)
+                    .filter(|&other| {
+                        other != slot && uniform_distance(row, self.row(other)) <= window
+                    })
+                    .filter_map(|other| self.ids.get(other).copied())
+                    .collect();
+            }
+        });
+        out
     }
 
     /// Restricts the table to `keep`, dropping all other devices.
@@ -326,29 +329,46 @@ mod tests {
     proptest::proptest! {
         /// The indexed neighbourhoods equal the pairwise scan over the
         /// table, on grid-aligned decimals with gaps of exactly the window.
+        /// Each drawn trajectory is held by a crowd of up to three devices
+        /// (identical, or nudged by a thousandth), so queries share keys;
+        /// queries come rotated, some twice, plus one absent id.
         #[test]
         fn neighborhoods_equal_the_pairwise_scan(
-            rows in proptest::collection::vec(proptest::collection::vec(0usize..10, 4), 1..40),
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(0usize..10, 4), 1usize..4), 1..30),
             dim in 1usize..3,
             window_pick in 0usize..3,
+            rotate in 0usize..64,
+            repeats in 0usize..5,
         ) {
             const PALETTE: [f64; 10] = [0.0, 0.04, 0.07, 0.1, 0.14, 0.2, 0.3, 0.5, 0.9, 1.0];
             let window = [0.05, 0.1, 0.2][window_pick];
-            let t = TrajectoryTable::from_concatenated(
-                dim,
-                rows.iter()
-                    .enumerate()
-                    .map(|(i, r)| (DeviceId(2 * i as u32), r[..2 * dim].iter().map(|&c| PALETTE[c]).collect()))
-                    .collect(),
-            );
-            let got = t.neighborhoods(t.ids(), window);
-            for (&j, near) in t.ids().iter().zip(&got) {
-                let want: Vec<DeviceId> = t
-                    .ids()
-                    .iter()
-                    .copied()
-                    .filter(|&o| o != j && t.motion_distance(j, o) <= window)
-                    .collect();
+            let mut table_rows = Vec::new();
+            for (r, crowd) in &rows {
+                for i in 0..*crowd {
+                    let nudge = 0.001 * (i % 2) as f64;
+                    let row = r[..2 * dim].iter().map(|&c| (PALETTE[c] - nudge).max(0.0)).collect();
+                    table_rows.push((DeviceId(2 * table_rows.len() as u32), row));
+                }
+            }
+            let t = TrajectoryTable::from_concatenated(dim, table_rows);
+            let mut js = t.ids().to_vec();
+            let by = rotate % js.len();
+            js.rotate_left(by);
+            js.extend_from_within(..repeats.min(js.len()));
+            js.push(DeviceId(1));
+            let got = t.neighborhoods(&js, window);
+            proptest::prop_assert_eq!(got.len(), js.len());
+            for (&j, near) in js.iter().zip(&got) {
+                let want: Vec<DeviceId> = if t.contains(j) {
+                    t.ids()
+                        .iter()
+                        .copied()
+                        .filter(|&o| o != j && t.motion_distance(j, o) <= window)
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 proptest::prop_assert_eq!(near, &want);
             }
         }

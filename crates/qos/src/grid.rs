@@ -1,7 +1,7 @@
 use crate::norm::uniform_distance;
-use crate::point::{DeviceId, Point};
-use crate::snapshot::{Snapshot, StatePair};
-use std::collections::BTreeSet;
+use crate::point::DeviceId;
+use crate::snapshot::StatePair;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How [`TrajectoryIndex::apply_moves`] brought the index up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,36 +360,85 @@ impl TrajectoryIndex {
         });
     }
 
+    /// Runs one index walk per distinct `(before-cell, after-cell)` key
+    /// among `queries` — each a tag with its positions at `k-1` and at `k`
+    /// — and calls `visit` once per key, in key order, with the ids
+    /// [`TrajectoryIndex::candidates`] visits for that key and the tags of
+    /// every query that falls under it, in query order. The candidates
+    /// depend only on the key, so a crowd that shares one pays for one
+    /// walk; callers filter them exactly per query.
+    pub fn candidates_per_key<'q, T>(
+        &self,
+        queries: impl IntoIterator<Item = (T, &'q [f64], &'q [f64])>,
+        radius: f64,
+        mut visit: impl FnMut(&[u32], &[T]),
+    ) {
+        let g = &self.geometry;
+        let mut keys: BTreeMap<(u32, u32), KeyQueries<'q, T>> = BTreeMap::new();
+        for (tag, before, after) in queries {
+            keys.entry((g.cell_index(before), g.cell_index(after)))
+                .or_insert_with(|| (before, after, Vec::new()))
+                .2
+                .push(tag);
+        }
+        let mut candidates: Vec<u32> = Vec::new();
+        for (before, after, tags) in keys.into_values() {
+            candidates.clear();
+            self.candidates(before, after, radius, |id| candidates.push(id));
+            visit(&candidates, &tags);
+        }
+    }
+
     /// Vicinity size of `j`: the number of devices other than `j` within
     /// uniform distance `radius` of it at **both** times `k-1` and `k`,
     /// equal to `pair.neighbors_both(j, radius).len()` when the index
-    /// describes `pair`. Zero when `j` is not in `pair`.
+    /// describes `pair`. Zero when `j` is not in `pair`. The one-device
+    /// case of [`TrajectoryIndex::vicinities`].
     pub fn vicinity(&self, pair: &StatePair, j: DeviceId, radius: f64) -> usize {
+        self.vicinities(pair, &[j], radius).pop().unwrap_or(0)
+    }
+
+    /// [`TrajectoryIndex::vicinity`] of every device of `js`, in order,
+    /// with one index walk per distinct key among them
+    /// ([`TrajectoryIndex::candidates_per_key`]): the devices of a pile-up
+    /// share their key, so they share their walk, and each is then tested
+    /// exactly against its key's candidates.
+    pub fn vicinities(&self, pair: &StatePair, js: &[DeviceId], radius: f64) -> Vec<usize> {
         let (before, after) = (pair.before(), pair.after());
-        let (Ok(jb), Ok(ja)) = (before.try_position(j), after.try_position(j)) else {
-            return 0;
-        };
-        let mut count = 0;
-        self.candidates(jb.coords(), ja.coords(), radius, |c| {
-            let c = DeviceId(c);
-            if c == j {
-                return;
-            }
-            // The motion distance is the larger of the two instants'
-            // distances: test the before-distance first, and load the
-            // after-position only for candidates that pass it.
-            let near = |snapshot: &Snapshot, home: &Point| {
-                snapshot
-                    .try_position(c)
-                    .is_ok_and(|p| uniform_distance(home.coords(), p.coords()) <= radius)
+        let mut counts = vec![0; js.len()];
+        let queries = js.iter().enumerate().filter_map(|(q, &j)| {
+            let (Ok(jb), Ok(ja)) = (before.try_position(j), after.try_position(j)) else {
+                return None;
             };
-            if near(before, jb) && near(after, ja) {
-                count += 1;
+            Some(((q, j, jb.coords(), ja.coords()), jb.coords(), ja.coords()))
+        });
+        let within = |home: &[f64], p: &[f64]| uniform_distance(home, p) <= radius;
+        self.candidates_per_key(queries, radius, |candidates, tags| {
+            for &(q, j, jb, ja) in tags {
+                // The motion distance is the larger of the two instants'
+                // distances: test the before-distance first, and load the
+                // after-position only for candidates that pass it.
+                let count = candidates
+                    .iter()
+                    .map(|&c| DeviceId(c))
+                    .filter(|&c| {
+                        c != j
+                            && before.try_position(c).is_ok_and(|p| within(jb, p.coords()))
+                            && after.try_position(c).is_ok_and(|p| within(ja, p.coords()))
+                    })
+                    .count();
+                if let Some(slot) = counts.get_mut(q) {
+                    *slot = count;
+                }
             }
         });
-        count
+        counts
     }
 }
+
+/// The queries [`TrajectoryIndex::candidates_per_key`] files under one
+/// key: the first one's positions at `k-1` and `k`, and every tag.
+type KeyQueries<'q, T> = (&'q [f64], &'q [f64], Vec<T>);
 
 /// Bits of the sort key [`radix_sorted`] handles per counting pass.
 const RADIX_BITS: u32 = 9;
@@ -436,6 +485,7 @@ fn radix_sorted(mut entries: Vec<(u32, u32, u32)>) -> Vec<(u32, u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::Snapshot;
     use crate::space::QosSpace;
     use proptest::prelude::*;
 
@@ -1065,6 +1115,58 @@ mod tests {
             for j in pair.device_ids() {
                 prop_assert_eq!(neighbors(&index, &pair, j, radius), linear(&pair, j, radius));
                 prop_assert_eq!(index.vicinity(&pair, j, radius), linear(&pair, j, radius).len());
+            }
+        }
+    }
+
+    proptest! {
+        /// `vicinities` equals the linear scan for every query on crowds
+        /// that share keys: each drawn trajectory over the palette is held
+        /// by up to four devices (identical, or nudged by a thousandth),
+        /// half of them stay put and half move, and queries come rotated,
+        /// some twice, plus one id outside the pair.
+        #[test]
+        fn vicinities_equal_neighbors_both_on_shared_keys(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(0usize..PALETTE.len(), 6), 1usize..5, 0usize..2),
+                1..24),
+            dim in 1usize..4,
+            radius_pick in 0usize..4,
+            rotate in 0usize..64,
+            repeats in 0usize..6,
+        ) {
+            let radius = [0.05, 0.1, 0.2, 0.3][radius_pick];
+            let mut before = Vec::new();
+            let mut after = Vec::new();
+            for (coords, crowd, moves) in &rows {
+                let b: Vec<f64> = coords[..dim].iter().map(|&c| PALETTE[c]).collect();
+                let a: Vec<f64> = if *moves == 1 {
+                    coords[3..3 + dim].iter().map(|&c| PALETTE[c]).collect()
+                } else {
+                    b.clone()
+                };
+                for i in 0..*crowd {
+                    let nudge = |p: &[f64]| -> Vec<f64> {
+                        p.iter().map(|&x| (x - 0.001 * (i % 2) as f64).max(0.0)).collect()
+                    };
+                    before.push(nudge(&b));
+                    after.push(nudge(&a));
+                }
+            }
+            let pair = pair_from(before, after);
+            let index = TrajectoryIndex::build(&pair, radius);
+            let mut js: Vec<DeviceId> = pair.device_ids().collect();
+            let by = rotate % js.len();
+            js.rotate_left(by);
+            js.extend_from_within(..repeats.min(js.len()));
+            let outside = DeviceId(pair.len() as u32);
+            js.push(outside);
+            let got = index.vicinities(&pair, &js, radius);
+            prop_assert_eq!(got.len(), js.len());
+            for (&j, &count) in js.iter().zip(&got) {
+                let want = if j == outside { 0 } else { pair.neighbors_both(j, radius).len() };
+                prop_assert_eq!(count, want, "device {:?} at radius {}", j, radius);
+                prop_assert_eq!(index.vicinity(&pair, j, radius), want);
             }
         }
     }

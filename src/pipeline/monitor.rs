@@ -263,15 +263,10 @@ impl CharCache {
             }
         }
         let entries = &self.entries;
-        let partition = Arc::new(ComponentPartition::from_dense_sets(abnormal.iter().map(
-            |&j| {
-                let dense = entries
-                    .get(&j.0)
-                    .map(|entry| entry.precompute.dense())
-                    .unwrap_or(&[]);
-                (j, dense)
-            },
-        )));
+        let partition =
+            Arc::new(ComponentPartition::from_slices(abnormal.iter().filter_map(
+                |&j| entries.get(&j.0).map(|entry| &entry.precompute),
+            )));
         self.partition = Some((abnormal.to_vec(), Arc::clone(&partition)));
         partition
     }
@@ -1057,10 +1052,8 @@ impl Monitor {
         // Fresh characterization: per-device motion precompute for the
         // fresh devices, merged with the cached slices into one engine,
         // then verdicts and vicinities for the fresh devices only. The
-        // merge is keyed by dense id, so the report is identical to a full
-        // recompute.
-        let mut fresh_rows: Vec<VerdictRow> = Vec::new();
-        let mut fresh_pre: BTreeMap<u32, DevicePrecompute> = BTreeMap::new();
+        // merge places each slice in its device's table slot, so the
+        // report is identical to a full recompute.
         let partition = if fresh.is_empty() {
             // Full cache hit: no trajectory table, no analyzer. The
             // characterization cost of the epoch is the index update plus
@@ -1079,11 +1072,13 @@ impl Monitor {
                 &fresh,
                 DEFAULT_ENUMERATION_BUDGET,
             );
-            if steady {
-                for (j, pre) in &fresh_parts {
-                    fresh_pre.insert(j.0, pre.clone());
-                }
-            }
+            // Slices share their motions behind an `Arc`: keeping the
+            // fresh ones for the cache copies ids, not device sets.
+            let fresh_pre: Vec<(DeviceId, DevicePrecompute)> = if steady {
+                fresh_parts.clone()
+            } else {
+                Vec::new()
+            };
             // The merged analyzer covers the whole abnormal set (fresh
             // slices plus every cached one), so its partition is the
             // epoch's global one.
@@ -1094,42 +1089,39 @@ impl Monitor {
                 .ok_or(MonitorError::internal(
                     "trajectory index missing after update",
                 ))?;
-            fresh_rows = fresh
-                .iter()
-                .map(|&j| VerdictRow {
+            // One batch decides twins once; one index walk per key serves
+            // every fresh device's vicinity.
+            let verdicts = analyzer.characterize_full_batch(&fresh);
+            let vicinities = index.vicinities(&pair, &fresh, window);
+            let mut fresh_pre = fresh_pre.into_iter();
+            for ((&j, characterization), vicinity) in fresh.iter().zip(verdicts).zip(vicinities) {
+                // A steady interval caches the fresh verdict with its
+                // precompute slice, for future merges.
+                if steady {
+                    let Some((_, precompute)) = fresh_pre.next().filter(|(id, _)| *id == j) else {
+                        return Err(MonitorError::internal(
+                            "fresh device missing its precompute slice",
+                        ));
+                    };
+                    let cell = self.geometry.cell_index(pair.after().position(j).coords());
+                    self.char_cache.insert(
+                        j.0,
+                        CacheEntry {
+                            cell,
+                            precompute,
+                            characterization,
+                            vicinity,
+                        },
+                    );
+                }
+                rows.push(VerdictRow {
                     j,
-                    characterization: analyzer.characterize_full(j),
-                    vicinity: index.vicinity(&pair, j, window),
-                })
-                .collect();
+                    characterization,
+                    vicinity,
+                });
+            }
             Arc::new(analyzer.component_partition())
         };
-
-        // Freshly decided devices enter the cache (with their precompute
-        // slice, for future merges) before joining the cached rows.
-        if steady && !fresh_rows.is_empty() {
-            for &VerdictRow {
-                j,
-                characterization,
-                vicinity,
-            } in &fresh_rows
-            {
-                let precompute = fresh_pre.remove(&j.0).ok_or(MonitorError::internal(
-                    "fresh device missing its precompute slice",
-                ))?;
-                let cell = self.geometry.cell_index(pair.after().position(j).coords());
-                self.char_cache.insert(
-                    j.0,
-                    CacheEntry {
-                        cell,
-                        precompute,
-                        characterization,
-                        vicinity,
-                    },
-                );
-            }
-        }
-        rows.extend(fresh_rows);
 
         // Deterministic merge: cohort ids map monotonically to current
         // dense ids, so id order here is exactly the report's verdict order

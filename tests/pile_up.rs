@@ -1,11 +1,15 @@
-//! A DSLAM-shaped pile-up: eight groups of 64 co-located devices, one of
-//! which jumps together while a lone device faults in another group, and
-//! both repair three epochs later.
+//! DSLAM-shaped pile-ups over eight groups of 64 co-located devices.
 //!
-//! The 64 movers share one closed neighbourhood, so the monitor runs
-//! Algorithm 2 once for all of them, and their vicinity queries fall in
-//! one grid cell crowded with the healthy groups around them. Every report
-//! must equal the full-recompute [`Oracle`], and every
+//! In the first, one group jumps together while a lone device faults in
+//! another group, and both repair three epochs later. The 64 movers share
+//! one closed neighbourhood, so the monitor runs Algorithm 2 once for all
+//! of them, decides their Algorithm 3 verdict once (they are twins), and
+//! their vicinity queries share one walk of the trajectory index through a
+//! cell crowded with the healthy groups around them. Two more shapes test
+//! where twins stop: two pile-ups that share an edge device, and a pile-up
+//! one of whose members also sits in a second dense motion.
+//!
+//! Every report must equal the full-recompute [`Oracle`], and every
 //! verdict's cost and vicinity must equal the ones a per-device
 //! enumeration and a linear vicinity scan give.
 
@@ -35,22 +39,35 @@ fn home(k: u64) -> Vec<f64> {
     vec![0.20 + 0.05 * group as f64 + 0.001 * (k % 4) as f64, 0.40]
 }
 
-fn position(k: u64, faulted: bool) -> Vec<f64> {
-    let mut row = home(k);
-    if faulted && k / PER_GROUP == OUTAGE {
+/// Where the outage group and the loner go when they fault.
+fn outage_and_loner(k: u64) -> Option<Vec<f64>> {
+    if k / PER_GROUP == OUTAGE {
+        let mut row = home(k);
         row[1] = 0.70;
-    } else if faulted && k == LONER {
-        row = vec![0.85, 0.10];
+        Some(row)
+    } else if k == LONER {
+        Some(vec![0.85, 0.10])
+    } else {
+        None
     }
-    row
 }
 
 /// Every device's row at each epoch: two calm epochs, the onset, two
 /// steady epochs at the faulted positions, the repair, and two calm ones.
-fn trace() -> Vec<Vec<Vec<f64>>> {
+/// `fault` gives the faulted position of the devices that move.
+fn trace(fault: impl Fn(u64) -> Option<Vec<f64>>) -> Vec<Vec<Vec<f64>>> {
     [false, false, true, true, true, false, false, false]
         .into_iter()
-        .map(|faulted| (0..DEVICES as u64).map(|k| position(k, faulted)).collect())
+        .map(|faulted| {
+            (0..DEVICES as u64)
+                .map(|k| {
+                    faulted
+                        .then(|| fault(k))
+                        .flatten()
+                        .unwrap_or_else(|| home(k))
+                })
+                .collect()
+        })
         .collect()
 }
 
@@ -148,13 +165,13 @@ fn assert_per_device_reference(report: &Report, before: &[Vec<f64>], after: &[Ve
     }
 }
 
-#[test]
-fn a_pile_up_matches_the_oracle_and_the_per_device_reference_sequentially() {
-    let trace = trace();
+/// Seals `trace` through a monitor and the full-recompute oracle, checks
+/// every report against both references, and returns the reports.
+fn run(trace: &[Vec<Vec<f64>>]) -> Vec<Report> {
     let mut monitor = builder(DEVICES).build().unwrap();
     let mut oracle = Oracle::new(builder(DEVICES).build().unwrap(), || builder(0));
     let mut reports = Vec::with_capacity(trace.len());
-    for rows in &trace {
+    for rows in trace {
         let epoch: Vec<(u64, Vec<f64>)> = rows
             .iter()
             .cloned()
@@ -171,6 +188,15 @@ fn a_pile_up_matches_the_oracle_and_the_per_device_reference_sequentially() {
     for (e, report) in reports.iter().enumerate().skip(1) {
         assert_per_device_reference(report, &trace[e - 1], &trace[e]);
     }
+    for e in [1, 3, 4, 6, 7] {
+        assert!(reports[e].verdicts().is_empty(), "epoch {e}");
+    }
+    reports
+}
+
+#[test]
+fn a_pile_up_matches_the_oracle_and_the_per_device_reference_sequentially() {
+    let reports = run(&trace(outage_and_loner));
     // The onset and the repair each flag the whole group plus the loner:
     // the group is one massive outage, the loner an isolated fault.
     for e in [2, 5] {
@@ -184,7 +210,81 @@ fn a_pile_up_matches_the_oracle_and_the_per_device_reference_sequentially() {
             assert!(v.characterization.cost().window_moves > 0);
         }
     }
-    for e in [1, 3, 4, 6, 7] {
-        assert!(reports[e].verdicts().is_empty(), "epoch {e}");
+}
+
+/// Groups 3 and 5 jump together, 0.10 apart, and one device of group 4
+/// between them jumps with them: it lies within the window of both
+/// pile-ups, which lie outside each other's. Each pile-up is one twin
+/// class; the edge device sits in both dense motions, is nobody's twin,
+/// and joins the two into one component.
+#[test]
+fn two_pile_ups_sharing_an_edge_device_match_the_references() {
+    const EDGE: u64 = 4 * PER_GROUP + 1;
+    let fault = |k: u64| {
+        let group = k / PER_GROUP;
+        (group == 3 || group == 5 || k == EDGE).then(|| {
+            let mut row = home(k);
+            row[1] = 0.70;
+            row
+        })
+    };
+    let reports = run(&trace(fault));
+    for e in [2, 5] {
+        let r = &reports[e];
+        assert_eq!(r.verdicts().len(), 2 * PER_GROUP as usize + 1, "epoch {e}");
+        assert_eq!(r.count_of(AnomalyClass::Massive), r.verdicts().len());
+        assert_eq!(r.components(), 1);
+        for v in r.verdicts() {
+            let cost = v.characterization.cost();
+            let (dense, vicinity) = if v.key == DeviceKey(EDGE) {
+                (2, 2 * PER_GROUP as usize)
+            } else {
+                (1, PER_GROUP as usize)
+            };
+            assert_eq!(cost.dense_motions, dense, "device {}", v.key);
+            assert_eq!(v.vicinity, vicinity, "device {}", v.key);
+        }
+    }
+}
+
+/// The outage group jumps, and one of its members lands 0.03 further
+/// along, next to four devices of group 6 that jumped with it: that
+/// member is in the pile-up's dense motion and in a second one with the
+/// four. Its closed neighbourhood differs from the other members', so it
+/// is decided apart from them, while they stay twins.
+#[test]
+fn a_member_in_a_second_dense_motion_is_decided_apart() {
+    const STRAY: u64 = OUTAGE * PER_GROUP + 9;
+    let fault = |k: u64| {
+        let mut row = home(k);
+        if k / PER_GROUP == OUTAGE {
+            row[1] = 0.70;
+            if k == STRAY {
+                row[0] += 0.03;
+            }
+            Some(row)
+        } else if (6 * PER_GROUP..6 * PER_GROUP + 4).contains(&k) {
+            row[0] += 0.03;
+            row[1] = 0.70;
+            Some(row)
+        } else {
+            None
+        }
+    };
+    let reports = run(&trace(fault));
+    for e in [2, 5] {
+        let r = &reports[e];
+        assert_eq!(r.verdicts().len(), PER_GROUP as usize + 4, "epoch {e}");
+        assert_eq!(r.count_of(AnomalyClass::Massive), r.verdicts().len());
+        assert_eq!(r.components(), 1);
+        for v in r.verdicts() {
+            let dense = if v.key == DeviceKey(STRAY) { 2 } else { 1 };
+            assert_eq!(
+                v.characterization.cost().dense_motions,
+                dense,
+                "device {}",
+                v.key
+            );
+        }
     }
 }
