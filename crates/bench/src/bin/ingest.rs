@@ -22,6 +22,13 @@
 //! one slow repetition (scheduler jitter, a page-cache miss) cannot make
 //! the sweep look non-monotone.
 //!
+//! After its steady epochs every run seals one more epoch in which a single
+//! calm device jumps 0.16 (about 2.56 cells of 0.0625) along the first
+//! axis, across a cell column full of calm devices: the lone fault of the
+//! paper's "call the help desk" page. Each sweep point reports the fastest
+//! such seal of its repetitions as `lone_jump_seal_micros`, apart from the
+//! steady statistics.
+//!
 //! For the headline ratio the same workload shape is also driven through
 //! the batch `observe` path with full snapshots (the cluster re-jumps
 //! every epoch there, since batch epochs feed every detector).
@@ -38,7 +45,8 @@
 //!   median is the minimum per-repetition median (default 3)
 //! * `INGEST_BENCH_OUT` — output path (default `BENCH_ingest.json`)
 
-use anomaly_characterization::pipeline::{Monitor, MonitorBuilder, StalenessPolicy};
+use anomaly_characterization::core::AnomalyClass;
+use anomaly_characterization::pipeline::{DeviceKey, Monitor, MonitorBuilder, StalenessPolicy};
 use anomaly_detectors::{ThresholdDetector, VectorDetector};
 use anomaly_qos::{GridUpdate, QosSpace, Snapshot};
 use std::time::Instant;
@@ -73,6 +81,13 @@ fn jump_row(k: usize, phase: usize) -> Vec<f64> {
     let corner = if phase.is_multiple_of(2) { 0.10 } else { 0.30 };
     vec![corner + 0.02 * ((k % 7) as f64 / 7.0), 0.12]
 }
+
+/// The lone jumper: the first calm device whose first coordinate sits
+/// about 0.01 into a 0.0625-wide cell, so a 0.16 jump (over the detector
+/// delta) lands two cells over, with a populated cell column between.
+const LONE_JUMPER: usize = 7 + 97;
+/// How far the lone jumper moves along the first axis.
+const LONE_JUMP: f64 = 0.16;
 
 /// Small in-region wiggle of a churn device: below the detector delta
 /// (stays calm), but real motion the grid and the cache must absorb.
@@ -116,6 +131,9 @@ struct RunStats {
     /// epochs so it cannot pollute their statistics.
     warmup_seal_micros: u64,
     epochs: Vec<EpochStats>,
+    /// The epoch after the steady ones, in which one calm device jumps
+    /// alone.
+    lone_jump_seal_micros: u64,
 }
 
 impl RunStats {
@@ -220,9 +238,25 @@ fn run_streaming(devices: usize, steps: usize, changed: usize) -> RunStats {
             verdicts: report.verdicts().len(),
         });
     }
+    // The lone fault: one calm device jumps two cells over, across a cell
+    // column of calm devices, and is characterized fresh.
+    let mut jumped = base_row(LONE_JUMPER);
+    jumped[0] += LONE_JUMP;
+    m.ingest_many([(LONE_JUMPER as u64, jumped)])
+        .expect("the jump row is valid");
+    let jump_start = Instant::now();
+    let report = m.seal().expect("the lone-jump epoch seals");
+    let lone_jump_seal_micros = jump_start.elapsed().as_micros() as u64;
+    assert_eq!(report.verdicts().len(), CLUSTER + 1, "the jumper must flag");
+    assert_eq!(
+        report.class_of(DeviceKey(LONE_JUMPER as u64)),
+        Some(AnomalyClass::Isolated),
+        "a lone jump is an isolated fault"
+    );
     RunStats {
         warmup_seal_micros,
         epochs,
+        lone_jump_seal_micros,
     }
 }
 
@@ -316,6 +350,7 @@ fn main() {
         steady_min: u64,
         steady_median: u64,
         steady_max: u64,
+        lone_jump_seal_micros: u64,
     }
     let mut sweep_points: Vec<SweepPoint> = Vec::new();
     for &size in &sweep_sizes {
@@ -335,6 +370,10 @@ fn main() {
             steady_min: min(&all_seals),
             steady_median: min(&medians),
             steady_max: max(&all_seals),
+            lone_jump_seal_micros: min(&runs
+                .iter()
+                .map(|r| r.lone_jump_seal_micros)
+                .collect::<Vec<_>>()),
         });
     }
     sweep_points.sort_by_key(|r| r.devices);
@@ -346,8 +385,8 @@ fn main() {
     };
     for r in &sweep_points {
         eprintln!(
-            "sweep {} devices: warm-up {} µs, steady median {} µs (min of {reps} medians)",
-            r.devices, r.warmup_seal_micros, r.steady_median
+            "sweep {} devices: warm-up {} µs, steady median {} µs (min of {reps} medians), lone jump {} µs",
+            r.devices, r.warmup_seal_micros, r.steady_median, r.lone_jump_seal_micros
         );
     }
     eprintln!("sweep flat ratio (largest/smallest steady median): {sweep_flat_ratio:.2}");
@@ -369,7 +408,7 @@ fn main() {
                 concat!(
                     "{{\"devices\":{},\"changed\":{},\"warmup_seal_micros\":{},",
                     "\"steady_seal_micros_min\":{},\"steady_seal_micros_median\":{},",
-                    "\"steady_seal_micros_max\":{}}}"
+                    "\"steady_seal_micros_max\":{},\"lone_jump_seal_micros\":{}}}"
                 ),
                 r.devices,
                 r.changed,
@@ -377,6 +416,7 @@ fn main() {
                 r.steady_min,
                 r.steady_median,
                 r.steady_max,
+                r.lone_jump_seal_micros,
             )
         })
         .collect();

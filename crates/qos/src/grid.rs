@@ -6,10 +6,13 @@ use std::collections::{BTreeMap, BTreeSet};
 /// How [`TrajectoryIndex::apply_moves`] brought the index up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridUpdate {
-    /// Only the staged devices were re-keyed.
+    /// Only the staged devices were re-keyed: every device whose cell at
+    /// `k-1` or at `k` may have changed, and every device whose own
+    /// displacement may have crossed half a cell side (its still/moving
+    /// class, see [`TrajectoryIndex`]).
     Incremental {
-        /// Number of staged devices whose `(before-cell, after-cell)` key
-        /// changed.
+        /// Number of staged devices whose `(before-cell, after-cell,
+        /// moving)` key changed.
         rebucketed: usize,
     },
     /// The incremental path was not applicable (dimension, resolution, or
@@ -20,6 +23,26 @@ pub enum GridUpdate {
 /// Largest number of cells one instant's grid may hold, so a cell id fits
 /// a `u32` with room to spare at every dimension.
 const MAX_CELLS: usize = 1 << 18;
+
+/// Slack on the still-skipping bound of [`TrajectoryIndex::candidates`],
+/// for float rounding. Every distance in the bound is a maximum of
+/// per-axis differences, each rounded once. The difference of two floats
+/// within a factor two of each other is exact, and any other difference is
+/// at least half its larger operand; so the differences near the bound,
+/// all below 1, round by at most half a unit in the last place of 1,
+/// whatever the coordinates' magnitude. The sum `2·radius + cell_side/2`
+/// adds two more roundings: a few `1e-16` in all, against `1e-12`.
+const STILL_SKIP_MARGIN: f64 = 1e-12;
+
+/// `|after − before|∞` over the axes both slices have: [`uniform_distance`]
+/// without its panic on slices of different lengths.
+fn displacement(before: &[f64], after: &[f64]) -> f64 {
+    before
+        .iter()
+        .zip(after)
+        .map(|(b, a)| (a - b).abs())
+        .fold(0.0, f64::max)
+}
 
 /// The cell layout of a [`TrajectoryIndex`]: what a dimension and a
 /// minimum cell side determine before any position is indexed.
@@ -71,6 +94,32 @@ impl CellGeometry {
             idx = idx * self.cells_per_axis + axis;
         }
         idx as u32
+    }
+
+    /// True when a device that went from `before` to `after` is filed as
+    /// *moving* in a [`TrajectoryIndex`]: its own displacement
+    /// `|after − before|∞` is more than half a cell side.
+    pub fn is_moving(&self, before: &[f64], after: &[f64]) -> bool {
+        let half = self.half_side();
+        !before.iter().zip(after).all(|(b, a)| (a - b).abs() <= half)
+    }
+
+    /// The `(before-cell, after-cell, moving)` key a [`TrajectoryIndex`]
+    /// files a device that went from `before` to `after` under, packed as
+    /// `(before-cell, 2·after-cell + moving)`: cell ids stay below 2^18, so
+    /// the class fits the low bit, and still devices sort before moving
+    /// ones.
+    fn key(&self, before: &[f64], after: &[f64]) -> (u32, u32) {
+        let moving = u32::from(self.is_moving(before, after));
+        (
+            self.cell_index(before),
+            (self.cell_index(after) << 1) | moving,
+        )
+    }
+
+    /// Half the cell side: the largest displacement of a still device.
+    fn half_side(&self) -> f64 {
+        self.cell_side / 2.0
     }
 
     /// Number of cells of the whole grid, `cells_per_axis^dim`.
@@ -190,20 +239,29 @@ impl ExpandedCells<'_> {
 }
 
 /// Sparse trajectory index over a [`StatePair`], keyed by
-/// `(before-cell, after-cell)`.
+/// `(before-cell, after-cell, moving)`.
 ///
 /// Definition 3 makes the vicinity query *"all devices within uniform
 /// distance `radius` of `j` at both times"* a ball of the concatenated
 /// `2d`-space. The index files every device under the pair of grid cells
-/// its positions at `k-1` and at `k` fall in, in one ordered set, so it
+/// its positions at `k-1` and at `k` fall in, and under its class: *still*
+/// when its own displacement is at most half a cell side, *moving*
+/// otherwise ([`CellGeometry::is_moving`]). It is one ordered set, so it
 /// holds one entry per device and allocates `O(devices)` whatever the
-/// dimension. A query walks the `3^d` before-cells around `j`'s (when
-/// cells are no smaller than the radius), range-scans each one's keys, and
-/// skips every key whose after-cell lies outside the same box around `j`'s
-/// after-cell before touching a device: a stationary crowd sits on the
-/// diagonal keys, so a device that jumped away from it examines none of
-/// it. Candidates are then filtered exactly on the motion distance, so
-/// results are identical to the linear scan [`StatePair::neighbors_both`].
+/// dimension.
+///
+/// A query walks the `3^d` before-cells around `j`'s (when cells are no
+/// smaller than the radius), range-scans each one's keys, and skips every
+/// key whose after-cell lies outside the same box around `j`'s after-cell
+/// before touching a device: a stationary crowd sits on the diagonal keys,
+/// so a device that jumped away from it examines none of it. A device that
+/// jumped only two cells still has a column of diagonal keys between its
+/// two cells inside that box; when its jump is longer than
+/// `2·radius + cell_side/2`, no still device can be near it at both
+/// instants, and the query skips the still devices of every key with one
+/// range seek. Candidates are then filtered exactly on the motion
+/// distance, so results are identical to the linear scan
+/// [`StatePair::neighbors_both`].
 ///
 /// The local algorithms of the paper only ever look `2r` (one hop) or `4r`
 /// (two hops) away, and `r < 1/4`, so cell sides match query radii well.
@@ -224,10 +282,12 @@ impl ExpandedCells<'_> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrajectoryIndex {
     geometry: CellGeometry,
-    /// `(before-cell, after-cell, id)` for every indexed device: one key's
-    /// ids are contiguous and ascending, one before-cell's keys contiguous.
+    /// `(before-cell, 2·after-cell + moving, id)` for every indexed device
+    /// (the packed key of [`CellGeometry::key`]): one before-cell's keys
+    /// are contiguous, and within one `(before-cell, after-cell)` pair the
+    /// still devices come first, each class's ids ascending.
     entries: BTreeSet<(u32, u32, u32)>,
-    /// Per id, the key it is filed under.
+    /// Per id, the packed key it is filed under.
     key_of: Vec<(u32, u32)>,
 }
 
@@ -255,7 +315,7 @@ impl TrajectoryIndex {
         let mut key_of = Vec::with_capacity(rows.size_hint().0);
         let mut entries = Vec::with_capacity(rows.size_hint().0);
         for (id, (before, after)) in rows.enumerate() {
-            let key = (geometry.cell_index(before), geometry.cell_index(after));
+            let key = geometry.key(before, after);
             key_of.push(key);
             entries.push((key.0, key.1, id as u32));
         }
@@ -268,11 +328,12 @@ impl TrajectoryIndex {
 
     /// Brings the index from the state pair it last described to `pair`.
     ///
-    /// `moved` lists every device whose position at `k-1` or at `k` may
-    /// have changed cell since then; each one's key is recomputed from
-    /// `pair` and the device re-filed if it changed, so a mostly-calm fleet
-    /// updates in time proportional to the churn, not the population. Ids
-    /// may repeat; ids outside the population are ignored.
+    /// `moved` lists every device whose key may have changed since then:
+    /// its position at `k-1` or at `k` changed cell, or its displacement
+    /// may have crossed half a cell side. Each one's key is recomputed
+    /// from `pair` and the device re-filed if it changed, so a mostly-calm
+    /// fleet updates in time proportional to the churn, not the
+    /// population. Ids may repeat; ids outside the population are ignored.
     ///
     /// Falls back to a full rebuild — returning [`GridUpdate::Rebuilt`] —
     /// whenever the incremental path cannot apply: the dimension changed,
@@ -302,10 +363,7 @@ impl TrajectoryIndex {
             let Some(filed) = self.key_of.get_mut(id.index()) else {
                 continue;
             };
-            let key = (
-                geometry.cell_index(before.coords()),
-                geometry.cell_index(after.coords()),
-            );
+            let key = geometry.key(before.coords(), after.coords());
             if *filed == key {
                 continue;
             }
@@ -317,52 +375,90 @@ impl TrajectoryIndex {
         GridUpdate::Incremental { rebucketed }
     }
 
-    /// The `(before-cell, after-cell)` key `id` is filed under.
-    pub fn key_of(&self, id: DeviceId) -> Option<(u32, u32)> {
-        self.key_of.get(id.index()).copied()
+    /// The `(before-cell, after-cell, moving)` key `id` is filed under.
+    pub fn key_of(&self, id: DeviceId) -> Option<(u32, u32, bool)> {
+        let &(before, after) = self.key_of.get(id.index())?;
+        Some((before, after >> 1, after & 1 == 1))
     }
 
     /// Calls `visit` with the id of every device filed under a key whose
     /// before-cell is within `ceil(radius / cell_side)` cells of the cell
     /// of `before`, and whose after-cell is within as many cells of the
-    /// cell of `after`, on every axis. That is a superset of the devices
-    /// within uniform distance `radius` of `before` at `k-1` and of `after`
-    /// at `k`; callers filter it exactly. Ids come grouped by key.
-    pub fn candidates(
+    /// cell of `after`, on every axis — leaving out the still devices when
+    /// the query's own displacement rules them out. That is a superset of
+    /// the devices within uniform distance `radius` of `before` at `k-1`
+    /// and of `after` at `k`; callers filter it exactly. Ids come grouped
+    /// by key.
+    pub fn candidates(&self, before: &[f64], after: &[f64], radius: f64, visit: impl FnMut(u32)) {
+        let query = self.query(before, after, radius);
+        self.walk(query, self.geometry.reach(radius), visit);
+    }
+
+    /// What the candidates of a query depend on: its before-cell, its
+    /// after-cell, and whether it skips still devices.
+    ///
+    /// A still device `c` moved at most `h = cell_side/2`. If it is within
+    /// `radius` of `j` at both instants, the triangle inequality gives
+    /// `|j(k) − j(k-1)| ≤ |j(k) − c(k)| + |c(k) − c(k-1)| + |c(k-1) − j(k-1)|
+    /// ≤ 2·radius + h`. So a query that moved further than that, plus
+    /// [`STILL_SKIP_MARGIN`] for the rounding of the computed distances,
+    /// has no still device among its neighbours.
+    fn query(&self, before: &[f64], after: &[f64], radius: f64) -> (u32, u32, bool) {
+        let g = &self.geometry;
+        let bound = 2.0 * radius + g.half_side() + STILL_SKIP_MARGIN;
+        (
+            g.cell_index(before),
+            g.cell_index(after),
+            displacement(before, after) > bound,
+        )
+    }
+
+    /// The walk behind [`TrajectoryIndex::candidates`] for one query key,
+    /// reaching `reach` cells around both of its cells.
+    fn walk(
         &self,
-        before: &[f64],
-        after: &[f64],
-        radius: f64,
+        (from, to, skip_still): (u32, u32, bool),
+        reach: usize,
         mut visit: impl FnMut(u32),
     ) {
         let g = &self.geometry;
-        let reach = g.reach(radius);
-        let home = g.cell_index(after);
-        g.for_each_cell_near(g.cell_index(before), reach, &mut |cell| {
+        g.for_each_cell_near(from, reach, &mut |cell| {
             let mut scan = self.entries.range((cell, 0, 0)..);
             let mut next = scan.next();
             // The after-cell of the key being scanned, once admitted.
             let mut admitted = None;
-            while let Some(&(b, a, id)) = next {
+            while let Some(&(b, packed, id)) = next {
                 if b != cell {
                     break;
                 }
-                if admitted == Some(a) || g.chebyshev(a, home) <= reach {
-                    admitted = Some(a);
+                let a = packed >> 1;
+                if admitted == Some(a) {
                     visit(id);
                     next = scan.next();
-                } else {
+                } else if g.chebyshev(a, to) > reach {
                     // Skip the whole key without touching its devices.
-                    scan = self.entries.range((cell, a.saturating_add(1), 0)..);
+                    scan = self.entries.range((cell, (a + 1) << 1, 0)..);
                     next = scan.next();
+                } else {
+                    admitted = Some(a);
+                    if skip_still && packed & 1 == 0 {
+                        // Skip the key's still devices: seek to its first
+                        // moving one.
+                        scan = self.entries.range((cell, packed | 1, 0)..);
+                        next = scan.next();
+                    } else {
+                        visit(id);
+                        next = scan.next();
+                    }
                 }
             }
         });
     }
 
-    /// Runs one index walk per distinct `(before-cell, after-cell)` key
-    /// among `queries` — each a tag with its positions at `k-1` and at `k`
-    /// — and calls `visit` once per key, in key order, with the ids
+    /// Runs one index walk per distinct query key — before-cell,
+    /// after-cell, and whether still devices are skipped — among `queries`,
+    /// each a tag with its positions at `k-1` and at `k`, and calls
+    /// `visit` once per key, in key order, with the ids
     /// [`TrajectoryIndex::candidates`] visits for that key and the tags of
     /// every query that falls under it, in query order. The candidates
     /// depend only on the key, so a crowd that shares one pays for one
@@ -373,18 +469,17 @@ impl TrajectoryIndex {
         radius: f64,
         mut visit: impl FnMut(&[u32], &[T]),
     ) {
-        let g = &self.geometry;
-        let mut keys: BTreeMap<(u32, u32), KeyQueries<'q, T>> = BTreeMap::new();
+        let mut keys: BTreeMap<(u32, u32, bool), Vec<T>> = BTreeMap::new();
         for (tag, before, after) in queries {
-            keys.entry((g.cell_index(before), g.cell_index(after)))
-                .or_insert_with(|| (before, after, Vec::new()))
-                .2
+            keys.entry(self.query(before, after, radius))
+                .or_default()
                 .push(tag);
         }
+        let reach = self.geometry.reach(radius);
         let mut candidates: Vec<u32> = Vec::new();
-        for (before, after, tags) in keys.into_values() {
+        for (query, tags) in keys {
             candidates.clear();
-            self.candidates(before, after, radius, |id| candidates.push(id));
+            self.walk(query, reach, |id| candidates.push(id));
             visit(&candidates, &tags);
         }
     }
@@ -436,23 +531,25 @@ impl TrajectoryIndex {
     }
 }
 
-/// The queries [`TrajectoryIndex::candidates_per_key`] files under one
-/// key: the first one's positions at `k-1` and `k`, and every tag.
-type KeyQueries<'q, T> = (&'q [f64], &'q [f64], Vec<T>);
-
 /// Bits of the sort key [`radix_sorted`] handles per counting pass.
 const RADIX_BITS: u32 = 9;
 
 /// Index entries generated in ascending id order, put in key order: a
-/// stable LSD radix sort on the packed `(before-cell, after-cell)` key, 36
-/// bits since cell ids stay below 2^18, so ids stay ascending within a key.
-/// Passes whose digit is the same for every entry are skipped. The ordered
+/// stable LSD radix sort on the packed `(before-cell, after-cell, moving)`
+/// key, at most 37 bits since cell ids stay below 2^18, so ids stay
+/// ascending within a key. Passes above the largest key's top bit, and
+/// passes whose digit is the same for every entry, are skipped. The ordered
 /// set is then built from the sorted run in one pass.
 fn radix_sorted(mut entries: Vec<(u32, u32, u32)>) -> Vec<(u32, u32, u32)> {
-    let key = |e: &(u32, u32, u32)| (u64::from(e.0) << 18) | u64::from(e.1);
+    let key = |e: &(u32, u32, u32)| (u64::from(e.0) << 19) | u64::from(e.1);
+    let bits = entries
+        .iter()
+        .map(key)
+        .max()
+        .map_or(0, |k| 64 - k.leading_zeros());
     let mask = (1u64 << RADIX_BITS) - 1;
     let mut scratch = vec![(0, 0, 0); entries.len()];
-    for shift in (0..36).step_by(RADIX_BITS as usize) {
+    for shift in (0..bits).step_by(RADIX_BITS as usize) {
         let digit = |e: &(u32, u32, u32)| ((key(e) >> shift) & mask) as usize;
         let mut next = [0usize; 1 << RADIX_BITS];
         for entry in &entries {
@@ -557,6 +654,35 @@ mod tests {
             }
         );
         assert_eq!(index, fresh);
+    }
+
+    /// `x` moved by `k` units in the last place.
+    fn ulps(mut x: f64, k: i32) -> f64 {
+        for _ in 0..k.unsigned_abs() {
+            x = if k > 0 { x.next_up() } else { x.next_down() };
+        }
+        x
+    }
+
+    /// A move along one axis at the edges of the still/moving classes:
+    /// `shape` 0 is exactly half a cell side (the longest still move), and
+    /// 1 to 7 the still-skipping bound `2·radius + cell_side/2`, nudged by
+    /// `shape − 4` units in the last place.
+    fn class_edge_step(radius: f64, shape: usize) -> f64 {
+        let half = CellGeometry::new(1, radius).half_side();
+        match shape {
+            0 => half,
+            _ => ulps(2.0 * radius + half, shape as i32 - 4),
+        }
+    }
+
+    /// `x` moved by `step`, up or down, kept in the domain.
+    fn shifted(x: f64, step: f64, up: bool) -> f64 {
+        if up {
+            (x + step).min(1.0)
+        } else {
+            (x - step).max(0.0)
+        }
     }
 
     #[test]
@@ -903,7 +1029,7 @@ mod tests {
                 let cell = geometry.cell_index(row);
                 assert_eq!(
                     index.key_of(DeviceId(i as u32)),
-                    Some((cell, cell)),
+                    Some((cell, cell, false)),
                     "{dim} {side}"
                 );
             }
@@ -1048,6 +1174,117 @@ mod tests {
         }
     }
 
+    /// A still crowd fills the cell column between a lone jumper's before-
+    /// and after-cells, two cells apart: some of it never moves, some moves
+    /// a little, and some exactly half a cell side (binary fractions, so
+    /// every difference is exact). The jump is longer than
+    /// `2·radius + cell_side/2`, so no still device can be near the jumper
+    /// at both instants, and its query visits only itself.
+    #[test]
+    fn a_long_jump_skips_the_still_column_between() {
+        let radius = 0.125;
+        let mut before: Vec<Vec<f64>> = (0..200)
+            .map(|i| vec![0.625 + i as f64 / 2048.0, 0.5 + i as f64 / 8192.0])
+            .collect();
+        let mut after: Vec<Vec<f64>> = before
+            .iter()
+            .enumerate()
+            .map(|(i, row)| vec![row[0] + [0.0, 1.0 / 64.0, 1.0 / 16.0][i % 3], row[1]])
+            .collect();
+        let start = 0.5 + 1.0 / 1024.0;
+        before.push(vec![start, 0.5]);
+        after.push(vec![start + 0.32, 0.5]);
+        let pair = pair_from(before, after);
+        let index = TrajectoryIndex::build(&pair, radius);
+        let geometry = index.geometry;
+        let jumper = DeviceId(200);
+        let (from, to) = (
+            pair.before().position(jumper).coords(),
+            pair.after().position(jumper).coords(),
+        );
+        assert_eq!(
+            geometry.chebyshev(geometry.cell_index(from), geometry.cell_index(to)),
+            2
+        );
+        let column = geometry.cell_index(&[0.7, 0.5]);
+        assert!(pair.device_ids().filter(|&id| id != jumper).all(|id| index
+            .key_of(id)
+            .is_some_and(|(b, _, moving)| b == column && !moving)));
+        let mut examined = Vec::new();
+        index.candidates(from, to, radius, |id| examined.push(id));
+        assert_eq!(examined, vec![200]);
+        assert_eq!(index.vicinity(&pair, jumper, radius), 0);
+        assert!(pair.neighbors_both(jumper, radius).is_empty());
+    }
+
+    /// A still device exactly on the triangle bound: `c` moves half a cell
+    /// side, and `j`, `radius` away from it at both instants, moves
+    /// `2·radius + cell_side/2`. The computed jump rounds just above the
+    /// computed bound while both computed gaps stay within the radius, so
+    /// only the margin keeps `c` among `j`'s candidates.
+    #[test]
+    fn the_still_skip_keeps_a_neighbour_its_rounding_puts_past_the_bound() {
+        let radius = 0.07; // 14 cells of 1/14 per axis
+        let (c, j) = ((0.13, 0.09428571428571429), (0.2, 0.024285714285714282));
+        let half = CellGeometry::new(1, radius).half_side();
+        assert!(f64::abs(c.1 - c.0) <= half);
+        assert!(f64::abs(j.1 - j.0) > 2.0 * radius + half);
+        for dim in 1..=3 {
+            let row = |x: f64| {
+                let mut r = vec![0.5; dim];
+                r[0] = x;
+                r
+            };
+            let pair = pair_from(vec![row(c.0), row(j.0)], vec![row(c.1), row(j.1)]);
+            assert_eq!(pair.neighbors_both(DeviceId(1), radius), vec![DeviceId(0)]);
+            assert_counts_match_linear_scan(&pair, &[DeviceId(0), DeviceId(1)], radius);
+        }
+    }
+
+    /// Trajectories given directly (as a `TrajectoryTable` gives them) need
+    /// not lie in the domain: shifted far off it, where a unit in the last
+    /// place dwarfs the margin, a jumper's still-skipping query still keeps
+    /// every device the exact filter keeps.
+    #[test]
+    fn the_still_skip_is_exact_off_the_domain() {
+        let radius = 0.07;
+        let half = CellGeometry::new(2, radius).half_side();
+        let jump = 2.0 * radius + half;
+        for base in [-3.5, 1e6, 12_345.678] {
+            for y in [base, base + 0.03] {
+                // A still device and a jumper `radius` away from it at both
+                // instants, and two still devices beside them.
+                let rows = [
+                    ([base, base], [base + half, base]),
+                    ([base - radius, y], [base + half + radius, y]),
+                    ([base + 0.01, base], [base + 0.01, base]),
+                    ([base, y], [base + half, y]),
+                ];
+                let index = TrajectoryIndex::from_trajectories(
+                    CellGeometry::new(2, radius),
+                    rows.iter().map(|(b, a)| (&b[..], &a[..])),
+                );
+                let (jb, ja) = (&rows[1].0[..], &rows[1].1[..]);
+                assert!(displacement(jb, ja) >= jump - 1e-9);
+                let mut kept = Vec::new();
+                index.candidates(jb, ja, radius, |id| {
+                    let (b, a) = &rows[id as usize];
+                    if uniform_distance(jb, b) <= radius && uniform_distance(ja, a) <= radius {
+                        kept.push(id);
+                    }
+                });
+                kept.sort_unstable();
+                let want: Vec<u32> = (0..rows.len() as u32)
+                    .filter(|&id| {
+                        let (b, a) = &rows[id as usize];
+                        uniform_distance(jb, b) <= radius && uniform_distance(ja, a) <= radius
+                    })
+                    .collect();
+                assert_eq!(kept, want, "base {base}, y {y}");
+            }
+        }
+    }
+
     proptest! {
         /// Vicinity counts equal the linear scan on grid-aligned decimals:
         /// many queries per cell, points on cell boundaries and at the
@@ -1055,28 +1292,33 @@ mod tests {
         #[test]
         fn vicinity_counts_equal_linear_scan(
             rows in proptest::collection::vec(
-                (proptest::collection::vec(0usize..PALETTE.len(), 6), 0usize..PALETTE.len()),
+                (proptest::collection::vec(0usize..PALETTE.len(), 6), 0usize..PALETTE.len(), 0usize..8),
                 1..40),
             dim in 1usize..4,
-            radius_pick in 0usize..4,
+            radius_pick in 0usize..5,
         ) {
-            let radius = [0.05, 0.1, 0.2, 0.3][radius_pick];
-            // Half the devices stay put, half move anywhere.
+            let radius = RADII[radius_pick];
+            // A quarter of the devices stay put, a quarter move anywhere,
+            // and half move along the first axis by a class-edge step.
             let before: Vec<Vec<f64>> = rows
                 .iter()
-                .map(|(coords, _)| coords[..dim].iter().map(|&c| PALETTE[c]).collect())
+                .map(|(coords, _, _)| coords[..dim].iter().map(|&c| PALETTE[c]).collect())
                 .collect();
             let after: Vec<Vec<f64>> = rows
                 .iter()
                 .zip(&before)
                 .enumerate()
-                .map(|(i, ((coords, shift), b))| {
-                    if i % 2 == 0 {
-                        b.clone()
-                    } else {
+                .map(|(i, ((coords, shift, shape), b))| match i % 4 {
+                    0 => b.clone(),
+                    1 => {
                         let mut a: Vec<f64> =
                             coords[3..3 + dim].iter().map(|&c| PALETTE[c]).collect();
                         a[0] = PALETTE[*shift];
+                        a
+                    }
+                    _ => {
+                        let mut a = b.clone();
+                        a[0] = shifted(a[0], class_edge_step(radius, *shape), i % 4 == 2);
                         a
                     }
                 })
@@ -1089,24 +1331,30 @@ mod tests {
         /// Index queries equal `StatePair::neighbors_both` on the palette,
         /// with movers whose before- and after-cells differ by 0 to 3
         /// cells on one axis, so every admitted and skipped key shape
-        /// (diagonal, one column over, out of the after-ball) occurs.
+        /// (diagonal, one column over, out of the after-ball) occurs, and
+        /// movers at the edges of the still/moving classes: still devices
+        /// moved exactly half a cell side, and jumps within a few units in
+        /// the last place of the still-skipping bound.
         #[test]
         fn index_queries_equal_neighbors_both(
             rows in proptest::collection::vec(
-                (proptest::collection::vec(0usize..PALETTE.len(), 3), 0usize..4, 0usize..3, 0usize..2),
+                (proptest::collection::vec(0usize..PALETTE.len(), 3), 0usize..12, 0usize..3, 0usize..2),
                 1..40),
             dim in 1usize..4,
-            radius_pick in 0usize..4,
+            radius_pick in 0usize..5,
         ) {
-            let radius = [0.05, 0.1, 0.2, 0.3][radius_pick];
+            let radius = RADII[radius_pick];
             let mut before = Vec::new();
             let mut after = Vec::new();
-            for (coords, cells, axis, up) in &rows {
+            for (coords, shape, axis, up) in &rows {
                 let b: Vec<f64> = coords[..dim].iter().map(|&c| PALETTE[c]).collect();
                 let mut a = b.clone();
                 let axis = axis % dim;
-                let step = *cells as f64 * radius;
-                a[axis] = if *up == 1 { (a[axis] + step).min(1.0) } else { (a[axis] - step).max(0.0) };
+                let step = match shape {
+                    0..=3 => *shape as f64 * radius,
+                    _ => class_edge_step(radius, shape - 4),
+                };
+                a[axis] = shifted(a[axis], step, *up == 1);
                 before.push(b);
                 after.push(a);
             }
@@ -1123,29 +1371,37 @@ mod tests {
         /// `vicinities` equals the linear scan for every query on crowds
         /// that share keys: each drawn trajectory over the palette is held
         /// by up to four devices (identical, or nudged by a thousandth),
-        /// half of them stay put and half move, and queries come rotated,
-        /// some twice, plus one id outside the pair.
+        /// which stay put, move anywhere, move half a cell side, or jump
+        /// by the still-skipping bound give or take a unit in the last
+        /// place per member (so one cell pair holds queries on both sides
+        /// of the bound), and queries come rotated, some twice, plus one id
+        /// outside the pair.
         #[test]
         fn vicinities_equal_neighbors_both_on_shared_keys(
             rows in proptest::collection::vec(
-                (proptest::collection::vec(0usize..PALETTE.len(), 6), 1usize..5, 0usize..2),
+                (proptest::collection::vec(0usize..PALETTE.len(), 6), 1usize..5, 0usize..4),
                 1..24),
             dim in 1usize..4,
-            radius_pick in 0usize..4,
+            radius_pick in 0usize..5,
             rotate in 0usize..64,
             repeats in 0usize..6,
         ) {
-            let radius = [0.05, 0.1, 0.2, 0.3][radius_pick];
+            let radius = RADII[radius_pick];
             let mut before = Vec::new();
             let mut after = Vec::new();
             for (coords, crowd, moves) in &rows {
                 let b: Vec<f64> = coords[..dim].iter().map(|&c| PALETTE[c]).collect();
-                let a: Vec<f64> = if *moves == 1 {
-                    coords[3..3 + dim].iter().map(|&c| PALETTE[c]).collect()
-                } else {
-                    b.clone()
-                };
                 for i in 0..*crowd {
+                    let a: Vec<f64> = match moves {
+                        0 => b.clone(),
+                        1 => coords[3..3 + dim].iter().map(|&c| PALETTE[c]).collect(),
+                        _ => {
+                            let mut a = b.clone();
+                            let shape = if *moves == 2 { 0 } else { 3 + i };
+                            a[0] = shifted(a[0], class_edge_step(radius, shape), coords[3] % 2 == 0);
+                            a
+                        }
+                    };
                     let nudge = |p: &[f64]| -> Vec<f64> {
                         p.iter().map(|&x| (x - 0.001 * (i % 2) as f64).max(0.0)).collect()
                     };
@@ -1170,6 +1426,10 @@ mod tests {
             }
         }
     }
+
+    /// The radii the property tests draw; at 0.07, cells of 1/14 put
+    /// rounding errors on the still-skipping bound.
+    const RADII: [f64; 5] = [0.05, 0.07, 0.1, 0.2, 0.3];
 
     /// Grid-aligned decimals: cell boundaries for the radii the property
     /// tests draw, the domain edges, and both ends of every gap where
@@ -1239,7 +1499,9 @@ mod tests {
 
         /// Applying a randomized batch of moves is equivalent to a fresh
         /// build over the moved-to state, for any population and radius —
-        /// including devices crossing cell boundaries.
+        /// including devices crossing cell boundaries, and devices moving
+        /// within their cell by just more or just less than half a cell
+        /// side, which changes their class and nothing else.
         #[test]
         fn apply_moves_equals_fresh_build(
             rows in proptest::collection::vec(
@@ -1247,18 +1509,34 @@ mod tests {
             moved in proptest::collection::vec(
                 proptest::collection::vec(0.0..=1.0f64, 2), 1..30),
             radius in 0.01..0.3f64,
+            sides in proptest::collection::vec(0usize..2, 30),
         ) {
             let n = rows.len().min(moved.len());
             let before = rows[..n].to_vec();
             let old = pair_from(before.clone(), before.clone());
-            // Move a deterministic subset (every other device) to a fresh
-            // random position; the rest stay put.
+            // Every other device jumps to a fresh random position at both
+            // instants; every third of the rest moves within its cell,
+            // towards its farther wall, by half a cell side ± 1e-9; the
+            // rest move to a random position at `k`.
+            let half = CellGeometry::new(2, radius).half_side();
             let new_before: Vec<Vec<f64>> = before
                 .iter()
                 .enumerate()
                 .map(|(i, row)| if i % 2 == 0 { moved[i].clone() } else { row.clone() })
                 .collect();
-            let new = pair_from(new_before, moved[..n].to_vec());
+            let new_after: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    if i % 2 == 0 || i % 3 != 0 {
+                        return moved[i].clone();
+                    }
+                    let mut a = before[i].clone();
+                    let step = if sides[i] == 1 { half + 1e-9 } else { half - 1e-9 };
+                    let up = (a[0] / (2.0 * half)).fract() < 0.5;
+                    a[0] = shifted(a[0], step, up);
+                    a
+                })
+                .collect();
+            let new = pair_from(new_before, new_after);
             assert_apply_matches_fresh(&old, &new, radius);
         }
     }

@@ -506,8 +506,8 @@ impl Monitor {
         // with a real update feed their detector (frozen semantics for
         // bridged rows — see `StalenessPolicy`); the changed rows go along
         // so characterization can invalidate exactly the neighbourhoods
-        // they touch, and the trajectory index re-keys the ones that
-        // crossed a cell.
+        // they touch, and the trajectory index re-keys the ones whose key
+        // changed.
         self.epoch.settle_epoch(&fed, n);
         let report = self.advance(
             current,

@@ -164,15 +164,16 @@ pub struct Monitor {
     spare: Option<Snapshot>,
     /// Rows of `spare` that are stale with respect to `previous`.
     spare_lag: Vec<DeviceId>,
-    /// Devices whose `(before-cell, after-cell)` key may have changed since
-    /// the trajectory index last described a pair: every row that crossed
-    /// a cell in an epoch sealed since, including the last characterized
-    /// epoch's own crossers (their before-cell moves one instant later).
+    /// Devices whose `(before-cell, after-cell, moving)` key may have
+    /// changed since the trajectory index last described a pair: every row
+    /// that crossed a cell or moved more than half a cell side in an epoch
+    /// sealed since, including the last characterized epoch's own (their
+    /// before-cell moves, and their move turns still, one instant later).
     /// The batch `TrajectoryIndex::apply_moves` re-keys at the next
     /// characterized instant.
     index_staged: Vec<DeviceId>,
     /// True when the trajectory index describes a full-fleet pair and
-    /// `index_staged` has tracked every crossing since — the precondition
+    /// `index_staged` has tracked every re-keyed row since — the precondition
     /// for re-keying the staged devices instead of rebuilding.
     index_synced: bool,
     /// How the current seal brought the trajectory index up to date;
@@ -347,7 +348,7 @@ impl Monitor {
 
     /// How the most recent seal brought the trajectory index up to date:
     /// [`GridUpdate::Incremental`] with the number of devices whose
-    /// `(before-cell, after-cell)` key changed, or [`GridUpdate::Rebuilt`]
+    /// `(before-cell, after-cell, moving)` key changed, or [`GridUpdate::Rebuilt`]
     /// (the first characterized seal, the first after a restore or a
     /// reset, and any seal after membership churn). `None` when that seal
     /// characterized nothing, so a quiet seal never re-reports an earlier
@@ -498,8 +499,9 @@ impl Monitor {
 
     /// Old and new cell of every row that changed value this epoch — the
     /// seed of the characterization cache's dirty set, and the echo that
-    /// re-dirties those rows next epoch — plus the rows whose cell
-    /// changed, the ones whose trajectory-index key moves. Pure cell
+    /// re-dirties those rows next epoch — plus the rows whose
+    /// trajectory-index key moves: those whose cell changed, and those
+    /// whose move is long enough to file them as moving. Pure cell
     /// geometry, fixed for the monitor's lifetime.
     ///
     /// Empty when nothing would consume the result: no index exists yet
@@ -513,12 +515,12 @@ impl Monitor {
         characterizing: bool,
     ) -> (Vec<u32>, Vec<DeviceId>) {
         let mut cells = Vec::new();
-        let mut crossers = Vec::new();
+        let mut rekeyed = Vec::new();
         if changed.is_empty() || (self.trajectory_index.is_none() && !characterizing) {
-            return (cells, crossers);
+            return (cells, rekeyed);
         }
         let Some(prev) = self.previous.as_ref() else {
-            return (cells, crossers);
+            return (cells, rekeyed);
         };
         cells.reserve(changed.len() * 2);
         for &id in changed {
@@ -531,21 +533,21 @@ impl Monitor {
             );
             cells.push(from);
             cells.push(to);
-            if from != to {
-                crossers.push(id);
+            if from != to || self.geometry.is_moving(old.coords(), new.coords()) {
+                rekeyed.push(id);
             }
         }
-        (cells, crossers)
+        (cells, rekeyed)
     }
 
-    /// Adds this epoch's cell crossers to the devices the trajectory index
+    /// Adds this epoch's re-keyed rows to the devices the trajectory index
     /// must re-key at its next incremental update. Nothing is staged while
     /// the index is out of sync: its next update rebuilds it anyway.
-    fn stage_index_moves(&mut self, crossers: &[DeviceId]) {
+    fn stage_index_moves(&mut self, rekeyed: &[DeviceId]) {
         if !self.index_synced {
             return;
         }
-        self.index_staged.extend_from_slice(crossers);
+        self.index_staged.extend_from_slice(rekeyed);
         // Quiet streaks stage the same devices again and again; keep the
         // batch no larger than the fleet.
         if self.index_staged.len() > self.keys.len() {
@@ -837,11 +839,12 @@ impl Monitor {
             flagged.push((i, score));
         }
         let detection = detection_start.elapsed();
-        let (changed_cells, crossers) =
+        let (changed_cells, rekeyed) =
             self.changed_cells_of(delta.changed, &current, !flagged.is_empty());
         self.dirty_pending.extend(changed_cells.iter().copied());
-        // The sealing epoch's own crossers move their after-cell now.
-        self.stage_index_moves(&crossers);
+        // The sealing epoch's own movers change their after-cell or their
+        // class now.
+        self.stage_index_moves(&rekeyed);
 
         let instant = self.instant;
         self.instant += 1;
@@ -862,10 +865,11 @@ impl Monitor {
                     &mut warming,
                 )?;
                 characterization = char_start.elapsed();
-                // Once the index has absorbed this epoch's crossers, their
-                // before-cell moves at the next instant: stage them again.
+                // Once the index has absorbed this epoch's movers, their
+                // before-cell moves, and their move turns still, at the next
+                // instant: stage them again.
                 if self.last_grid_update.is_some() {
-                    self.stage_index_moves(&crossers);
+                    self.stage_index_moves(&rekeyed);
                 }
                 rotated
             }
@@ -995,8 +999,8 @@ impl Monitor {
         };
 
         // Trajectory index over the whole cohort (not only A_k), kept
-        // across instants. At a steady full-fleet instant the devices that
-        // crossed a cell since its last update are re-keyed
+        // across instants. At a steady full-fleet instant the devices whose
+        // key may have changed since its last update are re-keyed
         // (`apply_moves` — O(staged devices)); any scope or shape change
         // rebuilds it in one sorted pass.
         let window = self.params.window();
@@ -1669,7 +1673,7 @@ mod tests {
     #[test]
     fn steady_epochs_update_the_grid_incrementally() {
         // After the first characterized instant builds the index, later
-        // small epochs re-key only the devices that crossed a cell.
+        // small epochs re-key only the devices whose key changed.
         let mut m = warmed(16);
         let mut rows = vec![vec![0.9]; 16];
         rows[3] = vec![0.45];
@@ -1763,8 +1767,13 @@ mod tests {
         #[derive(Debug, Clone, Copy)]
         enum Step {
             /// Some devices wiggle by 0.04 (under the detector's delta,
-            /// often across a cell); flagged devices stay frozen.
+            /// often across a cell, and otherwise within it but over the
+            /// still/moving threshold of half a 0.0625 cell); flagged
+            /// devices stay frozen.
             Wiggle,
+            /// Some devices move by 0.01: under the class threshold, so
+            /// only those that cross a cell are re-keyed.
+            Nudge,
             /// Some devices jump by 0.3: flagged, so the seal characterizes.
             Jump,
             /// Every device re-reports, some wiggling: every flag clears and
@@ -1782,10 +1791,11 @@ mod tests {
             /// monitor keeps equals a fresh build over the interval it last
             /// characterized, `last_grid_update` is `None` exactly when a seal
             /// characterized nothing, and `rebucketed` counts exactly the
-            /// devices whose key changed since the previous update.
+            /// devices whose key, still/moving class included, changed
+            /// since the previous update.
             #[test]
             fn the_trajectory_index_equals_a_fresh_build(
-                steps in proptest::collection::vec(0usize..10, 4..24),
+                steps in proptest::collection::vec(0usize..11, 4..24),
                 picks in proptest::collection::vec(0usize..1000, 24),
             ) {
                 let mut m = builder(DEVICES).build().unwrap();
@@ -1803,14 +1813,19 @@ mod tests {
                         3..=5 => Step::Jump,
                         6 | 7 => Step::Settle,
                         8 => Step::Churn,
-                        _ => Step::Restore,
+                        9 => Step::Restore,
+                        _ => Step::Nudge,
                     };
                     let pick = picks[e % picks.len()];
                     let chosen = |i: usize| (pick >> (i % 10)) & 1 == 1;
                     let mut rows: Vec<(u64, Vec<f64>)> = Vec::new();
                     match step {
-                        Step::Wiggle | Step::Jump | Step::Settle => {
-                            let delta = if matches!(step, Step::Jump) { 0.3 } else { 0.04 };
+                        Step::Wiggle | Step::Nudge | Step::Jump | Step::Settle => {
+                            let delta = match step {
+                                Step::Jump => 0.3,
+                                Step::Nudge => 0.01,
+                                _ => 0.04,
+                            };
                             for (i, (k, x)) in position.iter_mut().enumerate() {
                                 if chosen(i) {
                                     *x = if *x + delta <= 1.0 { *x + delta } else { *x - delta };

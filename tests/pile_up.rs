@@ -12,6 +12,10 @@
 //! Every report must equal the full-recompute [`Oracle`], and every
 //! verdict's cost and vicinity must equal the ones a per-device
 //! enumeration and a linear vicinity scan give.
+//!
+//! One more, ignored, case pins the smallest slow table found among those
+//! the twin property test's generator draws: 16 devices in overlapping
+//! clusters that take seconds to characterize.
 
 mod common;
 
@@ -287,4 +291,79 @@ fn a_member_in_a_second_dense_motion_is_decided_apart() {
             );
         }
     }
+}
+
+/// Rows `(anchor, kind, before-offset, after-offset)` drawn the way the
+/// twin property test of `Analyzer::characterize_full_batch` (in
+/// `anomaly-core`) draws them: 16 devices in two services around anchors
+/// 0.05 apart, at `r = 0.05`, `τ = 1`. Of ~12 000 tables of 16 to 19 rows
+/// drawn so, this is the smallest that took over 5 s in a release build
+/// (tables of 17 rows took up to ~10 s).
+const SLOW_TWIN_ROWS: [(usize, u8, f64, f64); 16] = [
+    (3, 2, 0.07775015075744622, 0.06900415420361808),
+    (0, 1, 0.09072018214445202, 0.08878794931399388),
+    (0, 0, 0.005993689878471609, 0.09090495118570051),
+    (0, 2, 0.082773705438897, 0.0748772658880932),
+    (0, 1, 0.09454403298195202, 0.08650234752572832),
+    (2, 2, 0.07729279778177456, 0.09835400001579969),
+    (1, 0, 0.06742019243126479, 0.08917191814483058),
+    (2, 0, 0.01766290385615408, 0.002717759576437273),
+    (2, 2, 0.07792720834360131, 0.0829103652007707),
+    (1, 2, 0.04983838878428881, 0.027421555522777242),
+    (3, 2, 0.01136247324109292, 0.09293748099810568),
+    (2, 0, 0.0002512259967190622, 0.09954293566588662),
+    (0, 2, 0.01742852524130786, 0.07170079936883986),
+    (0, 2, 0.00124484990212973, 0.006989208034392103),
+    (2, 0, 0.06566945419780346, 0.03996721047456915),
+    (1, 0, 0.07626650818426761, 0.04413903075066619),
+];
+
+/// The slow configuration costs seconds in the Theorem 7 / Corollary 8
+/// collection search under `DEFAULT_COLLECTION_BUDGET`, not in
+/// Algorithm 2: it takes 5–9 s in a release build on a shared 2-vCPU
+/// x86-64 container. Algorithm 2 makes 508 window moves over all 16
+/// devices, while two devices (`d5`, `d8`) each test 960 504 collections
+/// before Theorem 7 finds them massive. Prints every device's `Cost`. Run
+/// it with
+/// `cargo test --release --test pile_up -- --ignored --nocapture`.
+#[test]
+#[ignore = "takes seconds: a worst-case probe for a per-seal budget"]
+fn sixteen_overlapping_devices_cost_seconds_in_the_collection_search() {
+    const ANCHORS: [f64; 4] = [0.10, 0.15, 0.20, 0.30];
+    // Kind 0 sits on its anchor, 1 on a grid-aligned offset, 2 anywhere
+    // within one window of it.
+    let rows = SLOW_TWIN_ROWS
+        .iter()
+        .enumerate()
+        .map(|(i, &(anchor, kind, b, a))| {
+            let base = ANCHORS[anchor];
+            let (db, da) = match kind {
+                0 => (0.0, 0.0),
+                1 => ((b * 10.0).round() / 100.0, (a * 10.0).round() / 100.0),
+                _ => (b, a),
+            };
+            (
+                DeviceId(i as u32),
+                vec![base + db, base + db, base + da, base + da],
+            )
+        })
+        .collect();
+    let table = TrajectoryTable::from_concatenated(2, rows);
+    let params = Params::new(0.05, 1).unwrap();
+    let analyzer = Analyzer::with_enumeration_budget(&table, params, DEFAULT_ENUMERATION_BUDGET);
+    let verdicts = analyzer.characterize_full_batch(table.ids());
+    let (mut window_moves, mut collections) = (0, 0);
+    for (j, verdict) in table.ids().iter().zip(&verdicts) {
+        let cost = verdict.cost();
+        println!(
+            "device {j}: {:?} by {:?}, {cost:?}",
+            verdict.class(),
+            verdict.rule()
+        );
+        window_moves += cost.window_moves;
+        collections += cost.collections_tested;
+    }
+    println!("total: {window_moves} window moves, {collections} collections tested");
+    assert!(window_moves < 1_000);
+    assert!(collections > 1_000_000);
 }
