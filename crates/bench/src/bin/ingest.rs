@@ -29,6 +29,11 @@
 //! such seal of its repetitions as `lone_jump_seal_micros`, apart from the
 //! steady statistics.
 //!
+//! Then one calm device leaves (the last slot moves into its place) and a
+//! new device joins and reports its calm row: the seal after that churn is
+//! `churn_seal_micros`, and the next one, with the usual `changed` calm
+//! wiggles, is `post_churn_seal_micros` (fastest of the repetitions each).
+//!
 //! For the headline ratio the same workload shape is also driven through
 //! the batch `observe` path with full snapshots (the cluster re-jumps
 //! every epoch there, since batch epochs feed every detector).
@@ -89,6 +94,10 @@ const LONE_JUMPER: usize = 7 + 97;
 /// How far the lone jumper moves along the first axis.
 const LONE_JUMP: f64 = 0.16;
 
+/// The calm device that leaves after the lone jump, from the middle of the
+/// fleet so the last slot moves into its place.
+const LEAVER: usize = CLUSTER + 1;
+
 /// Small in-region wiggle of a churn device: below the detector delta
 /// (stays calm), but real motion the grid and the cache must absorb.
 fn wiggled_row(k: usize, step: usize) -> Vec<f64> {
@@ -134,6 +143,10 @@ struct RunStats {
     /// The epoch after the steady ones, in which one calm device jumps
     /// alone.
     lone_jump_seal_micros: u64,
+    /// The seal after one calm device left and one joined.
+    churn_seal_micros: u64,
+    /// The seal after that one, with `changed` calm wiggles.
+    post_churn_seal_micros: u64,
 }
 
 impl RunStats {
@@ -164,7 +177,7 @@ fn median(xs: &[u64]) -> u64 {
 /// delta epochs of `changed` rotating calm updates.
 fn run_streaming(devices: usize, steps: usize, changed: usize) -> RunStats {
     assert!(
-        devices > CLUSTER + changed,
+        devices > LEAVER + 1 + changed,
         "fleet of {devices} too small for cluster {CLUSTER} + churn {changed}"
     );
     let mut m = monitor(devices);
@@ -253,10 +266,41 @@ fn run_streaming(devices: usize, steps: usize, changed: usize) -> RunStats {
         Some(AnomalyClass::Isolated),
         "a lone jump is an isolated fault"
     );
+    // Churn: a calm device leaves, a new one joins and reports, and the
+    // frozen cluster and the jumper keep the seal characterizing.
+    m.leave(LEAVER as u64).expect("the leaver is in the fleet");
+    let joiner = devices as u64;
+    m.join(joiner).expect("the joiner is new");
+    m.ingest(joiner, base_row(devices))
+        .expect("the joiner's row is valid");
+    let churn_start = Instant::now();
+    let report = m.seal().expect("the churn epoch seals");
+    let churn_seal_micros = churn_start.elapsed().as_micros() as u64;
+    assert_eq!(report.population(), devices);
+    assert_eq!(
+        report.verdicts().len(),
+        CLUSTER + 1,
+        "A_k survives the churn"
+    );
+    // The next epoch: the usual calm wiggles, over devices that stayed.
+    m.ingest_many((0..changed).map(|i| {
+        let k = LEAVER + 1 + i;
+        (k as u64, wiggled_row(k, steps))
+    }))
+    .expect("churn rows are valid");
+    let post_start = Instant::now();
+    let report = m.seal().expect("the epoch after the churn seals");
+    let post_churn_seal_micros = post_start.elapsed().as_micros() as u64;
+    assert!(
+        report.verdicts().len() >= CLUSTER,
+        "the cluster stays abnormal"
+    );
     RunStats {
         warmup_seal_micros,
         epochs,
         lone_jump_seal_micros,
+        churn_seal_micros,
+        post_churn_seal_micros,
     }
 }
 
@@ -351,7 +395,11 @@ fn main() {
         steady_median: u64,
         steady_max: u64,
         lone_jump_seal_micros: u64,
+        churn_seal_micros: u64,
+        post_churn_seal_micros: u64,
     }
+    let fastest =
+        |runs: &[RunStats], of: fn(&RunStats) -> u64| min(&runs.iter().map(of).collect::<Vec<_>>());
     let mut sweep_points: Vec<SweepPoint> = Vec::new();
     for &size in &sweep_sizes {
         eprintln!("sweep: {size} devices at {SWEEP_CHANGED} changed/epoch, {reps} reps");
@@ -363,17 +411,13 @@ fn main() {
         sweep_points.push(SweepPoint {
             devices: size,
             changed: SWEEP_CHANGED,
-            warmup_seal_micros: min(&runs
-                .iter()
-                .map(|r| r.warmup_seal_micros)
-                .collect::<Vec<_>>()),
+            warmup_seal_micros: fastest(&runs, |r| r.warmup_seal_micros),
             steady_min: min(&all_seals),
             steady_median: min(&medians),
             steady_max: max(&all_seals),
-            lone_jump_seal_micros: min(&runs
-                .iter()
-                .map(|r| r.lone_jump_seal_micros)
-                .collect::<Vec<_>>()),
+            lone_jump_seal_micros: fastest(&runs, |r| r.lone_jump_seal_micros),
+            churn_seal_micros: fastest(&runs, |r| r.churn_seal_micros),
+            post_churn_seal_micros: fastest(&runs, |r| r.post_churn_seal_micros),
         });
     }
     sweep_points.sort_by_key(|r| r.devices);
@@ -385,8 +429,13 @@ fn main() {
     };
     for r in &sweep_points {
         eprintln!(
-            "sweep {} devices: warm-up {} µs, steady median {} µs (min of {reps} medians), lone jump {} µs",
-            r.devices, r.warmup_seal_micros, r.steady_median, r.lone_jump_seal_micros
+            "sweep {} devices: warm-up {} µs, steady median {} µs (min of {reps} medians), lone jump {} µs, churn {} µs, after churn {} µs",
+            r.devices,
+            r.warmup_seal_micros,
+            r.steady_median,
+            r.lone_jump_seal_micros,
+            r.churn_seal_micros,
+            r.post_churn_seal_micros
         );
     }
     eprintln!("sweep flat ratio (largest/smallest steady median): {sweep_flat_ratio:.2}");
@@ -408,7 +457,8 @@ fn main() {
                 concat!(
                     "{{\"devices\":{},\"changed\":{},\"warmup_seal_micros\":{},",
                     "\"steady_seal_micros_min\":{},\"steady_seal_micros_median\":{},",
-                    "\"steady_seal_micros_max\":{},\"lone_jump_seal_micros\":{}}}"
+                    "\"steady_seal_micros_max\":{},\"lone_jump_seal_micros\":{},",
+                    "\"churn_seal_micros\":{},\"post_churn_seal_micros\":{}}}"
                 ),
                 r.devices,
                 r.changed,
@@ -417,6 +467,8 @@ fn main() {
                 r.steady_median,
                 r.steady_max,
                 r.lone_jump_seal_micros,
+                r.churn_seal_micros,
+                r.post_churn_seal_micros,
             )
         })
         .collect();

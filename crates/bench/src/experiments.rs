@@ -4,9 +4,6 @@
 use anomaly_analytic::{
     prob_false_dense_at_most, prob_false_dense_at_most_with_q, prob_vicinity_at_most,
 };
-use anomaly_baselines::{
-    compare_on_scenario, Classifier, KMeansClassifier, TessellationClassifier,
-};
 use anomaly_simulator::{runner::analyze_step, sweep::sweep_grid, ScenarioConfig, Simulation};
 
 /// The `A` grid of Figures 7–9.
@@ -209,40 +206,6 @@ pub fn fig9(steps: u64) {
         false,
         steps,
         false,
-    );
-}
-
-/// Baseline comparison (the Section II critique, quantified): the local
-/// algorithm vs tessellation at several bucket resolutions vs centralized
-/// k-means, on a mixed isolated/massive scenario.
-pub fn baselines(steps: u64) {
-    println!("# Baselines — accuracy vs the paper's local characterization");
-    let mut config = ScenarioConfig::paper_defaults(777);
-    config.isolated_prob = 0.5;
-    let tess4 = TessellationClassifier::new(4, 3);
-    let tess16 = TessellationClassifier::new(16, 3);
-    let tess64 = TessellationClassifier::new(64, 3);
-    let km20 = KMeansClassifier::new(20, 3, 99);
-    let km40 = KMeansClassifier::new(40, 3, 99);
-    let methods: Vec<&dyn Classifier> = vec![&tess4, &tess16, &tess64, &km20, &km40];
-    let report = compare_on_scenario(&config, &methods, steps).expect("valid scenario");
-    println!(
-        "  {:<28} {:>9} {:>14} {:>15} {:>10}",
-        "method", "accuracy", "false-massive", "false-isolated", "undecided"
-    );
-    for s in &report.scores {
-        println!(
-            "  {:<28} {:>8.1}% {:>14} {:>15} {:>10}",
-            s.name,
-            100.0 * s.accuracy(),
-            s.false_massive,
-            s.false_isolated,
-            s.undecided
-        );
-    }
-    println!(
-        "  ({} abnormal devices over {} steps)",
-        report.abnormal, report.steps
     );
 }
 

@@ -2,16 +2,16 @@
 //! of the paper's evaluation section, plus Criterion micro-benchmarks.
 //!
 //! Every experiment prints the same rows/series the paper reports, next to
-//! the paper's published values where applicable. Run them all with
+//! the paper's published values where applicable. Run each with its own
+//! binary (`fig6a`, `fig6b`, `table2`, `table3`, `fig7`, `fig8`, `fig9`):
 //!
 //! ```text
-//! cargo run -p anomaly-bench --bin all
+//! cargo run -p anomaly-bench --bin table2
 //! ```
 //!
-//! or individually (`fig6a`, `fig6b`, `table2`, `table3`, `fig7`, `fig8`,
-//! `fig9`, `baselines`). The `REPRO_STEPS` environment variable scales the
-//! Monte-Carlo effort (default 20 steps per grid point; the paper averaged
-//! ~10 000 settings — raise it when you have the time).
+//! The `REPRO_STEPS` environment variable scales the Monte-Carlo effort
+//! (default 20 steps per grid point; the paper averaged ~10 000 settings —
+//! raise it when you have the time).
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]

@@ -835,15 +835,13 @@ impl<'t> Analyzer<'t> {
     /// exactly how a valid partition keeps `j` sparse. Every such `B` is a
     /// dense subset of some `M' ∈ W̄_k(ℓ)`; when `j ∈ M'`, `B ∪ {j} ⊆ M'`
     /// is consistent, so relation (5) holds and `B` can never witness a
-    /// violation — those are pruned. The search enumerates every collection
-    /// `C` of pairwise-disjoint pool sets (including the empty one) and
-    /// checks
-    ///
-    /// * relation (4): some `A ∈ W_k(j)` avoids `∪C` — by subset-closure of
-    ///   consistency this holds iff `|M \ ∪C| > τ` for some `M ∈ W̄_k(j)`
-    ///   (then `A = M \ ∪C` is a dense motion containing `j`);
-    /// * relation (5): some `B ∈ C` extends with `j` into a dense motion —
-    ///   pruned at pool construction as argued above.
+    /// violation — those are pruned, and relation (5) holds for no
+    /// collection of the remaining pool. The search enumerates every
+    /// collection `C` of pairwise-disjoint pool sets (including the empty
+    /// one) and checks relation (4) alone: some `A ∈ W_k(j)` avoids `∪C` —
+    /// by subset-closure of consistency this holds iff `|M \ ∪C| > τ` for
+    /// some `M ∈ W̄_k(j)` (then `A = M \ ∪C` is a dense motion containing
+    /// `j`).
     ///
     /// `j ∈ M_k` iff every collection satisfies (4) or (5); the first
     /// violating collection is a Corollary 8 witness for `j ∈ U_k` and stops
@@ -898,7 +896,7 @@ impl<'t> Analyzer<'t> {
         let pool: Vec<DeviceSet> = pool.into_iter().collect();
         let mut tested = 0u64;
         let mut chosen: Vec<usize> = Vec::new();
-        let outcome = self.search_collections(j, families, &pool, 0, &mut chosen, &mut tested);
+        let outcome = self.search_collections(families, &pool, 0, &mut chosen, &mut tested);
         // Budget/size overflow means the violation search was incomplete:
         // conservatively not provably massive.
         let massive = outcome == SearchOutcome::Exhausted && !overflow;
@@ -908,7 +906,6 @@ impl<'t> Analyzer<'t> {
     /// Depth-first enumeration of disjoint collections.
     fn search_collections(
         &self,
-        j: DeviceId,
         families: &Families,
         pool: &[DeviceSet],
         start: usize,
@@ -919,13 +916,13 @@ impl<'t> Analyzer<'t> {
         if *tested > DEFAULT_COLLECTION_BUDGET {
             return SearchOutcome::BudgetSpent;
         }
-        if self.collection_violates(j, families, pool, chosen) {
+        if self.collection_violates(families, pool, chosen) {
             return SearchOutcome::Violated;
         }
         for i in start..pool.len() {
             if chosen.iter().all(|&c| pool[c].is_disjoint(&pool[i])) {
                 chosen.push(i);
-                let sub = self.search_collections(j, families, pool, i + 1, chosen, tested);
+                let sub = self.search_collections(families, pool, i + 1, chosen, tested);
                 chosen.pop();
                 if sub != SearchOutcome::Exhausted {
                     return sub;
@@ -936,21 +933,16 @@ impl<'t> Analyzer<'t> {
     }
 
     /// True when the collection satisfies **neither** relation (4) nor (5).
+    /// Relation (5) holds for no collection of the pool
+    /// ([`Analyzer::nsc_massive`] drops every set that extends `j`
+    /// consistently), so only relation (4) is tested.
     fn collection_violates(
         &self,
-        j: DeviceId,
         families: &Families,
         pool: &[DeviceSet],
         chosen: &[usize],
     ) -> bool {
-        let window = self.params.window();
         let tau = self.params.tau();
-        // Relation (5): some chosen dense motion absorbs j consistently.
-        for &c in chosen {
-            if extends_consistently(self.table, &pool[c], j, window) {
-                return false;
-            }
-        }
         // Relation (4): some maximal dense motion of j survives the removal
         // of the chosen sets with more than τ members.
         for m in &families.dense {

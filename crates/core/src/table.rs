@@ -21,6 +21,12 @@ pub enum TableError {
         /// The repeated id.
         id: DeviceId,
     },
+    /// A row held a coordinate that is not finite: the cell index would
+    /// misfile it, and a neighbourhood query could miss a neighbour.
+    NonFinite {
+        /// The offending device.
+        id: DeviceId,
+    },
 }
 
 impl fmt::Display for TableError {
@@ -35,6 +41,9 @@ impl fmt::Display for TableError {
                 "device {id}: row holds {actual} coordinates, expected 2*dim = {expected}"
             ),
             TableError::DuplicateDevice { id } => write!(f, "duplicate device id {id}"),
+            TableError::NonFinite { id } => {
+                write!(f, "device {id}: row holds a coordinate that is not finite")
+            }
         }
     }
 }
@@ -101,7 +110,8 @@ impl TrajectoryTable {
     ///
     /// # Panics
     ///
-    /// Panics if any row length differs from `2*dim` or ids repeat; use
+    /// Panics if any row length differs from `2*dim`, a coordinate is not
+    /// finite, or ids repeat; use
     /// [`TrajectoryTable::try_from_concatenated`] for the fallible form.
     pub fn from_concatenated(dim: usize, rows: Vec<(DeviceId, Vec<f64>)>) -> Self {
         match TrajectoryTable::try_from_concatenated(dim, rows) {
@@ -109,7 +119,7 @@ impl TrajectoryTable {
             Err(TableError::WrongRowWidth { .. }) => {
                 panic!("row must hold 2*dim coordinates")
             }
-            Err(e @ TableError::DuplicateDevice { .. }) => panic!("{e}"),
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -123,7 +133,9 @@ impl TrajectoryTable {
     ///
     /// [`TableError::WrongRowWidth`] for the first row (in input order)
     /// that does not hold exactly `2 * dim` coordinates; otherwise
-    /// [`TableError::DuplicateDevice`] for the smallest id that repeats.
+    /// [`TableError::NonFinite`] for the first row holding a `NaN` or an
+    /// infinity; otherwise [`TableError::DuplicateDevice`] for the smallest
+    /// id that repeats.
     pub fn try_from_concatenated(
         dim: usize,
         mut rows: Vec<(DeviceId, Vec<f64>)>,
@@ -134,6 +146,12 @@ impl TrajectoryTable {
                 expected: 2 * dim,
                 actual: row.len(),
             });
+        }
+        if let Some((id, _)) = rows
+            .iter()
+            .find(|(_, row)| row.iter().any(|c| !c.is_finite()))
+        {
+            return Err(TableError::NonFinite { id: *id });
         }
         rows.sort_by_key(|&(id, _)| id);
         if let Some(pair) = rows.windows(2).find(|w| w[0].0 == w[1].0) {
@@ -415,6 +433,33 @@ mod tests {
             1,
             vec![(DeviceId(0), vec![0.1, 0.2]), (DeviceId(0), vec![0.3, 0.4])],
         );
+    }
+
+    /// `NaN` falls in cell 0 of its axis while the distance ignores it, so
+    /// a neighbourhood query over such a row could miss a neighbour: the
+    /// row is refused.
+    #[test]
+    fn rejects_a_coordinate_that_is_not_finite() {
+        let rows = vec![
+            (DeviceId(0), vec![1e6, 0.5]),
+            (DeviceId(1), vec![1e6, f64::NAN]),
+        ];
+        assert_eq!(
+            TrajectoryTable::try_from_concatenated(1, rows.clone()),
+            Err(TableError::NonFinite { id: DeviceId(1) })
+        );
+        let infinite = vec![(DeviceId(2), vec![f64::INFINITY, 0.5])];
+        assert_eq!(
+            TrajectoryTable::try_from_concatenated(1, infinite),
+            Err(TableError::NonFinite { id: DeviceId(2) })
+        );
+        let panic = std::panic::catch_unwind(|| TrajectoryTable::from_concatenated(1, rows));
+        let message = panic.expect_err("a NaN row must panic");
+        let message = message
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.contains("not finite"), "{message}");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   (`simulator::fleet`): co-moving clusters and lone jumpers over a calm
 //!   jittering population;
 //! * [`ChurnScenario`] — the same fleet with periodic membership
-//!   replacement, exercising the monitor's surviving-cohort path;
+//!   replacement, exercising the seals that realign the previous snapshot
+//!   after a join or a leave;
 //! * [`RecordedScenario`] — replay of a recorded [`Trace`] ("send me the
 //!   scenario that broke").
 

@@ -287,22 +287,40 @@ pub struct TrajectoryIndex {
     /// are contiguous, and within one `(before-cell, after-cell)` pair the
     /// still devices come first, each class's ids ascending.
     entries: BTreeSet<(u32, u32, u32)>,
-    /// Per id, the packed key it is filed under.
+    /// Per id, the packed key it is filed under ([`UNFILED`] for a device
+    /// left out of the index).
     key_of: Vec<(u32, u32)>,
 }
+
+/// The `key_of` entry of a device [`TrajectoryIndex::build_except`] left
+/// out: no cell id reaches `u32::MAX`.
+const UNFILED: (u32, u32) = (u32::MAX, u32::MAX);
 
 impl TrajectoryIndex {
     /// Indexes the trajectories of `pair`, with cells no smaller than
     /// `min_cell_side` (typically the query radius `2r`), in one sorted
     /// pass.
     pub fn build(pair: &StatePair, min_cell_side: f64) -> Self {
+        TrajectoryIndex::build_except(pair, min_cell_side, &[])
+    }
+
+    /// [`TrajectoryIndex::build`] leaving out the devices of `unfiled`
+    /// (ascending): [`TrajectoryIndex::key_of`] is `None` for them and no
+    /// query visits them. A monitor leaves out the devices that joined
+    /// since `k-1`, whose row there is only a placeholder.
+    pub fn build_except(pair: &StatePair, min_cell_side: f64, unfiled: &[DeviceId]) -> Self {
         let geometry = CellGeometry::new(pair.dim(), min_cell_side);
         let rows = pair
             .before()
             .iter()
             .zip(pair.after().iter())
-            .map(|((_, b), (_, a))| (b.coords(), a.coords()));
-        TrajectoryIndex::from_trajectories(geometry, rows)
+            .map(|((id, b), (_, a))| {
+                unfiled
+                    .binary_search(&id)
+                    .is_err()
+                    .then(|| (b.coords(), a.coords()))
+            });
+        TrajectoryIndex::index(geometry, rows)
     }
 
     /// Indexes trajectories given as `(position at k-1, position at k)`,
@@ -311,10 +329,21 @@ impl TrajectoryIndex {
         geometry: CellGeometry,
         rows: impl IntoIterator<Item = (&'a [f64], &'a [f64])>,
     ) -> Self {
-        let rows = rows.into_iter();
+        TrajectoryIndex::index(geometry, rows.into_iter().map(Some))
+    }
+
+    /// Files row `i` under id `i`, skipping the `None` rows.
+    fn index<'a>(
+        geometry: CellGeometry,
+        rows: impl Iterator<Item = Option<(&'a [f64], &'a [f64])>>,
+    ) -> Self {
         let mut key_of = Vec::with_capacity(rows.size_hint().0);
         let mut entries = Vec::with_capacity(rows.size_hint().0);
-        for (id, (before, after)) in rows.enumerate() {
+        for (id, row) in rows.enumerate() {
+            let Some((before, after)) = row else {
+                key_of.push(UNFILED);
+                continue;
+            };
             let key = geometry.key(before, after);
             key_of.push(key);
             entries.push((key.0, key.1, id as u32));
@@ -375,9 +404,10 @@ impl TrajectoryIndex {
         GridUpdate::Incremental { rebucketed }
     }
 
-    /// The `(before-cell, after-cell, moving)` key `id` is filed under.
+    /// The `(before-cell, after-cell, moving)` key `id` is filed under;
+    /// `None` for an id outside the population or left out of the index.
     pub fn key_of(&self, id: DeviceId) -> Option<(u32, u32, bool)> {
-        let &(before, after) = self.key_of.get(id.index())?;
+        let &(before, after) = self.key_of.get(id.index()).filter(|&&k| k != UNFILED)?;
         Some((before, after >> 1, after & 1 == 1))
     }
 
@@ -1132,6 +1162,31 @@ mod tests {
         let index = TrajectoryIndex::build(&empty, 0.06);
         assert!(index.entries.is_empty());
         assert_eq!(index.vicinity(&empty, DeviceId(0), 0.06), 0);
+    }
+
+    /// A left-out device has no key and is no one's neighbour; every other
+    /// device is filed as in a full build, and re-keying the left-out one
+    /// files it.
+    #[test]
+    fn build_except_leaves_devices_out() {
+        let pair = pair_from(
+            vec![vec![0.1, 0.1], vec![0.12, 0.11], vec![0.11, 0.1]],
+            vec![vec![0.4, 0.4], vec![0.42, 0.41], vec![0.41, 0.4]],
+        );
+        let full = TrajectoryIndex::build(&pair, 0.06);
+        let mut index = TrajectoryIndex::build_except(&pair, 0.06, &[DeviceId(1)]);
+        assert_eq!(index.key_of(DeviceId(1)), None);
+        assert_eq!(index.key_of(DeviceId(0)), full.key_of(DeviceId(0)));
+        assert_eq!(index.key_of(DeviceId(2)), full.key_of(DeviceId(2)));
+        assert_eq!(index.vicinity(&pair, DeviceId(0), 0.06), 1);
+        assert_eq!(full.vicinity(&pair, DeviceId(0), 0.06), 2);
+        // The left-out device's own query still sees the filed ones.
+        assert_eq!(index.vicinity(&pair, DeviceId(1), 0.06), 2);
+        assert_eq!(
+            index.apply_moves(&pair, 0.06, &[DeviceId(1)]),
+            GridUpdate::Incremental { rebucketed: 1 }
+        );
+        assert_eq!(index, full);
     }
 
     /// A crowd that stays put over three cell columns, and one device that

@@ -132,40 +132,6 @@ impl Snapshot {
         uniform_distance(self.position(a).coords(), self.position(b).coords())
     }
 
-    /// Extracts the sub-snapshot of `ids`, in the given order: output device
-    /// `i` is input device `ids[i]`.
-    ///
-    /// This is the membership-churn primitive: when a fleet gains or loses
-    /// devices between two sampling instants, the characterization interval
-    /// is defined on the *surviving cohort* — select the survivors (in a
-    /// common order) from both snapshots and pair the results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QosError::UnknownDevice`] when any id is out of bounds.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use anomaly_qos::{DeviceId, QosSpace, Snapshot};
-    /// let space = QosSpace::new(1)?;
-    /// let snap = Snapshot::from_rows(&space, vec![vec![0.1], vec![0.2], vec![0.3]])?;
-    /// let cohort = snap.select(&[DeviceId(2), DeviceId(0)])?;
-    /// assert_eq!(cohort.position(DeviceId(0)).coords(), &[0.3]);
-    /// assert_eq!(cohort.position(DeviceId(1)).coords(), &[0.1]);
-    /// # Ok::<(), anomaly_qos::QosError>(())
-    /// ```
-    pub fn select(&self, ids: &[DeviceId]) -> Result<Snapshot, QosError> {
-        let positions = ids
-            .iter()
-            .map(|&id| self.try_position(id).cloned())
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Snapshot {
-            dim: self.dim,
-            positions,
-        })
-    }
-
     /// Replaces the position of device `j` (used by simulators between steps).
     ///
     /// # Panics
@@ -416,25 +382,6 @@ mod tests {
     fn snapshot_distance_uses_uniform_norm() {
         let s = Snapshot::from_rows(&space2(), vec![vec![0.1, 0.2], vec![0.3, 0.9]]).unwrap();
         assert!((s.distance(DeviceId(0), DeviceId(1)) - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn select_reorders_and_validates() {
-        let s = Snapshot::from_rows(
-            &space2(),
-            vec![vec![0.1, 0.2], vec![0.3, 0.4], vec![0.5, 0.6]],
-        )
-        .unwrap();
-        let cohort = s.select(&[DeviceId(2), DeviceId(0)]).unwrap();
-        assert_eq!(cohort.len(), 2);
-        assert_eq!(cohort.position(DeviceId(0)).coords(), &[0.5, 0.6]);
-        assert_eq!(cohort.position(DeviceId(1)).coords(), &[0.1, 0.2]);
-        assert!(matches!(
-            s.select(&[DeviceId(3)]),
-            Err(QosError::UnknownDevice { id: 3, .. })
-        ));
-        // Empty cohorts are legal (a fully churned fleet).
-        assert!(s.select(&[]).unwrap().is_empty());
     }
 
     #[test]

@@ -36,7 +36,6 @@ use super::key::DeviceKey;
 use super::monitor::{Monitor, SealDelta};
 use super::report::{Report, Stragglers};
 use anomaly_qos::{DeviceId, Point, Snapshot};
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -328,17 +327,6 @@ impl EpochState {
     }
 }
 
-/// How each dense slot's row of the sealed snapshot is sourced.
-enum Fill {
-    /// A fresh update arrived this epoch.
-    Update,
-    /// Carried forward from the previous snapshot (slot id *in the
-    /// previous snapshot's dense order*).
-    Carry(u32),
-    /// The policy's default row.
-    Default,
-}
-
 impl Monitor {
     /// Stages one device's measurements into the open epoch.
     ///
@@ -441,11 +429,14 @@ impl Monitor {
     /// [`StalenessPolicy`], assembles the instant's snapshot delta-style
     /// (recycling the previous snapshot's buffers — O(changed devices), no
     /// full clone in steady state), and runs detection + characterization,
-    /// returning the epoch's [`Report`].
+    /// returning the epoch's [`Report`]. After a [`Monitor::join`] or
+    /// [`Monitor::leave`] the seal first moves each row of the previous
+    /// snapshot to its device's new slot; the rest is the same.
     ///
     /// Devices bridged by the policy are listed in
     /// [`Report::stragglers`]. On a policy failure the epoch stays open
-    /// and unchanged: ingest the missing updates and seal again, or
+    /// and unchanged, and so do [`Monitor::last_snapshot`] and the
+    /// checkpoint: ingest the missing updates and seal again, or
     /// [`Monitor::discard_epoch`].
     ///
     /// # Errors
@@ -479,11 +470,7 @@ impl Monitor {
         // bookkeeping), never a per-slot re-derivation of this set.
         let mut fed: Vec<u32> = self.epoch.updated_slots().to_vec();
         fed.sort_unstable();
-        let steady = self.previous_snapshot().is_some()
-            && self.previous_key_order().is_none()
-            && self
-                .previous_snapshot()
-                .is_some_and(|p| p.len() == n && p.dim() == self.services());
+        let (targets, unplaced) = self.align_previous();
 
         // Phases 1 & 2 — resolve silent devices, then assemble the
         // epoch's snapshot. Phase 1 is read-only: a policy failure must
@@ -492,15 +479,13 @@ impl Monitor {
             StalenessPolicy::Default(row) => Some(Point::new_unchecked(row.clone())),
             _ => None,
         };
-        let (current, changed, stragglers) = if steady {
-            let stragglers = self.resolve_silent_steady(n, &fed)?;
-            let (current, changed) = self.assemble_delta(&fed, default_point.as_ref())?;
-            (current, changed, stragglers)
-        } else {
-            let (plan, stragglers) = self.resolve_silent_general(n)?;
-            let current = self.assemble_fresh(&plan, default_point.as_ref())?;
-            (current, Vec::new(), Stragglers::Eager(stragglers))
-        };
+        let stragglers = self.resolve_silent(n, &fed, &unplaced)?;
+        // After a churn, the previous rows move to the current dense order
+        // only once the policy has accepted the epoch.
+        if let Some(targets) = targets {
+            self.realign_previous(targets)?;
+        }
+        let (current, changed) = self.assemble_delta(&fed, default_point.as_ref(), &unplaced)?;
 
         // Phase 3 — settle ages and run the shared pipeline. Only slots
         // with a real update feed their detector (frozen semantics for
@@ -515,26 +500,38 @@ impl Monitor {
             SealDelta {
                 fed,
                 changed: &changed,
+                unplaced: &unplaced,
             },
         )?;
 
         // Phase 4 — record the delta for the next epoch: the recycled
         // buffer lags the new previous snapshot by exactly `changed`.
-        self.record_epoch_delta(changed, steady);
+        self.set_spare_lag(changed);
         Ok(report)
     }
 
-    /// Phase 1 for the steady-membership seal: every silent device has a
-    /// previous position at its own slot, so the policy resolves over the
-    /// *runs* of silent slots between consecutive fed slots — bulk slice
-    /// copies when no per-device age check is needed.
+    /// Phase 1: the policy resolves over the *runs* of silent slots
+    /// between consecutive fed slots — bulk slice copies when no
+    /// per-device age check is needed. Every silent device has a previous
+    /// position at its own slot except the `unplaced` ones, which
+    /// carry-forward cannot bridge.
     ///
     /// A carried device's detector is NOT fed the carried row: state and
     /// verdict stay frozen until real data arrives (only `fed` slots reach
     /// the detectors). Re-feeding would manufacture a zero-delta
     /// observation and could clear a real alarm — see the
     /// [`StalenessPolicy`] docs for the full rationale.
-    fn resolve_silent_steady(&self, n: usize, fed: &[u32]) -> Result<Stragglers, MonitorError> {
+    ///
+    /// Kept out of line: inlined into `seal`, its one caller, it made the
+    /// full-round seal of perfbench's isp-outages workload ~8% slower
+    /// (`seal_p50_ms`, alternating pairs).
+    #[inline(never)]
+    fn resolve_silent(
+        &self,
+        n: usize,
+        fed: &[u32],
+        unplaced: &[DeviceId],
+    ) -> Result<Stragglers, MonitorError> {
         enum Resolution {
             Reject,
             /// Default or carry-forward with the stale bound provably
@@ -558,6 +555,19 @@ impl Monitor {
             }
         };
         let keys = self.keys();
+        if matches!(self.staleness, StalenessPolicy::CarryForward { .. }) {
+            // Nothing to carry for a silent device without a previous row.
+            let missing = unplaced
+                .iter()
+                .filter(|id| !self.epoch.has_update(id.index()))
+                .map(|&id| self.key_at(id.0))
+                .collect::<Result<Vec<DeviceKey>, MonitorError>>()?;
+            if !missing.is_empty() {
+                return Err(MonitorError::Ingest(IngestError::MissingDevices {
+                    keys: missing,
+                }));
+            }
+        }
         let mut runs: Vec<(u32, u32)> = Vec::new();
         let mut eager: Vec<DeviceKey> = Vec::new();
         let mut missing: Vec<DeviceKey> = Vec::new();
@@ -624,108 +634,36 @@ impl Monitor {
         })
     }
 
-    /// Phase 1 for the first epoch and for epochs following membership
-    /// churn: silent devices are matched against the previous key order
-    /// (they may have moved slots, or have no previous position at all),
-    /// and a per-slot fill plan is produced for [`Self::assemble_fresh`].
-    #[allow(clippy::type_complexity)]
-    fn resolve_silent_general(
-        &self,
-        n: usize,
-    ) -> Result<(Vec<Fill>, Vec<DeviceKey>), MonitorError> {
-        let prev_by_key: Option<BTreeMap<DeviceKey, u32>> =
-            match (self.previous_snapshot(), self.previous_key_order()) {
-                (Some(_), Some(prev_keys)) => Some(
-                    prev_keys
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &k)| (k, i as u32))
-                        .collect(),
-                ),
-                _ => None,
-            };
-        let mut plan: Vec<Fill> = Vec::with_capacity(n);
-        let mut missing: Vec<DeviceKey> = Vec::new();
-        let mut stale: Vec<DeviceKey> = Vec::new();
-        let mut stragglers: Vec<DeviceKey> = Vec::new();
-        for slot in 0..n {
-            if self.epoch.has_update(slot) {
-                plan.push(Fill::Update);
-                continue;
-            }
-            let key = self.key_at(slot as u32)?;
-            // The device's slot in `previous`, if it has a position there.
-            let prev_slot: Option<u32> = match (self.previous_snapshot(), &prev_by_key) {
-                (None, _) => None,
-                (Some(_), None) => Some(slot as u32), // membership unchanged
-                (Some(_), Some(map)) => map.get(&key).copied(),
-            };
-            match (&self.staleness, prev_slot) {
-                (StalenessPolicy::Default(_), _) => {
-                    stragglers.push(key);
-                    plan.push(Fill::Default);
-                }
-                (_, None) => missing.push(key),
-                (StalenessPolicy::Reject, Some(_)) => missing.push(key),
-                (StalenessPolicy::CarryForward { max_age }, Some(p)) => {
-                    // Same inclusive `max_age` bound and frozen-detector
-                    // semantics as the steady path above.
-                    if self.epoch.age(slot) < *max_age {
-                        stragglers.push(key);
-                        plan.push(Fill::Carry(p));
-                    } else {
-                        stale.push(key);
-                    }
-                }
-            }
-        }
-        if !missing.is_empty() {
-            return Err(MonitorError::Ingest(IngestError::MissingDevices {
-                keys: missing,
-            }));
-        }
-        if !stale.is_empty() {
-            let max_age = match &self.staleness {
-                StalenessPolicy::CarryForward { max_age } => *max_age,
-                _ => {
-                    return Err(MonitorError::internal(
-                        "only carry-forward produces stale devices",
-                    ))
-                }
-            };
-            return Err(MonitorError::Ingest(IngestError::StaleDevices {
-                keys: stale,
-                max_age,
-            }));
-        }
-        Ok((plan, stragglers))
-    }
-
-    /// Steady-state assembly: recycle the spare buffer (or clone once when
-    /// no spare exists yet), patch only the rows that actually changed,
-    /// and report the change-set.
+    /// Phase 2: recycle the spare buffer (or clone the previous snapshot
+    /// once when no spare exists yet), patch only the rows that actually
+    /// changed, and report the change-set.
     ///
     /// Walks the `fed` slots only — silent rows keep their previous value
     /// (carry-forward) and cost nothing — except under the `Default`
     /// policy, where every silent row must be compared against the default
-    /// point too.
+    /// point too. An `unplaced` slot's row is always patched and counted as
+    /// changed, even when it equals the placeholder: that dirties its cells
+    /// now, and their echo evicts the cached verdicts around it when it
+    /// enters the trajectory index one seal later. With no previous
+    /// snapshot every slot is unplaced, and the patches are the snapshot.
     fn assemble_delta(
         &mut self,
         fed: &[u32],
         default_point: Option<&Point>,
+        unplaced: &[DeviceId],
     ) -> Result<(Snapshot, Vec<DeviceId>), MonitorError> {
         let n = self.keys().len();
         // Collect the rows that differ from the previous snapshot.
         let mut patches: Vec<(DeviceId, Point)> = Vec::new();
-        let mut stage_row = |this: &mut Self, slot: usize, p: Point| -> Result<(), MonitorError> {
+        let mut stage_row = |this: &Self, slot: usize, p: Point| {
             let id = DeviceId(slot as u32);
-            let prev = this.previous_snapshot().ok_or(MonitorError::internal(
-                "delta assembly requires a previous snapshot",
-            ))?;
-            if p != *prev.position(id) {
+            let changed = match this.previous_snapshot() {
+                Some(prev) => p != *prev.position(id) || unplaced.binary_search(&id).is_ok(),
+                None => true,
+            };
+            if changed {
                 patches.push((id, p));
             }
-            Ok(())
         };
         match default_point {
             None => {
@@ -736,7 +674,7 @@ impl Monitor {
                         .epoch
                         .take(slot)
                         .ok_or(MonitorError::internal("fed slot has no pending update"))?;
-                    stage_row(self, slot, p)?;
+                    stage_row(self, slot, p);
                 }
             }
             Some(default) => {
@@ -752,80 +690,46 @@ impl Monitor {
                     } else {
                         default.clone()
                     };
-                    stage_row(self, slot, p)?;
+                    stage_row(self, slot, p);
                 }
             }
         }
         let changed: Vec<DeviceId> = patches.iter().map(|&(id, _)| id).collect();
-        let mut current = match self.take_spare(n) {
-            Some(mut buf) => {
-                // Bring the buffer from S_{k-2} to S_{k-1}: only the rows
-                // that changed last epoch differ.
-                let lag = self.take_spare_lag();
-                let prev = self.previous_snapshot().ok_or(MonitorError::internal(
-                    "delta assembly requires a previous snapshot",
-                ))?;
+        let spare = self.take_spare(n);
+        let lag = if spare.is_some() {
+            self.take_spare_lag()
+        } else {
+            Vec::new()
+        };
+        let mut current = match (spare, self.previous_snapshot()) {
+            // Bring the buffer from S_{k-2} to S_{k-1}: only the rows that
+            // changed last epoch differ.
+            (Some(mut buf), Some(prev)) => {
                 for id in lag {
                     buf.copy_row_from(prev, id);
                 }
                 buf
             }
-            // First delta after a fresh/churned epoch: one full clone,
-            // then the spare ping-pong makes every later seal clone-free.
-            None => self
-                .previous_snapshot()
-                .ok_or(MonitorError::internal(
-                    "delta assembly requires a previous snapshot",
-                ))?
-                .clone(),
+            // The first seal after the first one, a restore or a churn:
+            // one full clone, then the spare ping-pong makes every later
+            // seal clone-free.
+            (None, Some(prev)) => prev.clone(),
+            // No previous snapshot: every slot was patched, in slot order.
+            (_, None) => {
+                if patches.len() != n {
+                    return Err(MonitorError::internal(
+                        "a seal without a previous snapshot writes every row",
+                    ));
+                }
+                let space = *self.space();
+                let rows = patches.into_iter().map(|(_, p)| p).collect();
+                return Ok((Snapshot::new(&space, rows)?, changed));
+            }
         };
         current
             .patch_rows(patches)
             .map_err(|_| MonitorError::internal("patched rows were validated at ingest time"))?;
         Ok((current, changed))
-    }
-
-    /// Full assembly for the first epoch and for epochs following
-    /// membership churn: every row is materialized (updates are moved,
-    /// carries cloned from the previous snapshot by key).
-    fn assemble_fresh(
-        &mut self,
-        plan: &[Fill],
-        default_point: Option<&Point>,
-    ) -> Result<Snapshot, MonitorError> {
-        let mut rows: Vec<Point> = Vec::with_capacity(plan.len());
-        for (slot, fill) in plan.iter().enumerate() {
-            rows.push(match fill {
-                Fill::Update => self
-                    .epoch
-                    .take(slot)
-                    .ok_or(MonitorError::internal("plan said an update is pending"))?,
-                Fill::Carry(p) => self
-                    .previous_snapshot()
-                    .ok_or(MonitorError::internal("carry requires a previous snapshot"))?
-                    .position(DeviceId(*p))
-                    .clone(),
-                Fill::Default => default_point
-                    .ok_or(MonitorError::internal("plan said default fills"))?
-                    .clone(),
-            });
-        }
-        let space = *self.space();
-        Snapshot::new(&space, rows).map_err(MonitorError::Qos)
-    }
-}
-
-impl Monitor {
-    /// Remembers which rows the recycled buffer is missing.
-    fn record_epoch_delta(&mut self, changed: Vec<DeviceId>, steady: bool) {
-        if !steady {
-            // A fresh or churned epoch: the spare buffer (if any) and any
-            // staged index moves refer to a membership that no longer
-            // exists.
-            self.invalidate_spare();
-            return;
-        }
-        self.set_spare_lag(changed);
     }
 }
 
@@ -1007,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn churned_epochs_seal_through_the_fresh_path() {
+    fn churned_epochs_seal_through_the_delta_path() {
         let mut m = MonitorBuilder::new()
             .staleness(StalenessPolicy::CarryForward { max_age: 4 })
             .fleet(3)

@@ -65,8 +65,9 @@ pub type DetectorFactory = Box<dyn Fn(DeviceKey) -> Box<dyn DeviceDetector>>;
 ///   [`MonitorError`];
 /// * supports **dynamic membership**: devices [`join`](Monitor::join) and
 ///   [`leave`](Monitor::leave) between instants under stable
-///   [`DeviceKey`]s, and characterization automatically restricts to the
-///   surviving cohort of each interval;
+///   [`DeviceKey`]s; the next seal moves the previous snapshot's rows to
+///   the devices' new slots and characterizes the devices present at both
+///   instants of the interval;
 /// * accepts any [`DeviceDetector`] implementation per device, so fleets
 ///   mix EWMA, CUSUM, Kalman, or Holt-Winters models freely;
 /// * keeps its trajectory index and snapshot buffers across instants and
@@ -120,11 +121,12 @@ pub struct Monitor {
     /// Dense key order of `previous` — populated lazily, only when
     /// membership has churned since `previous` was taken (`None` means the
     /// current `keys` still describe it). An O(1) handle on the pre-churn
-    /// `keys` Arc.
+    /// `keys` Arc; the next seal realigns `previous` by it
+    /// ([`Monitor::align_previous`]).
     previous_keys: Option<Arc<Vec<DeviceKey>>>,
-    /// Vicinity index over the last characterized interval's cohort, keyed
-    /// by each device's `(before-cell, after-cell)`, kept across instants
-    /// and updated in place.
+    /// Vicinity index over the last characterized interval's devices,
+    /// keyed by each device's `(before-cell, after-cell, moving)`, kept
+    /// across instants and updated in place.
     trajectory_index: Option<TrajectoryIndex>,
     /// The cell layout of the index and of the cache's dirty cells: a
     /// function of the service count and the window alone, fixed for the
@@ -141,10 +143,10 @@ pub struct Monitor {
     /// O(|A_k|), not an O(population) scan. Kept aligned with `flag_state`
     /// through the same swap-remove discipline on churn.
     flagged_slots: BTreeSet<u32>,
-    /// Per-device characterization cache, keyed by dense id. Valid only
-    /// while the fleet stays steady (no churn: dense ids are the cohort
-    /// ids); entries are invalidated when their cell falls inside the
-    /// [`INVALIDATION_RINGS`]-expanded dirty-cell neighbourhood.
+    /// Per-device characterization cache, keyed by dense id and cleared at
+    /// every churn (dense ids shift); entries are invalidated when their
+    /// cell falls inside the [`INVALIDATION_RINGS`]-expanded dirty-cell
+    /// neighbourhood.
     char_cache: CharCache,
     /// Grid cells touched since the last characterized instant: cells of
     /// rows whose value changed, plus cells of devices whose detector flag
@@ -184,7 +186,7 @@ pub struct Monitor {
     tracker: EventTracker,
 }
 
-/// One device's verdict and vicinity, cached or fresh, keyed by cohort id
+/// One device's verdict and vicinity, cached or fresh, keyed by dense id
 /// for the deterministic merge into the report.
 struct VerdictRow {
     j: DeviceId,
@@ -278,12 +280,15 @@ impl CharCache {
 /// which rows actually changed value. This is what makes the back half of
 /// `seal` scale with the churn instead of the population.
 pub(super) struct SealDelta<'a> {
-    /// Dense slots with a fresh update this epoch (`Fill::Update`); the
-    /// detectors of every other slot stay frozen.
+    /// Dense slots with a fresh update this epoch; the detectors of every
+    /// other slot stay frozen.
     pub(super) fed: Vec<u32>,
-    /// Rows whose value changed this epoch. Empty when the epoch was not
-    /// steady: membership or shape changed, which clears the cache anyway.
+    /// Rows whose value changed this epoch, and every unplaced slot.
     pub(super) changed: &'a [DeviceId],
+    /// Slots with no row in the previous snapshot, ascending
+    /// ([`Monitor::align_previous`]): kept out of `A_k` and of the
+    /// trajectory index this seal.
+    pub(super) unplaced: &'a [DeviceId],
 }
 
 impl std::fmt::Debug for Monitor {
@@ -350,7 +355,8 @@ impl Monitor {
     /// [`GridUpdate::Incremental`] with the number of devices whose
     /// `(before-cell, after-cell, moving)` key changed, or [`GridUpdate::Rebuilt`]
     /// (the first characterized seal, the first after a restore or a
-    /// reset, and any seal after membership churn). `None` when that seal
+    /// reset, the first after membership churn, and the first after a
+    /// seal whose joiners the index left out). `None` when that seal
     /// characterized nothing, so a quiet seal never re-reports an earlier
     /// update. A steady fleet sealing small epochs must report
     /// `Incremental` here — `tests/ingest_equivalence.rs` pins that down.
@@ -455,12 +461,6 @@ impl Monitor {
     /// machinery in `ingest.rs`).
     pub(super) fn previous_snapshot(&self) -> Option<&Snapshot> {
         self.previous.as_ref()
-    }
-
-    /// The dense key order of the previous snapshot when membership has
-    /// churned since it was sealed (`None` = current keys describe it).
-    pub(super) fn previous_key_order(&self) -> Option<&[DeviceKey]> {
-        self.previous_keys.as_deref().map(Vec::as_slice)
     }
 
     /// Shared handle on the current dense key order, for reports that
@@ -672,6 +672,67 @@ impl Monitor {
         Ok(detector)
     }
 
+    /// Where the previous snapshot's rows go in the current dense order,
+    /// read off `previous_keys` — the O(1) record of a churn since the
+    /// previous seal — and the key index in one pass. Returns, per previous
+    /// row, its device's current slot (`None`: it left), or `None` when
+    /// membership did not change; and the *unplaced* slots, ascending: the
+    /// devices with no previous row (joiners), or every slot when there is
+    /// no previous snapshot. A device that left and re-joined under the
+    /// same key keeps its row. Read-only, so a seal that fails after it
+    /// leaves the previous snapshot as it was.
+    #[allow(clippy::type_complexity)]
+    pub(super) fn align_previous(&self) -> (Option<Vec<Option<u32>>>, Vec<DeviceId>) {
+        let n = self.keys.len();
+        let previous_keys = match (&self.previous, &self.previous_keys) {
+            (None, _) => return (None, (0..n as u32).map(DeviceId).collect()),
+            (Some(_), None) => return (None, Vec::new()),
+            (Some(_), Some(previous_keys)) => previous_keys,
+        };
+        let mut placed = vec![false; n];
+        let targets = previous_keys
+            .iter()
+            .map(|key| {
+                let &slot = self.index.get(key)?;
+                *placed.get_mut(slot as usize)? = true;
+                Some(slot)
+            })
+            .collect();
+        let unplaced = (0..n as u32)
+            .filter(|&slot| placed.get(slot as usize) == Some(&false))
+            .map(DeviceId)
+            .collect();
+        (Some(targets), unplaced)
+    }
+
+    /// Moves each row of the previous snapshot to its device's current
+    /// slot (`targets`, from [`Monitor::align_previous`]) and gives every
+    /// unplaced slot the origin as a placeholder row. The placeholder is
+    /// never read as a position: an unplaced slot stays out of `A_k` and of
+    /// the trajectory index for the seal, and its row is always written.
+    pub(super) fn realign_previous(
+        &mut self,
+        targets: Vec<Option<u32>>,
+    ) -> Result<(), MonitorError> {
+        let previous = self.previous.take().ok_or(MonitorError::internal(
+            "realignment requires a previous snapshot",
+        ))?;
+        let mut rows: Vec<Option<Point>> = (0..self.keys.len()).map(|_| None).collect();
+        for (point, target) in previous.into_positions().into_iter().zip(targets) {
+            if let Some(row) = target.and_then(|slot| rows.get_mut(slot as usize)) {
+                *row = Some(point);
+            }
+        }
+        let placeholder = Point::new_unchecked(vec![0.0; self.services]);
+        let rows = rows
+            .into_iter()
+            .map(|row| row.unwrap_or_else(|| placeholder.clone()))
+            .collect();
+        self.previous = Some(Snapshot::new(&self.space, rows)?);
+        self.previous_keys = None;
+        Ok(())
+    }
+
     /// Remembers the previous snapshot's key order before the first
     /// membership change since it was taken, and invalidates every
     /// structure keyed by the old dense order (recycled buffer, staged
@@ -741,9 +802,10 @@ impl Monitor {
     /// The first snapshot ever (and the first after [`Monitor::reset`])
     /// only warms the detectors: there is no `[k−1, k]` interval yet, so
     /// the report carries no verdicts. When membership churned since the
-    /// previous snapshot, characterization restricts to the surviving
-    /// cohort — devices present at both `k−1` and `k`; fresh joiners that
-    /// flag immediately are listed in [`Report::warming`].
+    /// previous snapshot, the seal first moves each previous row to its
+    /// device's new slot; characterization covers the devices present at
+    /// both `k−1` and `k`, and fresh joiners that flag immediately are
+    /// listed in [`Report::warming`].
     ///
     /// # Errors
     ///
@@ -849,7 +911,7 @@ impl Monitor {
         let instant = self.instant;
         self.instant += 1;
 
-        // Characterization over the surviving cohort of [k-1, k].
+        // Characterization over the devices present at both k-1 and k.
         let mut verdicts: Vec<DeviceVerdict> = Vec::new();
         let mut warming: Vec<DeviceKey> = Vec::new();
         let mut characterization = Duration::ZERO;
@@ -861,6 +923,7 @@ impl Monitor {
                     current,
                     &flagged,
                     &changed_cells,
+                    delta.unplaced,
                     &mut verdicts,
                     &mut warming,
                 )?;
@@ -887,7 +950,6 @@ impl Monitor {
         if let Some(spare) = new_spare {
             self.spare = Some(spare);
         }
-        self.previous_keys = None;
         let mut report = Report {
             instant,
             population: self.keys.len(),
@@ -908,149 +970,97 @@ impl Monitor {
         Ok(report)
     }
 
-    /// Builds the surviving-cohort state pair, runs the local
-    /// characterization on the flagged survivors — serving devices whose
-    /// `4r`-neighbourhood is untouched straight from the cache — and
-    /// enriches verdicts with displacement and vicinity context. Returns
-    /// the rotated snapshot buffers: `(new previous, recyclable spare)` —
-    /// in the steady (no-churn) case both full snapshots come back without
-    /// a single clone.
+    /// Pairs the previous and current snapshots, runs the local
+    /// characterization on the flagged devices present at both instants —
+    /// serving devices whose `4r`-neighbourhood is untouched straight from
+    /// the cache — and enriches verdicts with displacement and vicinity
+    /// context. Flagged `unplaced` devices joined since `k−1` and are
+    /// listed as warming. Returns the rotated snapshot buffers:
+    /// `(new previous, recyclable spare)`, both full snapshots, without a
+    /// single clone.
     ///
     /// `echo_cells` are the sealing epoch's own changed cells; they re-seed
     /// the dirty set after it is consumed, because this epoch's movers have
     /// a different (stationary) trajectory at the next instant even if they
     /// stay silent from here on.
+    #[allow(clippy::too_many_arguments)]
     fn characterize_interval(
         &mut self,
         previous: Snapshot,
         current: Snapshot,
         flagged: &[(u32, f64)],
         echo_cells: &[u32],
+        unplaced: &[DeviceId],
         verdicts: &mut Vec<DeviceVerdict>,
         warming: &mut Vec<DeviceKey>,
     ) -> Result<(Snapshot, Option<Snapshot>), MonitorError> {
-        // Map current dense ids to their dense ids in `previous`.
-        // `previous_keys` is only populated when membership actually
-        // churned; the common steady-state case is the identity mapping,
-        // which allocates no per-device structures at all — cohort id ==
-        // current id == previous id.
-        let survivors: Option<Vec<(u32, u32)>> = self.previous_keys.as_ref().map(|prev_keys| {
-            let prev_index: BTreeMap<DeviceKey, u32> = prev_keys
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (k, i as u32))
-                .collect();
-            self.keys
-                .iter()
-                .enumerate()
-                .filter_map(|(i, key)| prev_index.get(key).map(|&p| (i as u32, p)))
-                .collect()
-        });
-
-        // A_k in cohort-local ids, plus each flagged device's score (only
-        // flagged devices are touched: O(|A_k|), not O(n)).
+        // A_k, plus each flagged device's score (only flagged devices are
+        // touched: O(|A_k|), not O(n)). Both lists ascend, so one cursor
+        // walks `unplaced`.
         let mut abnormal: Vec<DeviceId> = Vec::new();
         let mut scores: BTreeMap<u32, f64> = BTreeMap::new();
-        match &survivors {
-            None => {
-                for &(cur, score) in flagged {
-                    abnormal.push(DeviceId(cur));
-                    scores.insert(cur, score);
-                }
-            }
-            Some(survivors) => {
-                // Cohort-local ids follow current order: cohort id c is
-                // survivors[c]. Invert current -> cohort for the flagged set.
-                let cohort_of: BTreeMap<u32, u32> = survivors
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &(cur, _))| (cur, c as u32))
-                    .collect();
-                for &(cur, score) in flagged {
-                    match cohort_of.get(&cur) {
-                        Some(&c) => {
-                            abnormal.push(DeviceId(c));
-                            scores.insert(c, score);
-                        }
-                        // Flagged but joined after k-1: no interval yet.
-                        None => warming.push(self.key_at(cur)?),
-                    }
-                }
+        let mut joined = unplaced.iter().copied().peekable();
+        for &(i, score) in flagged {
+            let j = DeviceId(i);
+            while joined.next_if(|&u| u < j).is_some() {}
+            if joined.next_if_eq(&j).is_some() {
+                // Flagged but joined after k-1: no interval yet.
+                warming.push(self.key_at(i)?);
+            } else {
+                abnormal.push(j);
+                scores.insert(i, score);
             }
         }
         if abnormal.is_empty() {
             return Ok((current, Some(previous)));
         }
+        let pair = StatePair::new(previous, current)?;
 
-        // Steady state pairs the two owned snapshots directly — no clone
-        // at all; churn selects the surviving cohort out of both, keeping
-        // the full current snapshot aside to become the next `previous`.
-        let steady = survivors.is_none();
-        let (pair, current_back): (StatePair, Option<Snapshot>) = match &survivors {
-            None => (StatePair::new(previous, current)?, None),
-            Some(survivors) => {
-                let prev_ids: Vec<DeviceId> = survivors.iter().map(|&(_, p)| DeviceId(p)).collect();
-                let cur_ids: Vec<DeviceId> =
-                    survivors.iter().map(|&(cur, _)| DeviceId(cur)).collect();
-                let cohort =
-                    StatePair::new(previous.select(&prev_ids)?, current.select(&cur_ids)?)?;
-                (cohort, Some(current))
-            }
-        };
-
-        // Trajectory index over the whole cohort (not only A_k), kept
-        // across instants. At a steady full-fleet instant the devices whose
-        // key may have changed since its last update are re-keyed
-        // (`apply_moves` — O(staged devices)); any scope or shape change
-        // rebuilds it in one sorted pass.
+        // Trajectory index over every device present at both instants (not
+        // only A_k), kept across instants. While it is in sync, the devices
+        // whose key may have changed since its last update are re-keyed
+        // (`apply_moves` — O(staged devices)); otherwise it is rebuilt in
+        // one sorted pass, without the joiners, and stays out of sync until
+        // a rebuild files them.
         let window = self.params.window();
         let cell_side = window.max(1e-6);
         self.last_grid_update = Some(match &mut self.trajectory_index {
-            Some(index) if steady && self.index_synced => {
+            Some(index) if self.index_synced => {
                 index.apply_moves(&pair, cell_side, &self.index_staged)
             }
             index => {
-                *index = Some(TrajectoryIndex::build(&pair, cell_side));
+                *index = Some(TrajectoryIndex::build_except(&pair, cell_side, unplaced));
                 GridUpdate::Rebuilt
             }
         });
         self.index_staged.clear();
-        self.index_synced = steady;
+        self.index_synced = unplaced.is_empty();
 
         // Cache triage. Consume the dirty cells accumulated since the last
         // characterized instant, expand them to the 4r (= 2 cell rings)
         // dependency neighbourhood of Definition 1's locality bound, and
         // drop every cached verdict anchored inside it; what remains is
-        // provably unaffected and served without recomputation. Only a
-        // steady interval can be served — under churn the cohort ids the
-        // cache is keyed by no longer exist (`note_churn` already cleared
-        // it).
+        // provably unaffected and served without recomputation.
+        let dirty = std::mem::take(&mut self.dirty_pending);
+        if !dirty.is_empty() {
+            let doomed = self.geometry.expand_cells(&dirty, INVALIDATION_RINGS);
+            self.char_cache.evict_cells(&doomed);
+        }
+        // Echo: rows that changed this epoch change trajectory again next
+        // epoch (moving → stationary), so their cells go straight back into
+        // the dirty set for the next invalidation round.
+        self.dirty_pending.extend(echo_cells.iter().copied());
         let mut rows: Vec<VerdictRow> = Vec::with_capacity(abnormal.len());
         let mut fresh: Vec<DeviceId> = Vec::new();
-        if steady {
-            let dirty = std::mem::take(&mut self.dirty_pending);
-            if !dirty.is_empty() {
-                let doomed = self.geometry.expand_cells(&dirty, INVALIDATION_RINGS);
-                self.char_cache.evict_cells(&doomed);
+        for &j in &abnormal {
+            match self.char_cache.get(j.0) {
+                Some(entry) => rows.push(VerdictRow {
+                    j,
+                    characterization: entry.characterization,
+                    vicinity: entry.vicinity,
+                }),
+                None => fresh.push(j),
             }
-            // Echo: rows that changed this epoch change trajectory again
-            // next epoch (moving → stationary), so their cells go straight
-            // back into the dirty set for the next invalidation round.
-            self.dirty_pending.extend(echo_cells.iter().copied());
-            for &j in &abnormal {
-                match self.char_cache.get(j.0) {
-                    Some(entry) => rows.push(VerdictRow {
-                        j,
-                        characterization: entry.characterization,
-                        vicinity: entry.vicinity,
-                    }),
-                    None => fresh.push(j),
-                }
-            }
-        } else {
-            self.char_cache.clear();
-            self.dirty_pending.clear();
-            fresh.extend(abnormal.iter().copied());
         }
 
         // Fresh characterization: per-device motion precompute for the
@@ -1078,11 +1088,7 @@ impl Monitor {
             );
             // Slices share their motions behind an `Arc`: keeping the
             // fresh ones for the cache copies ids, not device sets.
-            let fresh_pre: Vec<(DeviceId, DevicePrecompute)> = if steady {
-                fresh_parts.clone()
-            } else {
-                Vec::new()
-            };
+            let fresh_pre = fresh_parts.clone();
             // The merged analyzer covers the whole abnormal set (fresh
             // slices plus every cached one), so its partition is the
             // epoch's global one.
@@ -1099,25 +1105,23 @@ impl Monitor {
             let vicinities = index.vicinities(&pair, &fresh, window);
             let mut fresh_pre = fresh_pre.into_iter();
             for ((&j, characterization), vicinity) in fresh.iter().zip(verdicts).zip(vicinities) {
-                // A steady interval caches the fresh verdict with its
-                // precompute slice, for future merges.
-                if steady {
-                    let Some((_, precompute)) = fresh_pre.next().filter(|(id, _)| *id == j) else {
-                        return Err(MonitorError::internal(
-                            "fresh device missing its precompute slice",
-                        ));
-                    };
-                    let cell = self.geometry.cell_index(pair.after().position(j).coords());
-                    self.char_cache.insert(
-                        j.0,
-                        CacheEntry {
-                            cell,
-                            precompute,
-                            characterization,
-                            vicinity,
-                        },
-                    );
-                }
+                // Cache the fresh verdict with its precompute slice, for
+                // future merges.
+                let Some((_, precompute)) = fresh_pre.next().filter(|(id, _)| *id == j) else {
+                    return Err(MonitorError::internal(
+                        "fresh device missing its precompute slice",
+                    ));
+                };
+                let cell = self.geometry.cell_index(pair.after().position(j).coords());
+                self.char_cache.insert(
+                    j.0,
+                    CacheEntry {
+                        cell,
+                        precompute,
+                        characterization,
+                        vicinity,
+                    },
+                );
                 rows.push(VerdictRow {
                     j,
                     characterization,
@@ -1127,26 +1131,18 @@ impl Monitor {
             Arc::new(analyzer.component_partition())
         };
 
-        // Deterministic merge: cohort ids map monotonically to current
-        // dense ids, so id order here is exactly the report's verdict order
+        // Deterministic merge: id order is the report's verdict order,
         // whatever mix of cached and fresh rows produced them.
         rows.sort_unstable_by_key(|r| r.j);
         for row in rows {
             let j = row.j;
-            let cur = match &survivors {
-                None => j.0,
-                Some(survivors) => survivors
-                    .get(j.index())
-                    .map(|&(cur, _)| cur)
-                    .ok_or(MonitorError::internal("cohort id out of range"))?,
-            };
             let displacement = self.norm.distance(
                 pair.before().position(j).coords(),
                 pair.after().position(j).coords(),
             );
             verdicts.push(DeviceVerdict {
-                key: self.key_at(cur)?,
-                id: DeviceId(cur),
+                key: self.key_at(j.0)?,
+                id: j,
                 characterization: row.characterization,
                 score: scores.get(&j.0).copied().unwrap_or(0.0),
                 displacement,
@@ -1155,18 +1151,10 @@ impl Monitor {
             });
         }
 
-        // Rotate the buffers: steady pairs carry both full snapshots back
-        // (after → new previous, before → recyclable spare); churned pairs
-        // are cohort-sized and simply dropped, with the full current
-        // snapshot becoming the new previous.
-        match current_back {
-            None => {
-                debug_assert!(steady);
-                let (before, after) = pair.into_parts();
-                Ok((after, Some(before)))
-            }
-            Some(current) => Ok((current, None)),
-        }
+        // Rotate the buffers: after → new previous, before → recyclable
+        // spare.
+        let (before, after) = pair.into_parts();
+        Ok((after, Some(before)))
     }
 }
 

@@ -17,8 +17,8 @@ use std::time::Duration;
 /// materialized once, lazily, if a consumer actually asks for it.
 #[derive(Debug, Clone)]
 pub(super) enum Stragglers {
-    /// Explicit key list (general seal path, and policies that resolve
-    /// silent devices one at a time).
+    /// Explicit key list (policies that resolve silent devices one at a
+    /// time).
     Eager(Vec<DeviceKey>),
     /// Run-length form over the epoch's dense key order.
     Lazy {
@@ -83,8 +83,8 @@ pub struct DeviceVerdict {
     /// Magnitude of the device's QoS motion over `[k−1, k]`, measured with
     /// the monitor's configured norm.
     pub displacement: f64,
-    /// Surviving-cohort devices — flagged or not — within `2r` of this
-    /// device at both instants: the full-population neighbourhood `N(j)`
+    /// Devices present at both instants — flagged or not — within `2r` of
+    /// this device at both instants: the full-population neighbourhood `N(j)`
     /// of Algorithm 2, the context an operator dashboard shows next to the
     /// verdict. (The characterization itself only consults the flagged
     /// subset; a large vicinity with few flagged members is exactly what

@@ -331,3 +331,129 @@ fn churn_rebuilds_once_then_returns_to_incremental() {
         Some(GridUpdate::Incremental { .. })
     ));
 }
+
+/// A joiner's previous row is a placeholder (the origin), and its row is
+/// always counted as changed at the seal it joins, even when it reports
+/// exactly the placeholder: the echo of that change evicts the cached
+/// verdicts around it one seal later, when it enters `A_k` and the
+/// trajectory index. Here the joiner lands on the origin next to three
+/// frozen flagged devices — sparse alone at `τ = 3`, massive with the
+/// joiner — and every epoch must match the full-recompute oracle.
+#[test]
+fn a_joiner_reporting_the_placeholder_row_evicts_the_cache_around_it() {
+    const N: usize = 40;
+    const JOINER: u64 = 1_000;
+    let builder = || {
+        MonitorBuilder::new()
+            .staleness(StalenessPolicy::CarryForward { max_age: 100 })
+            .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
+    };
+    let mut cached = builder().fleet(N).build().unwrap();
+    let mut full = Oracle::new(builder().fleet(N).build().unwrap(), builder);
+    let base_row = |k: u64| vec![0.55 + 0.3 * ((k % 37) as f64 / 37.0)];
+    let step = |cached: &mut Monitor, full: &mut Oracle, rows: Vec<(u64, Vec<f64>)>| {
+        cached.ingest_many(rows.clone()).unwrap();
+        full.monitor().ingest_many(rows).unwrap();
+        let a = cached.seal().unwrap();
+        let b = full.seal().unwrap();
+        assert_eq!(fingerprint(&a), fingerprint(&b), "k={}", a.instant());
+        a
+    };
+    for _ in 0..2 {
+        step(
+            &mut cached,
+            &mut full,
+            (0..N as u64).map(|k| (k, base_row(k))).collect(),
+        );
+    }
+    // Three devices jump next to the origin and go silent: frozen flags
+    // keep them abnormal.
+    let cluster: Vec<(u64, Vec<f64>)> = (0..3u64)
+        .map(|k| (k, vec![0.01 + 0.005 * k as f64]))
+        .collect();
+    let r = step(&mut cached, &mut full, cluster);
+    assert_eq!(r.verdicts().len(), 3);
+    // A calm device leaves; the joiner takes over its warmed detector, so
+    // its first row, exactly the origin, flags it at once.
+    for m in [&mut cached, full.monitor()] {
+        let detector = m.leave(30u64).unwrap();
+        m.join_with(JOINER, detector).unwrap();
+    }
+    let r = step(&mut cached, &mut full, vec![(JOINER, vec![0.0])]);
+    assert_eq!(r.warming(), &[JOINER.into()]);
+    assert_eq!(r.verdicts().len(), 3);
+    assert_eq!(
+        r.massive().count(),
+        0,
+        "three co-located devices are sparse"
+    );
+    // Nobody reports: the joiner is in A_k now, and its cached neighbours
+    // must be recomputed with it.
+    let r = step(&mut cached, &mut full, Vec::new());
+    assert_eq!(r.verdicts().len(), 4);
+    assert_eq!(r.massive().count(), 4, "with the joiner they are dense");
+}
+
+/// A churn seal that fails in phase 1 leaves the monitor as it was: the
+/// same checkpoint bytes and the same previous snapshot, still in the
+/// pre-churn dense order. Once the silent joiner reports, the stream is
+/// the one of a twin that never failed.
+#[test]
+fn a_failed_churn_seal_changes_nothing() {
+    const N: u64 = 8;
+    let build = || {
+        MonitorBuilder::new()
+            .staleness(StalenessPolicy::CarryForward { max_age: 5 })
+            .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
+            .fleet(N as usize)
+            .build()
+            .unwrap()
+    };
+    let mut m = build();
+    let mut twin = build();
+    let row = |k: u64| vec![0.2 + 0.08 * k as f64];
+    for m in [&mut m, &mut twin] {
+        for _ in 0..2 {
+            m.ingest_many((0..N).map(|k| (k, row(k)))).unwrap();
+            m.seal().unwrap();
+        }
+        // Devices 0..4 jump together and stay flagged.
+        m.ingest_many((0..4u64).map(|k| (k, vec![0.9 - 0.01 * k as f64])))
+            .unwrap();
+        m.seal().unwrap();
+        m.leave(1u64).unwrap();
+        m.join(100u64).unwrap();
+        m.ingest_many([(5u64, vec![0.65]), (6u64, vec![0.7])])
+            .unwrap();
+    }
+    let checkpoint = |m: &Monitor| {
+        let mut bytes = Vec::new();
+        m.checkpoint(&mut bytes).unwrap();
+        bytes
+    };
+    let bytes = checkpoint(&m);
+    let snapshot = m.last_snapshot().cloned();
+    assert_eq!(
+        m.seal().unwrap_err(),
+        anomaly_characterization::pipeline::MonitorError::Ingest(
+            anomaly_characterization::pipeline::IngestError::MissingDevices {
+                keys: vec![100u64.into()],
+            }
+        )
+    );
+    assert_eq!(checkpoint(&m), bytes, "the checkpoint is unchanged");
+    assert_eq!(m.last_snapshot().cloned(), snapshot, "so is the snapshot");
+    for m in [&mut m, &mut twin] {
+        m.ingest(100u64, vec![0.3]).unwrap();
+    }
+    let (a, b) = (m.seal().unwrap(), twin.seal().unwrap());
+    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.verdicts().len(), 3, "the survivors of the jump");
+    for m in [&mut m, &mut twin] {
+        m.ingest_many([(0u64, vec![0.2]), (100u64, vec![0.31])])
+            .unwrap();
+    }
+    let (a, b) = (m.seal().unwrap(), twin.seal().unwrap());
+    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(m.last_snapshot(), twin.last_snapshot());
+}
