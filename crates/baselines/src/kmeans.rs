@@ -130,8 +130,8 @@ impl Classifier for KMeansClassifier {
         let points: Vec<Vec<f64>> = abnormal
             .iter()
             .map(|&id| {
-                let mut v = pair.before().position(id).coords().to_vec();
-                v.extend_from_slice(pair.after().position(id).coords());
+                let mut v = pair.before().position(id).to_vec();
+                v.extend_from_slice(pair.after().position(id));
                 v
             })
             .collect();

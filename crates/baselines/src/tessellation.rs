@@ -55,8 +55,8 @@ impl Classifier for TessellationClassifier {
         let mut buckets: BTreeMap<(Vec<usize>, Vec<usize>), Vec<DeviceId>> = BTreeMap::new();
         for &id in abnormal {
             let key = (
-                self.cell_key(pair.before().position(id).coords()),
-                self.cell_key(pair.after().position(id).coords()),
+                self.cell_key(pair.before().position(id)),
+                self.cell_key(pair.after().position(id)),
             );
             buckets.entry(key).or_default().push(id);
         }

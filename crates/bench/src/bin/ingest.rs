@@ -34,6 +34,12 @@
 //! `churn_seal_micros`, and the next one, with the usual `changed` calm
 //! wiggles, is `post_churn_seal_micros` (fastest of the repetitions each).
 //!
+//! Last come `FULL_ROUNDS` full rounds: every device reports its current
+//! row moved by 0.001 along the first axis, a small wiggle that stays in
+//! its cell almost always. Their seal is the full-round seal of a fleet
+//! whose devices all report every epoch; `full_round_seal_micros` is the
+//! fastest of all rounds of all repetitions.
+//!
 //! For the headline ratio the same workload shape is also driven through
 //! the batch `observe` path with full snapshots (the cluster re-jumps
 //! every epoch there, since batch epochs feed every detector).
@@ -98,6 +104,9 @@ const LONE_JUMP: f64 = 0.16;
 /// fleet so the last slot moves into its place.
 const LEAVER: usize = CLUSTER + 1;
 
+/// Full rounds sealed at the end of every run.
+const FULL_ROUNDS: usize = 3;
+
 /// Small in-region wiggle of a churn device: below the detector delta
 /// (stays calm), but real motion the grid and the cache must absorb.
 fn wiggled_row(k: usize, step: usize) -> Vec<f64> {
@@ -147,6 +156,8 @@ struct RunStats {
     churn_seal_micros: u64,
     /// The seal after that one, with `changed` calm wiggles.
     post_churn_seal_micros: u64,
+    /// The fastest seal of a full round of small wiggles.
+    full_round_seal_micros: u64,
 }
 
 impl RunStats {
@@ -295,12 +306,38 @@ fn run_streaming(devices: usize, steps: usize, changed: usize) -> RunStats {
         report.verdicts().len() >= CLUSTER,
         "the cluster stays abnormal"
     );
+    // Full rounds: every device wiggles its current row.
+    let mut full_round_seal_micros = u64::MAX;
+    for round in 0..FULL_ROUNDS {
+        let delta = if round.is_multiple_of(2) {
+            0.001
+        } else {
+            -0.001
+        };
+        let snapshot = m.last_snapshot().expect("the monitor has sealed");
+        let rows: Vec<(u64, Vec<f64>)> = m
+            .keys()
+            .iter()
+            .zip(snapshot.iter())
+            .map(|(key, (_, row))| {
+                let mut row = row.to_vec();
+                row[0] = (row[0] + delta).clamp(0.0, 1.0);
+                (key.0, row)
+            })
+            .collect();
+        m.ingest_many(rows).expect("wiggled rows are valid");
+        let start = Instant::now();
+        let report = m.seal().expect("full rounds seal");
+        full_round_seal_micros = full_round_seal_micros.min(start.elapsed().as_micros() as u64);
+        assert_eq!(report.straggler_count(), 0, "every device reported");
+    }
     RunStats {
         warmup_seal_micros,
         epochs,
         lone_jump_seal_micros,
         churn_seal_micros,
         post_churn_seal_micros,
+        full_round_seal_micros,
     }
 }
 
@@ -397,6 +434,7 @@ fn main() {
         lone_jump_seal_micros: u64,
         churn_seal_micros: u64,
         post_churn_seal_micros: u64,
+        full_round_seal_micros: u64,
     }
     let fastest =
         |runs: &[RunStats], of: fn(&RunStats) -> u64| min(&runs.iter().map(of).collect::<Vec<_>>());
@@ -418,6 +456,7 @@ fn main() {
             lone_jump_seal_micros: fastest(&runs, |r| r.lone_jump_seal_micros),
             churn_seal_micros: fastest(&runs, |r| r.churn_seal_micros),
             post_churn_seal_micros: fastest(&runs, |r| r.post_churn_seal_micros),
+            full_round_seal_micros: fastest(&runs, |r| r.full_round_seal_micros),
         });
     }
     sweep_points.sort_by_key(|r| r.devices);
@@ -429,13 +468,14 @@ fn main() {
     };
     for r in &sweep_points {
         eprintln!(
-            "sweep {} devices: warm-up {} µs, steady median {} µs (min of {reps} medians), lone jump {} µs, churn {} µs, after churn {} µs",
+            "sweep {} devices: warm-up {} µs, steady median {} µs (min of {reps} medians), lone jump {} µs, churn {} µs, after churn {} µs, full round {} µs",
             r.devices,
             r.warmup_seal_micros,
             r.steady_median,
             r.lone_jump_seal_micros,
             r.churn_seal_micros,
-            r.post_churn_seal_micros
+            r.post_churn_seal_micros,
+            r.full_round_seal_micros
         );
     }
     eprintln!("sweep flat ratio (largest/smallest steady median): {sweep_flat_ratio:.2}");
@@ -458,7 +498,8 @@ fn main() {
                     "{{\"devices\":{},\"changed\":{},\"warmup_seal_micros\":{},",
                     "\"steady_seal_micros_min\":{},\"steady_seal_micros_median\":{},",
                     "\"steady_seal_micros_max\":{},\"lone_jump_seal_micros\":{},",
-                    "\"churn_seal_micros\":{},\"post_churn_seal_micros\":{}}}"
+                    "\"churn_seal_micros\":{},\"post_churn_seal_micros\":{},",
+                    "\"full_round_seal_micros\":{}}}"
                 ),
                 r.devices,
                 r.changed,
@@ -469,6 +510,7 @@ fn main() {
                 r.lone_jump_seal_micros,
                 r.churn_seal_micros,
                 r.post_churn_seal_micros,
+                r.full_round_seal_micros,
             )
         })
         .collect();

@@ -99,8 +99,8 @@ impl TrajectoryTable {
         ids.dedup();
         let mut coords = Vec::with_capacity(ids.len() * 2 * dim);
         for &id in &ids {
-            coords.extend_from_slice(pair.before().position(id).coords());
-            coords.extend_from_slice(pair.after().position(id).coords());
+            coords.extend_from_slice(pair.before().position(id));
+            coords.extend_from_slice(pair.after().position(id));
         }
         TrajectoryTable { dim, ids, coords }
     }
@@ -259,10 +259,13 @@ impl TrajectoryTable {
     pub fn neighborhoods(&self, js: &[DeviceId], window: f64) -> Vec<Vec<DeviceId>> {
         let d = self.dim;
         let geometry = CellGeometry::new(d, window);
+        // Every constructor rejects a row that is not finite, so the index
+        // build cannot fail.
         let index = TrajectoryIndex::from_trajectories(
             geometry,
             (0..self.len()).map(|slot| self.row(slot).split_at(d)),
-        );
+        )
+        .expect("table rows are finite");
         let queries = js.iter().enumerate().filter_map(|(q, &j)| {
             let slot = self.slot(j)?;
             let (before, after) = self.row(slot).split_at(d);

@@ -858,7 +858,7 @@ pub fn evaluate_monitor_streaming_on(
         let keys = monitor.keys().to_vec();
         let mut updates: Vec<(u64, Vec<f64>)> = snapshot
             .iter()
-            .map(|(id, p)| (keys[id.index()].0, p.coords().to_vec()))
+            .map(|(id, p)| (keys[id.index()].0, p.to_vec()))
             .collect();
         updates.shuffle(rng);
         for (key, row) in updates {

@@ -259,7 +259,7 @@ impl Scenario for AdversaryScenario {
             let outcome = sim.step();
             let rows_of = |snapshot: &Snapshot| -> Vec<Vec<f64>> {
                 (0..n)
-                    .map(|i| snapshot.position(DeviceId(i as u32)).coords().to_vec())
+                    .map(|i| snapshot.position(DeviceId(i as u32)).to_vec())
                     .collect()
             };
             let mut before_rows = rows_of(outcome.pair.before());
@@ -281,8 +281,8 @@ impl Scenario for AdversaryScenario {
                             .map(|c| (c + rng.gen_range(-jitter..=jitter)).clamp(0.0, 1.0))
                             .collect()
                     };
-                    let victim_before = outcome.pair.before().position(victim).coords().to_vec();
-                    let victim_after = outcome.pair.after().position(victim).coords().to_vec();
+                    let victim_before = outcome.pair.before().position(victim).to_vec();
+                    let victim_after = outcome.pair.after().position(victim).to_vec();
                     for _ in 0..self.coalition {
                         before_rows.push(shadow(&victim_before, &mut rng));
                         after_rows.push(shadow(&victim_after, &mut rng));

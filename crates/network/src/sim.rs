@@ -320,7 +320,7 @@ mod tests {
                 assert_eq!(update.key, update.gateway.0 as u64);
                 assert_eq!(
                     update.qos.as_slice(),
-                    snap.position(update.device).coords(),
+                    snap.position(update.device),
                     "round {round}, gateway {}",
                     update.gateway
                 );

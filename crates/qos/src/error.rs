@@ -31,6 +31,11 @@ pub enum QosError {
         /// Human-readable description of the disagreement.
         reason: String,
     },
+    /// A trajectory row held a `NaN` or an infinite coordinate.
+    NonFinite {
+        /// Index of the offending row.
+        id: u32,
+    },
     /// A device id was out of bounds for the snapshot population.
     UnknownDevice {
         /// The offending device id.
@@ -58,6 +63,9 @@ impl fmt::Display for QosError {
             ),
             QosError::SnapshotMismatch { reason } => {
                 write!(f, "snapshots cannot be paired: {reason}")
+            }
+            QosError::NonFinite { id } => {
+                write!(f, "trajectory row {id} has a coordinate that is not finite")
             }
             QosError::UnknownDevice { id, population } => write!(
                 f,
@@ -89,6 +97,7 @@ mod tests {
             QosError::SnapshotMismatch {
                 reason: "dim".into(),
             },
+            QosError::NonFinite { id: 4 },
             QosError::UnknownDevice {
                 id: 9,
                 population: 3,

@@ -1,3 +1,4 @@
+use crate::error::QosError;
 use crate::norm::uniform_distance;
 use crate::point::DeviceId;
 use crate::snapshot::StatePair;
@@ -105,16 +106,35 @@ impl CellGeometry {
     }
 
     /// The `(before-cell, after-cell, moving)` key a [`TrajectoryIndex`]
-    /// files a device that went from `before` to `after` under, packed as
-    /// `(before-cell, 2·after-cell + moving)`: cell ids stay below 2^18, so
+    /// files a device that went from `before` to `after` under: equal to
+    /// `(cell_index(before), cell_index(after), is_moving(before, after))`,
+    /// computed in one pass over the axes when both rows have the layout's
+    /// dimension.
+    pub fn key(&self, before: &[f64], after: &[f64]) -> (u32, u32, bool) {
+        if before.len() != self.dim || after.len() != self.dim {
+            return (
+                self.cell_index(before),
+                self.cell_index(after),
+                self.is_moving(before, after),
+            );
+        }
+        let (n, side, half) = (self.cells_per_axis, self.cell_side, self.half_side());
+        let (mut from, mut to, mut still) = (0usize, 0usize, true);
+        for (&b, &a) in before.iter().zip(after) {
+            from = from * n + ((b / side) as usize).min(n - 1);
+            to = to * n + ((a / side) as usize).min(n - 1);
+            still &= (a - b).abs() <= half;
+        }
+        (from as u32, to as u32, !still)
+    }
+
+    /// [`CellGeometry::key`] packed as the index stores it:
+    /// `(before-cell, 2·after-cell + moving)`. Cell ids stay below 2^18, so
     /// the class fits the low bit, and still devices sort before moving
     /// ones.
-    fn key(&self, before: &[f64], after: &[f64]) -> (u32, u32) {
-        let moving = u32::from(self.is_moving(before, after));
-        (
-            self.cell_index(before),
-            (self.cell_index(after) << 1) | moving,
-        )
+    fn packed_key(&self, before: &[f64], after: &[f64]) -> (u32, u32) {
+        let (from, to, moving) = self.key(before, after);
+        (from, (to << 1) | u32::from(moving))
     }
 
     /// Half the cell side: the largest displacement of a still device.
@@ -192,9 +212,12 @@ impl CellGeometry {
     /// change touched covers every device whose verdict that change could
     /// possibly reach.
     ///
-    /// The expansion contains the input cells themselves (`rings = 0` is
-    /// the identity). Out-of-range input cells are ignored.
-    pub fn expand_cells<'a>(&'a self, cells: &'a BTreeSet<u32>, rings: usize) -> ExpandedCells<'a> {
+    /// `cells` must be sorted and distinct, as [`CellSet::sorted`] returns
+    /// them: a membership test then range-scans the few input cells that
+    /// can be near it instead of expanding anything. The expansion contains
+    /// the input cells themselves (`rings = 0` is the identity).
+    /// Out-of-range input cells are ignored.
+    pub fn expand_cells<'a>(&'a self, cells: &'a [u32], rings: usize) -> ExpandedCells<'a> {
         ExpandedCells {
             geometry: self,
             cells,
@@ -208,7 +231,8 @@ impl CellGeometry {
 #[derive(Debug, Clone, Copy)]
 pub struct ExpandedCells<'a> {
     geometry: &'a CellGeometry,
-    cells: &'a BTreeSet<u32>,
+    /// Sorted and distinct.
+    cells: &'a [u32],
     rings: usize,
 }
 
@@ -232,9 +256,84 @@ impl ExpandedCells<'_> {
             .saturating_add(1)
             .min(g.cells_per_axis)
             * slab;
+        let start = self.cells.partition_point(|&c| (c as usize) < lo);
         self.cells
-            .range(lo as u32..hi as u32)
+            .iter()
+            .skip(start)
+            .take_while(|&&c| (c as usize) < hi)
             .any(|&c| g.chebyshev(c, cell) <= self.rings)
+    }
+}
+
+/// A set of cell ids of one [`CellGeometry`], for cells marked one at a
+/// time and consumed in bulk: a bitmap with one bit per cell of the grid
+/// (at most 2^18 bits, 32 KB) plus the list of the cells set, in insertion
+/// order. Inserting is one bit test, so a cell marked many times is listed
+/// once; clearing walks the list, so it costs the cells set, not the grid.
+/// Cell ids outside the grid are ignored.
+#[derive(Debug, Clone)]
+pub struct CellSet {
+    /// Cells of the grid: ids at or above are ignored.
+    grid: usize,
+    bits: Vec<u64>,
+    cells: Vec<u32>,
+}
+
+impl CellSet {
+    /// An empty set over the cells of `geometry`.
+    pub fn new(geometry: &CellGeometry) -> Self {
+        let grid = geometry.cells();
+        CellSet {
+            grid,
+            bits: vec![0; grid.div_ceil(64)],
+            cells: Vec::new(),
+        }
+    }
+
+    /// Adds `cell`; true when it was not in the set yet.
+    pub fn insert(&mut self, cell: u32) -> bool {
+        if cell as usize >= self.grid {
+            return false;
+        }
+        let Some(word) = self.bits.get_mut(cell as usize / 64) else {
+            return false;
+        };
+        let bit = 1u64 << (cell % 64);
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+        self.cells.push(cell);
+        true
+    }
+
+    /// True when the set holds no cell.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// The cells of the set, sorted and distinct — the input
+    /// [`CellGeometry::expand_cells`] takes.
+    pub fn sorted(&mut self) -> &[u32] {
+        self.cells.sort_unstable();
+        &self.cells
+    }
+
+    /// Empties the set, keeping its storage.
+    pub fn clear(&mut self) {
+        for cell in self.cells.drain(..) {
+            if let Some(word) = self.bits.get_mut(cell as usize / 64) {
+                *word &= !(1u64 << (cell % 64));
+            }
+        }
+    }
+}
+
+impl Extend<u32> for CellSet {
+    fn extend<I: IntoIterator<Item = u32>>(&mut self, cells: I) {
+        for cell in cells {
+            self.insert(cell);
+        }
     }
 }
 
@@ -283,7 +382,7 @@ impl ExpandedCells<'_> {
 pub struct TrajectoryIndex {
     geometry: CellGeometry,
     /// `(before-cell, 2·after-cell + moving, id)` for every indexed device
-    /// (the packed key of [`CellGeometry::key`]): one before-cell's keys
+    /// (the packed key of [`CellGeometry::packed_key`]): one before-cell's keys
     /// are contiguous, and within one `(before-cell, after-cell)` pair the
     /// still devices come first, each class's ids ascending.
     entries: BTreeSet<(u32, u32, u32)>,
@@ -314,22 +413,37 @@ impl TrajectoryIndex {
             .before()
             .iter()
             .zip(pair.after().iter())
-            .map(|((id, b), (_, a))| {
-                unfiled
-                    .binary_search(&id)
-                    .is_err()
-                    .then(|| (b.coords(), a.coords()))
-            });
+            .map(|((id, b), (_, a))| unfiled.binary_search(&id).is_err().then_some((b, a)));
         TrajectoryIndex::index(geometry, rows)
     }
 
     /// Indexes trajectories given as `(position at k-1, position at k)`,
     /// laid out by `geometry`. Row `i` gets id `i`.
+    ///
+    /// # Errors
+    ///
+    /// [`QosError::NonFinite`] for the first row holding a `NaN` or an
+    /// infinite coordinate: such a row has no cell (`NaN` would file it in
+    /// cell 0 of its axis while distances ignore that axis), so queries
+    /// could miss it.
     pub fn from_trajectories<'a>(
         geometry: CellGeometry,
         rows: impl IntoIterator<Item = (&'a [f64], &'a [f64])>,
-    ) -> Self {
-        TrajectoryIndex::index(geometry, rows.into_iter().map(Some))
+    ) -> Result<Self, QosError> {
+        let mut non_finite = None;
+        let rows = rows.into_iter().enumerate().map_while(|(id, (b, a))| {
+            if b.iter().chain(a).all(|c| c.is_finite()) {
+                Some(Some((b, a)))
+            } else {
+                non_finite = Some(id as u32);
+                None
+            }
+        });
+        let index = TrajectoryIndex::index(geometry, rows);
+        match non_finite {
+            Some(id) => Err(QosError::NonFinite { id }),
+            None => Ok(index),
+        }
     }
 
     /// Files row `i` under id `i`, skipping the `None` rows.
@@ -344,7 +458,7 @@ impl TrajectoryIndex {
                 key_of.push(UNFILED);
                 continue;
             };
-            let key = geometry.key(before, after);
+            let key = geometry.packed_key(before, after);
             key_of.push(key);
             entries.push((key.0, key.1, id as u32));
         }
@@ -392,7 +506,7 @@ impl TrajectoryIndex {
             let Some(filed) = self.key_of.get_mut(id.index()) else {
                 continue;
             };
-            let key = geometry.key(before.coords(), after.coords());
+            let key = geometry.packed_key(before, after);
             if *filed == key {
                 continue;
             }
@@ -535,7 +649,7 @@ impl TrajectoryIndex {
             let (Ok(jb), Ok(ja)) = (before.try_position(j), after.try_position(j)) else {
                 return None;
             };
-            Some(((q, j, jb.coords(), ja.coords()), jb.coords(), ja.coords()))
+            Some(((q, j, jb, ja), jb, ja))
         });
         let within = |home: &[f64], p: &[f64]| uniform_distance(home, p) <= radius;
         self.candidates_per_key(queries, radius, |candidates, tags| {
@@ -548,8 +662,8 @@ impl TrajectoryIndex {
                     .map(|&c| DeviceId(c))
                     .filter(|&c| {
                         c != j
-                            && before.try_position(c).is_ok_and(|p| within(jb, p.coords()))
-                            && after.try_position(c).is_ok_and(|p| within(ja, p.coords()))
+                            && before.try_position(c).is_ok_and(|p| within(jb, p))
+                            && after.try_position(c).is_ok_and(|p| within(ja, p))
                     })
                     .count();
                 if let Some(slot) = counts.get_mut(q) {
@@ -635,17 +749,12 @@ mod tests {
     ) -> Vec<DeviceId> {
         let (before, after) = (pair.before(), pair.after());
         let mut out = Vec::new();
-        index.candidates(
-            before.position(j).coords(),
-            after.position(j).coords(),
-            radius,
-            |c| {
-                let c = DeviceId(c);
-                if c != j && before.distance(j, c) <= radius && after.distance(j, c) <= radius {
-                    out.push(c);
-                }
-            },
-        );
+        index.candidates(before.position(j), after.position(j), radius, |c| {
+            let c = DeviceId(c);
+            if c != j && before.distance(j, c) <= radius && after.distance(j, c) <= radius {
+                out.push(c);
+            }
+        });
         out.sort_unstable();
         out
     }
@@ -738,9 +847,15 @@ mod tests {
         }
     }
 
+    /// The sorted, distinct cell list of a set.
+    fn list(cells: &BTreeSet<u32>) -> Vec<u32> {
+        cells.iter().copied().collect()
+    }
+
     /// Every cell of a `dim`-dimensional geometry the expansion contains.
     fn expanded(geometry: &CellGeometry, dirty: &BTreeSet<u32>, rings: usize) -> BTreeSet<u32> {
-        let view = geometry.expand_cells(dirty, rings);
+        let cells = list(dirty);
+        let view = geometry.expand_cells(&cells, rings);
         (0..geometry.cells() as u32)
             .filter(|&c| view.contains(c))
             .collect()
@@ -782,12 +897,12 @@ mod tests {
         assert_eq!(expanded(&geometry, &dirty, 2), expected);
         // A cell of the last row does not wrap around to the first one.
         let edge: BTreeSet<u32> = [9 * n + 9].into_iter().collect();
-        assert!(!geometry.expand_cells(&edge, 1).contains(0));
-        assert!(!geometry.expand_cells(&edge, 1).contains(9 * n));
+        assert!(!geometry.expand_cells(&list(&edge), 1).contains(0));
+        assert!(!geometry.expand_cells(&list(&edge), 1).contains(9 * n));
         // Out-of-range cells are ignored rather than decoded nonsensically.
         let bogus: BTreeSet<u32> = [n * n + 7].into_iter().collect();
         assert!(expanded(&geometry, &bogus, 2).is_empty());
-        assert!(!geometry.expand_cells(&dirty, 2).contains(n * n + 7));
+        assert!(!geometry.expand_cells(&list(&dirty), 2).contains(n * n + 7));
     }
 
     #[test]
@@ -813,9 +928,9 @@ mod tests {
         let origin = geometry.cell_index(&[0.1; 16]);
         let far = geometry.cell_index(&[0.9; 16]);
         let dirty: BTreeSet<u32> = [origin].into_iter().collect();
-        assert!(geometry.expand_cells(&dirty, 0).contains(origin));
-        assert!(!geometry.expand_cells(&dirty, 0).contains(far));
-        assert!(geometry.expand_cells(&dirty, 1).contains(far));
+        assert!(geometry.expand_cells(&list(&dirty), 0).contains(origin));
+        assert!(!geometry.expand_cells(&list(&dirty), 0).contains(far));
+        assert!(geometry.expand_cells(&list(&dirty), 1).contains(far));
     }
 
     #[test]
@@ -1023,7 +1138,7 @@ mod tests {
             .device_ids()
             .filter(|&id| {
                 let (a, b) = (old.after().position(id), new.after().position(id));
-                geometry.cell_index(a.coords()) != geometry.cell_index(b.coords())
+                geometry.cell_index(a) != geometry.cell_index(b)
             })
             .collect();
         assert!(
@@ -1064,6 +1179,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn from_trajectories_rejects_a_coordinate_that_is_not_finite() {
+        let geometry = CellGeometry::new(2, 0.06);
+        let index = |rows: &[([f64; 2], [f64; 2])]| {
+            TrajectoryIndex::from_trajectories(geometry, rows.iter().map(|(b, a)| (&b[..], &a[..])))
+        };
+        let calm = ([0.1, 0.1], [0.1, 0.1]);
+        assert_eq!(
+            index(&[calm, ([1e6, f64::NAN], [1e6, 0.0])]),
+            Err(QosError::NonFinite { id: 1 })
+        );
+        assert_eq!(
+            index(&[calm, calm, ([0.2, 0.2], [f64::INFINITY, 0.2])]),
+            Err(QosError::NonFinite { id: 2 })
+        );
+        // Finite rows off the unit cube still have cells.
+        let far = index(&[calm, ([1e6, -3.0], [1e6, 0.5])]).unwrap();
+        assert!(far.key_of(DeviceId(1)).is_some());
+    }
+
+    #[test]
+    fn a_cell_set_lists_each_cell_once_and_clears_through_its_list() {
+        let geometry = CellGeometry::new(2, 0.1); // 100 cells
+        let mut set = CellSet::new(&geometry);
+        assert!(set.is_empty());
+        for cell in [42, 7, 42, 99, 7, 0] {
+            set.insert(cell);
+        }
+        assert!(!set.insert(99), "already in the set");
+        assert!(!set.insert(100), "outside the grid");
+        assert_eq!(set.sorted(), &[0, 7, 42, 99]);
+        set.clear();
+        assert!(set.is_empty());
+        // Clearing reset the bits: a cleared cell is listed again.
+        set.extend([5, 42, 5, 3]);
+        assert_eq!(set.sorted(), &[3, 5, 42]);
+        // The sorted list is the input of the ring expansion.
+        let expanded = geometry.expand_cells(set.sorted(), 1);
+        assert!(expanded.contains(16) && !expanded.contains(17) && expanded.contains(53));
     }
 
     #[test]
@@ -1215,8 +1371,8 @@ mod tests {
             let jumper = DeviceId(300);
             let mut examined = 0;
             index.candidates(
-                pair.before().position(jumper).coords(),
-                pair.after().position(jumper).coords(),
+                pair.before().position(jumper),
+                pair.after().position(jumper),
                 0.1,
                 |_| examined += 1,
             );
@@ -1254,8 +1410,8 @@ mod tests {
         let geometry = index.geometry;
         let jumper = DeviceId(200);
         let (from, to) = (
-            pair.before().position(jumper).coords(),
-            pair.after().position(jumper).coords(),
+            pair.before().position(jumper),
+            pair.after().position(jumper),
         );
         assert_eq!(
             geometry.chebyshev(geometry.cell_index(from), geometry.cell_index(to)),
@@ -1318,7 +1474,8 @@ mod tests {
                 let index = TrajectoryIndex::from_trajectories(
                     CellGeometry::new(2, radius),
                     rows.iter().map(|(b, a)| (&b[..], &a[..])),
-                );
+                )
+                .unwrap();
                 let (jb, ja) = (&rows[1].0[..], &rows[1].1[..]);
                 assert!(displacement(jb, ja) >= jump - 1e-9);
                 let mut kept = Vec::new();
@@ -1337,6 +1494,47 @@ mod tests {
                     .collect();
                 assert_eq!(kept, want, "base {base}, y {y}");
             }
+        }
+    }
+
+    proptest! {
+        /// The one-pass key equals its three parts, for 1 to 6 services: on
+        /// random rows, on coordinates exactly on a cell boundary, and on
+        /// moves of exactly half a cell side — the longest still move —
+        /// and one unit in the last place under and over it.
+        #[test]
+        fn the_key_is_both_cells_and_the_class(
+            dim in 1usize..7,
+            side in 0.001f64..0.3,
+            axes in proptest::collection::vec((0usize..4, 0.0..=1.0f64, 0usize..5), 6),
+        ) {
+            let geometry = CellGeometry::new(dim, side);
+            let (cell, half) = (geometry.cell_side, geometry.half_side());
+            let mut before = Vec::with_capacity(dim);
+            let mut after = Vec::with_capacity(dim);
+            for &(place, x, step) in axes.iter().take(dim) {
+                let b = match place {
+                    0 | 1 => x,
+                    _ => ((x / cell).floor() * cell).min(1.0),
+                };
+                let delta = match step {
+                    0 => 0.0,
+                    1 => x * cell,
+                    2 => half,
+                    3 => ulps(half, -1),
+                    _ => ulps(half, 1),
+                };
+                before.push(b);
+                after.push(if place % 2 == 0 { b + delta } else { b - delta });
+            }
+            prop_assert_eq!(
+                geometry.key(&before, &after),
+                (
+                    geometry.cell_index(&before),
+                    geometry.cell_index(&after),
+                    geometry.is_moving(&before, &after),
+                )
+            );
         }
     }
 
@@ -1544,8 +1742,8 @@ mod tests {
             let staged: Vec<DeviceId> = old
                 .device_ids()
                 .filter(|&id| {
-                    crossed(old.before().position(id).coords(), new.before().position(id).coords())
-                        || crossed(old.after().position(id).coords(), new.after().position(id).coords())
+                    crossed(old.before().position(id), new.before().position(id))
+                        || crossed(old.after().position(id), new.after().position(id))
                 })
                 .collect();
             index.apply_moves(&new, radius, &staged);

@@ -47,7 +47,7 @@ mod space;
 mod trajectory;
 
 pub use error::QosError;
-pub use grid::{CellGeometry, ExpandedCells, GridUpdate, TrajectoryIndex};
+pub use grid::{CellGeometry, CellSet, ExpandedCells, GridUpdate, TrajectoryIndex};
 pub use norm::{l1_distance, l2_distance, uniform_distance, Norm, NormKind};
 pub use point::{DeviceId, Point};
 pub use snapshot::{Snapshot, StatePair};

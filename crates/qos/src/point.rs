@@ -95,22 +95,6 @@ impl Point {
         self.coords
     }
 
-    /// Overwrites this point's coordinates with `src`'s, reusing the
-    /// existing allocation — the buffer-recycling primitive behind
-    /// [`crate::Snapshot::copy_row_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions disagree.
-    pub fn copy_from(&mut self, src: &Point) {
-        assert_eq!(
-            self.coords.len(),
-            src.coords.len(),
-            "point dimensions must match to copy in place"
-        );
-        self.coords.copy_from_slice(&src.coords);
-    }
-
     /// Returns the point translated by `delta`, clamped into `[0,1]^d`.
     ///
     /// # Panics

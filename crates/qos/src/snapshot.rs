@@ -1,10 +1,18 @@
 use crate::error::QosError;
 use crate::norm::uniform_distance;
 use crate::point::{DeviceId, Point};
-use crate::space::QosSpace;
+use crate::space::{check_row, QosSpace};
 use crate::trajectory::Trajectory;
 
 /// The system state `S_k` at one discrete time: the position of every device.
+///
+/// Positions are stored row-major in one flat buffer of stride `d` (the
+/// space dimension): device `j`'s coordinates are the `d` values starting
+/// at `j·d`, and [`Snapshot::position`] returns them as a `&[f64]`. Copying a
+/// row or the whole snapshot is a slice copy; no position is its own heap
+/// allocation. [`Point`] appears only at the edges, where positions are
+/// built or replaced one at a time ([`Snapshot::new`],
+/// [`Snapshot::set_position`], [`StatePair::trajectory`]).
 ///
 /// # Example
 ///
@@ -13,13 +21,14 @@ use crate::trajectory::Trajectory;
 /// let space = QosSpace::new(2)?;
 /// let snap = Snapshot::from_rows(&space, vec![vec![0.1, 0.2], vec![0.3, 0.4]])?;
 /// assert_eq!(snap.len(), 2);
-/// assert_eq!(snap.position(DeviceId(1)).coords(), &[0.3, 0.4]);
+/// assert_eq!(snap.position(DeviceId(1)), &[0.3, 0.4]);
 /// # Ok::<(), anomaly_qos::QosError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     dim: usize,
-    positions: Vec<Point>,
+    /// Row-major positions, `dim` values per device.
+    coords: Vec<f64>,
 }
 
 impl Snapshot {
@@ -31,27 +40,14 @@ impl Snapshot {
     /// space dimension, or [`QosError::CoordinateOutOfRange`] if a point lies
     /// outside the unit cube.
     pub fn new(space: &QosSpace, positions: Vec<Point>) -> Result<Self, QosError> {
+        let mut coords = Vec::with_capacity(positions.len() * space.dim());
         for p in &positions {
-            if p.dim() != space.dim() {
-                return Err(QosError::DimensionMismatch {
-                    expected: space.dim(),
-                    actual: p.dim(),
-                });
-            }
-            if !p.is_in_unit_cube() {
-                let (index, value) = p
-                    .coords()
-                    .iter()
-                    .enumerate()
-                    .find(|(_, c)| !c.is_finite() || !(0.0..=1.0).contains(*c))
-                    .map(|(i, c)| (i, *c))
-                    .unwrap_or((0, f64::NAN));
-                return Err(QosError::CoordinateOutOfRange { index, value });
-            }
+            space.check(p.coords())?;
+            coords.extend_from_slice(p.coords());
         }
         Ok(Snapshot {
             dim: space.dim(),
-            positions,
+            coords,
         })
     }
 
@@ -61,24 +57,49 @@ impl Snapshot {
     ///
     /// Same as [`Snapshot::new`].
     pub fn from_rows(space: &QosSpace, rows: Vec<Vec<f64>>) -> Result<Self, QosError> {
-        let positions = rows
-            .into_iter()
-            .map(|row| space.point(row))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut coords = Vec::with_capacity(rows.len() * space.dim());
+        for row in &rows {
+            space.check(row)?;
+            coords.extend_from_slice(row);
+        }
         Ok(Snapshot {
             dim: space.dim(),
-            positions,
+            coords,
         })
+    }
+
+    /// Builds a snapshot from its flat row-major layout: `d` coordinates
+    /// per device, device `j`'s starting at `j·d`. The buffer becomes the
+    /// snapshot's storage; nothing is copied.
+    ///
+    /// # Errors
+    ///
+    /// [`QosError::DimensionMismatch`] when the length is not a multiple of
+    /// `d` (the trailing partial row is the offending point), or
+    /// [`QosError::CoordinateOutOfRange`] for a coordinate outside `[0,1]`.
+    pub fn from_flat(space: &QosSpace, coords: Vec<f64>) -> Result<Self, QosError> {
+        let dim = space.dim();
+        let tail = coords.len() % dim;
+        if tail != 0 {
+            return Err(QosError::DimensionMismatch {
+                expected: dim,
+                actual: tail,
+            });
+        }
+        for row in coords.chunks_exact(dim) {
+            space.check(row)?;
+        }
+        Ok(Snapshot { dim, coords })
     }
 
     /// Number of devices `n` in the snapshot.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.coords.len().checked_div(self.dim).unwrap_or(0)
     }
 
     /// True when the snapshot holds no devices.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.coords.is_empty()
     }
 
     /// Space dimension `d`.
@@ -86,14 +107,31 @@ impl Snapshot {
         self.dim
     }
 
-    /// Position of device `j`.
+    /// The storage range of row `j`, if `j` is in bounds.
+    fn span(&self, j: DeviceId) -> Option<std::ops::Range<usize>> {
+        let start = j.index().checked_mul(self.dim)?;
+        let end = start.checked_add(self.dim)?;
+        (end <= self.coords.len()).then_some(start..end)
+    }
+
+    fn unknown(&self, j: DeviceId) -> QosError {
+        QosError::UnknownDevice {
+            id: j.0,
+            population: self.len(),
+        }
+    }
+
+    /// Position of device `j`: its `d` coordinates.
     ///
     /// # Panics
     ///
     /// Panics if `j` is out of bounds; use [`Snapshot::try_position`] for a
     /// fallible accessor.
-    pub fn position(&self, j: DeviceId) -> &Point {
-        &self.positions[j.index()]
+    pub fn position(&self, j: DeviceId) -> &[f64] {
+        match self.try_position(j) {
+            Ok(row) => row,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Fallible position accessor.
@@ -101,26 +139,23 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns [`QosError::UnknownDevice`] when `j` is out of bounds.
-    pub fn try_position(&self, j: DeviceId) -> Result<&Point, QosError> {
-        self.positions
-            .get(j.index())
-            .ok_or(QosError::UnknownDevice {
-                id: j.0,
-                population: self.positions.len(),
-            })
+    pub fn try_position(&self, j: DeviceId) -> Result<&[f64], QosError> {
+        self.span(j)
+            .and_then(|span| self.coords.get(span))
+            .ok_or_else(|| self.unknown(j))
     }
 
-    /// Iterates over `(DeviceId, &Point)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (DeviceId, &Point)> {
-        self.positions
-            .iter()
+    /// Iterates over `(DeviceId, position)` pairs in dense-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (DeviceId, &[f64])> {
+        self.coords
+            .chunks_exact(self.dim.max(1))
             .enumerate()
-            .map(|(i, p)| (DeviceId(i as u32), p))
+            .map(|(i, row)| (DeviceId(i as u32), row))
     }
 
     /// All device ids in the snapshot.
     pub fn device_ids(&self) -> impl Iterator<Item = DeviceId> {
-        (0..self.positions.len() as u32).map(DeviceId)
+        (0..self.len() as u32).map(DeviceId)
     }
 
     /// Uniform-norm distance between two devices in this snapshot.
@@ -129,7 +164,7 @@ impl Snapshot {
     ///
     /// Panics if either id is out of bounds.
     pub fn distance(&self, a: DeviceId, b: DeviceId) -> f64 {
-        uniform_distance(self.position(a).coords(), self.position(b).coords())
+        uniform_distance(self.position(a), self.position(b))
     }
 
     /// Replaces the position of device `j` (used by simulators between steps).
@@ -139,21 +174,16 @@ impl Snapshot {
     /// Panics if `j` is out of bounds or the point dimension disagrees.
     pub fn set_position(&mut self, j: DeviceId, p: Point) {
         assert_eq!(p.dim(), self.dim, "point dimension must match snapshot");
-        self.positions[j.index()] = p;
+        let span = self
+            .span(j)
+            .unwrap_or_else(|| panic!("{}", self.unknown(j)));
+        self.coords[span].copy_from_slice(p.coords());
     }
 
-    /// Consumes the snapshot, returning its positions in dense-id order —
-    /// e.g. to feed every row of a pre-assembled matrix into a streaming
-    /// ingestion path without cloning each point.
-    pub fn into_positions(self) -> Vec<Point> {
-        self.positions
-    }
-
-    /// Copies row `id` from `src` into this snapshot in place, reusing the
-    /// row's existing allocation (no allocation, one `memcpy` of `d`
-    /// floats). This is the buffer-recycling half of delta-style snapshot
-    /// assembly: a stale buffer is brought up to date row by row instead of
-    /// being re-cloned wholesale.
+    /// Copies row `id` from `src` into this snapshot in place: one slice
+    /// copy of `d` floats, no allocation. This is the buffer-recycling half
+    /// of delta-style snapshot assembly: a stale buffer is brought up to
+    /// date row by row instead of being re-cloned wholesale.
     ///
     /// # Panics
     ///
@@ -161,16 +191,45 @@ impl Snapshot {
     /// bounds for either snapshot.
     pub fn copy_row_from(&mut self, src: &Snapshot, id: DeviceId) {
         assert_eq!(self.dim, src.dim, "snapshot dimensions must match");
-        self.positions[id.index()].copy_from(&src.positions[id.index()]);
+        let span = self
+            .span(id)
+            .unwrap_or_else(|| panic!("{}", self.unknown(id)));
+        self.coords[span].copy_from_slice(src.position(id));
     }
 
-    /// Edits rows in place: every `(id, point)` patch replaces device
-    /// `id`'s position, leaving all other rows (and their allocations)
-    /// untouched. Duplicate ids are legal; the last patch wins.
+    /// Overwrites row `id` with `row` without checking that its
+    /// coordinates lie in the unit cube — for rows validated on the way
+    /// in, such as a monitor's staged updates. Like
+    /// [`Point::new_unchecked`], an out-of-range coordinate only degrades
+    /// semantics, never memory safety.
     ///
-    /// This is the churn-tolerant delta primitive behind streaming epoch
-    /// sealing: a fleet where only a few devices reported this instant
-    /// patches exactly those rows — O(changed devices), not O(population).
+    /// # Errors
+    ///
+    /// [`QosError::UnknownDevice`] for an out-of-bounds id and
+    /// [`QosError::DimensionMismatch`] for a row of the wrong length; the
+    /// snapshot is unchanged then.
+    pub fn set_row_unchecked(&mut self, id: DeviceId, row: &[f64]) -> Result<(), QosError> {
+        if row.len() != self.dim {
+            return Err(QosError::DimensionMismatch {
+                expected: self.dim,
+                actual: row.len(),
+            });
+        }
+        let unknown = self.unknown(id);
+        let dst = self
+            .span(id)
+            .and_then(|span| self.coords.get_mut(span))
+            .ok_or(unknown)?;
+        dst.copy_from_slice(row);
+        Ok(())
+    }
+
+    /// Edits rows in place: every `(id, row)` patch replaces device `id`'s
+    /// position with a slice copy, leaving all other rows untouched.
+    /// Duplicate ids are legal; the last patch wins.
+    ///
+    /// A fleet where only a few devices reported this instant patches
+    /// exactly those rows — O(changed devices), not O(population).
     /// Validation is all-or-nothing: every patch is checked (id in bounds,
     /// dimension, unit cube) before the first row is written, so a
     /// malformed batch can never leave the snapshot half-patched.
@@ -188,41 +247,23 @@ impl Snapshot {
     /// let space = QosSpace::new(1)?;
     /// let mut snap = Snapshot::from_rows(&space, vec![vec![0.1], vec![0.2], vec![0.3]])?;
     /// snap.patch_rows(vec![(DeviceId(2), Point::new_unchecked(vec![0.9]))])?;
-    /// assert_eq!(snap.position(DeviceId(2)).coords(), &[0.9]);
-    /// assert_eq!(snap.position(DeviceId(0)).coords(), &[0.1]);
+    /// assert_eq!(snap.position(DeviceId(2)), &[0.9]);
+    /// assert_eq!(snap.position(DeviceId(0)), &[0.1]);
     /// # Ok::<(), anomaly_qos::QosError>(())
     /// ```
-    pub fn patch_rows(
+    pub fn patch_rows<P: AsRef<[f64]>>(
         &mut self,
-        patches: impl IntoIterator<Item = (DeviceId, Point)>,
+        patches: impl IntoIterator<Item = (DeviceId, P)>,
     ) -> Result<(), QosError> {
-        let patches: Vec<(DeviceId, Point)> = patches.into_iter().collect();
+        let patches: Vec<(DeviceId, P)> = patches.into_iter().collect();
         for (id, p) in &patches {
-            if id.index() >= self.positions.len() {
-                return Err(QosError::UnknownDevice {
-                    id: id.0,
-                    population: self.positions.len(),
-                });
+            if self.span(*id).is_none() {
+                return Err(self.unknown(*id));
             }
-            if p.dim() != self.dim {
-                return Err(QosError::DimensionMismatch {
-                    expected: self.dim,
-                    actual: p.dim(),
-                });
-            }
-            if !p.is_in_unit_cube() {
-                let (index, value) = p
-                    .coords()
-                    .iter()
-                    .enumerate()
-                    .find(|(_, c)| !c.is_finite() || !(0.0..=1.0).contains(*c))
-                    .map(|(i, c)| (i, *c))
-                    .unwrap_or((0, f64::NAN));
-                return Err(QosError::CoordinateOutOfRange { index, value });
-            }
+            check_row(self.dim, p.as_ref())?;
         }
         for (id, p) in patches {
-            self.positions[id.index()] = p;
+            self.set_row_unchecked(id, p.as_ref())?;
         }
         Ok(())
     }
@@ -301,8 +342,8 @@ impl StatePair {
     pub fn trajectory(&self, j: DeviceId) -> Trajectory {
         Trajectory::new(
             j,
-            self.before.position(j).clone(),
-            self.after.position(j).clone(),
+            Point::new_unchecked(self.before.position(j).to_vec()),
+            Point::new_unchecked(self.after.position(j).to_vec()),
         )
     }
 
@@ -361,7 +402,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
         assert_eq!(s.dim(), 2);
-        assert_eq!(s.position(DeviceId(0)).coords(), &[0.1, 0.2]);
+        assert_eq!(s.position(DeviceId(0)), &[0.1, 0.2]);
         assert!(s.try_position(DeviceId(5)).is_err());
         assert_eq!(s.iter().count(), 2);
     }
@@ -396,10 +437,10 @@ mod tests {
             (DeviceId(1), Point::new_unchecked(vec![0.8, 0.9])),
         ])
         .unwrap();
-        assert_eq!(s.position(DeviceId(1)).coords(), &[0.8, 0.9]);
-        assert_eq!(s.position(DeviceId(0)).coords(), &[0.1, 0.2]);
+        assert_eq!(s.position(DeviceId(1)), &[0.8, 0.9]);
+        assert_eq!(s.position(DeviceId(0)), &[0.1, 0.2]);
         // Empty patch sets are legal no-ops.
-        s.patch_rows(Vec::new()).unwrap();
+        s.patch_rows(Vec::<(DeviceId, Point)>::new()).unwrap();
     }
 
     #[test]
@@ -413,7 +454,7 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, QosError::CoordinateOutOfRange { .. }));
-        assert_eq!(s.position(DeviceId(0)).coords(), &[0.1, 0.2]);
+        assert_eq!(s.position(DeviceId(0)), &[0.1, 0.2]);
         let err = s
             .patch_rows(vec![(DeviceId(5), Point::new_unchecked(vec![0.5, 0.5]))])
             .unwrap_err();
@@ -429,16 +470,8 @@ mod tests {
         let src = Snapshot::from_rows(&space2(), vec![vec![0.9, 0.8], vec![0.7, 0.6]]).unwrap();
         let mut dst = Snapshot::from_rows(&space2(), vec![vec![0.1, 0.1], vec![0.2, 0.2]]).unwrap();
         dst.copy_row_from(&src, DeviceId(1));
-        assert_eq!(dst.position(DeviceId(1)).coords(), &[0.7, 0.6]);
-        assert_eq!(dst.position(DeviceId(0)).coords(), &[0.1, 0.1]);
-    }
-
-    #[test]
-    fn into_positions_preserves_dense_order() {
-        let s = Snapshot::from_rows(&space2(), vec![vec![0.1, 0.2], vec![0.3, 0.4]]).unwrap();
-        let points = s.into_positions();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[1].coords(), &[0.3, 0.4]);
+        assert_eq!(dst.position(DeviceId(1)), &[0.7, 0.6]);
+        assert_eq!(dst.position(DeviceId(0)), &[0.1, 0.1]);
     }
 
     #[test]

@@ -48,18 +48,19 @@ impl QosSpace {
     /// * [`QosError::CoordinateOutOfRange`] if any coordinate is not a finite
     ///   value in `[0,1]`.
     pub fn point(&self, coords: Vec<f64>) -> Result<Point, QosError> {
-        if coords.len() != self.dim {
-            return Err(QosError::DimensionMismatch {
-                expected: self.dim,
-                actual: coords.len(),
-            });
-        }
-        for (index, &value) in coords.iter().enumerate() {
-            if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                return Err(QosError::CoordinateOutOfRange { index, value });
-            }
-        }
+        self.check(&coords)?;
         Ok(Point::new_unchecked(coords))
+    }
+
+    /// Validates a coordinate row against this space without taking it:
+    /// the checks of [`QosSpace::point`], for rows that are copied into
+    /// flat storage rather than kept as a [`Point`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`QosSpace::point`].
+    pub fn check(&self, coords: &[f64]) -> Result<(), QosError> {
+        check_row(self.dim, coords)
     }
 
     /// True if `p` has this space's dimension and lies inside `[0,1]^d`.
@@ -70,6 +71,24 @@ impl QosSpace {
     /// The center of the space, `(1/2, …, 1/2)`.
     pub fn center(&self) -> Point {
         Point::new_unchecked(vec![0.5; self.dim])
+    }
+}
+
+/// The checks of [`QosSpace::check`] for a space of dimension `dim`.
+pub(crate) fn check_row(dim: usize, coords: &[f64]) -> Result<(), QosError> {
+    if coords.len() != dim {
+        return Err(QosError::DimensionMismatch {
+            expected: dim,
+            actual: coords.len(),
+        });
+    }
+    match coords
+        .iter()
+        .enumerate()
+        .find(|(_, c)| !c.is_finite() || !(0.0..=1.0).contains(*c))
+    {
+        Some((index, &value)) => Err(QosError::CoordinateOutOfRange { index, value }),
+        None => Ok(()),
     }
 }
 

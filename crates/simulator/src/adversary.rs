@@ -17,7 +17,7 @@
 use crate::config::{ScenarioConfig, SimulationError};
 use crate::generator::Simulation;
 use anomaly_core::{Analyzer, AnomalyClass, TrajectoryTable};
-use anomaly_qos::{DeviceId, Point, StatePair};
+use anomaly_qos::{DeviceId, StatePair};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -101,26 +101,25 @@ pub fn attack_on_pair(
     // Fabricated devices get ids above the honest population.
     let mut rng = StdRng::seed_from_u64(seed);
     let jitter = params.radius() / 2.0;
-    let before_v = pair.before().position(victim).clone();
-    let after_v = pair.after().position(victim).clone();
+    let before_v = pair.before().position(victim);
+    let after_v = pair.after().position(victim);
     let mut rows: Vec<(DeviceId, Vec<f64>)> = abnormal
         .iter()
         .map(|&id| {
-            let mut v = pair.before().position(id).coords().to_vec();
-            v.extend_from_slice(pair.after().position(id).coords());
+            let mut v = pair.before().position(id).to_vec();
+            v.extend_from_slice(pair.after().position(id));
             (id, v)
         })
         .collect();
     let base_id = pair.len() as u32;
     for i in 0..coalition {
-        let shadow = |p: &Point, rng: &mut StdRng| -> Vec<f64> {
-            p.coords()
-                .iter()
+        let shadow = |p: &[f64], rng: &mut StdRng| -> Vec<f64> {
+            p.iter()
                 .map(|c| (c + rng.gen_range(-jitter..=jitter)).clamp(0.0, 1.0))
                 .collect()
         };
-        let mut row = shadow(&before_v, &mut rng);
-        row.extend(shadow(&after_v, &mut rng));
+        let mut row = shadow(before_v, &mut rng);
+        row.extend(shadow(after_v, &mut rng));
         rows.push((DeviceId(base_id + i as u32), row));
     }
     let attacked_table = TrajectoryTable::from_concatenated(pair.dim(), rows);

@@ -361,9 +361,8 @@ mod tests {
         for id in before.device_ids() {
             let dist = before
                 .position(id)
-                .coords()
                 .iter()
-                .zip(after.position(id).coords())
+                .zip(after.position(id))
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max);
             if fleet[1].flagged.binary_search(&id).is_ok() {

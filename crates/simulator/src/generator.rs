@@ -174,10 +174,7 @@ impl Simulation {
             let center = before.position(rng_epicentre);
             free.iter()
                 .copied()
-                .filter(|&id| {
-                    anomaly_qos::uniform_distance(before.position(id).coords(), center.coords())
-                        <= r
-                })
+                .filter(|&id| anomaly_qos::uniform_distance(before.position(id), center) <= r)
                 .collect()
         };
         let epicentre_tries = if intended_isolated { 1 } else { 4 };
@@ -210,7 +207,7 @@ impl Simulation {
         let mut lo = vec![f64::INFINITY; dim];
         let mut hi = vec![f64::NEG_INFINITY; dim];
         for &m in &members {
-            for (i, &c) in before.position(m).coords().iter().enumerate() {
+            for (i, &c) in before.position(m).iter().enumerate() {
                 lo[i] = lo[i].min(c);
                 hi[i] = hi[i].max(c);
             }
@@ -256,7 +253,6 @@ impl Simulation {
         for &m in &members {
             let new_pos: Vec<f64> = before
                 .position(m)
-                .coords()
                 .iter()
                 .zip(&displacement)
                 .map(|(c, d)| (c + d).clamp(0.0, 1.0))
@@ -288,17 +284,15 @@ impl Simulation {
         // covers the dominant effect at modest cost.
         let _ = effective_isolated;
         for &m in members {
-            let b_m = before.position(m).coords();
+            let b_m = before.position(m);
             let a_m: Vec<f64> = b_m
                 .iter()
                 .zip(displacement)
                 .map(|(c, d)| (c + d).clamp(0.0, 1.0))
                 .collect();
             for &p in placed_isolated {
-                let close_before =
-                    anomaly_qos::uniform_distance(b_m, before.position(p).coords()) <= window;
-                let close_after =
-                    anomaly_qos::uniform_distance(&a_m, after.position(p).coords()) <= window;
+                let close_before = anomaly_qos::uniform_distance(b_m, before.position(p)) <= window;
+                let close_after = anomaly_qos::uniform_distance(&a_m, after.position(p)) <= window;
                 if close_before && close_after {
                     return false;
                 }
@@ -382,7 +376,7 @@ mod tests {
         for _ in 0..5 {
             let out = sim.step();
             for (_, p) in out.pair.after().iter() {
-                assert!(p.is_in_unit_cube());
+                assert!(p.iter().all(|c| (0.0..=1.0).contains(c)));
             }
         }
     }

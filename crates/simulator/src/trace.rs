@@ -137,7 +137,7 @@ impl Trace {
             for (label, snap) in [("before", step.pair.before()), ("after", step.pair.after())] {
                 out.push_str(label);
                 for (_, p) in snap.iter() {
-                    for c in p.coords() {
+                    for c in p {
                         let _ = write!(out, " {c}");
                     }
                 }

@@ -255,12 +255,26 @@ impl<'a> Dec<'a> {
 
     /// Reads a length-prefixed slice of `f64`s.
     pub fn f64s(&mut self, field: &'static str) -> Result<Vec<f64>, DecodeError> {
+        let mut out = Vec::new();
+        self.f64s_into(field, &mut out)?;
+        Ok(out)
+    }
+
+    /// Reads a length-prefixed slice of `f64`s onto the end of `out` and
+    /// returns its length: the form for decoding many short slices into
+    /// one flat buffer without a `Vec` per slice. On error `out` may hold
+    /// part of the slice.
+    pub fn f64s_into(
+        &mut self,
+        field: &'static str,
+        out: &mut Vec<f64>,
+    ) -> Result<usize, DecodeError> {
         let n = self.seq_len(field)?;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
+        out.reserve(n.min(1 << 16));
         for _ in 0..n {
             out.push(self.f64(field)?);
         }
-        Ok(out)
+        Ok(n)
     }
 
     /// Asserts the payload was consumed exactly — trailing garbage means
@@ -339,6 +353,24 @@ mod tests {
     fn trailing_garbage_fails_finish() {
         let dec = Dec::new(&[0]);
         assert!(dec.finish("end").is_err());
+    }
+
+    #[test]
+    fn f64s_into_appends_each_slice_to_one_buffer() {
+        let mut enc = Enc::new();
+        enc.f64s(&[0.25, 0.5]);
+        enc.f64s(&[]);
+        enc.f64s(&[1.0]);
+        let bytes = enc.into_bytes();
+        let mut dec = Dec::new(&bytes);
+        let mut flat = vec![9.0];
+        assert_eq!(dec.f64s_into("a", &mut flat).unwrap(), 2);
+        assert_eq!(dec.f64s_into("b", &mut flat).unwrap(), 0);
+        assert_eq!(dec.f64s_into("c", &mut flat).unwrap(), 1);
+        assert_eq!(flat, vec![9.0, 0.25, 0.5, 1.0]);
+        dec.finish("end").unwrap();
+        let mut truncated = Dec::new(&bytes[..12]);
+        assert!(truncated.f64s_into("short", &mut flat).is_err());
     }
 
     #[test]

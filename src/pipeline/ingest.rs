@@ -35,7 +35,7 @@ use super::error::MonitorError;
 use super::key::DeviceKey;
 use super::monitor::{Monitor, SealDelta};
 use super::report::{Report, Stragglers};
-use anomaly_qos::{DeviceId, Point, Snapshot};
+use anomaly_qos::{DeviceId, Snapshot};
 use std::error::Error;
 use std::fmt;
 
@@ -141,15 +141,21 @@ impl Error for IngestError {}
 
 /// The open epoch: per-slot pending updates and per-slot staleness ages.
 ///
-/// Slot vectors are index-aligned with the monitor's dense key order and
-/// maintained through churn with the same swap-remove discipline as the
-/// detector vector.
+/// Pending updates live in one flat buffer of stride `d` (the service
+/// count), row `slot` at `slot·d`, beside a per-slot has-update flag: a
+/// staged row is copied in once, at ingest, and read in place by the
+/// seal. Slot vectors are index-aligned with the monitor's dense key order
+/// and maintained through churn with the same swap-remove discipline as
+/// the detector vector.
 #[derive(Debug, Default)]
 pub(super) struct EpochState {
-    /// Pending update per dense slot; `None` = silent so far this epoch.
-    pending: Vec<Option<Point>>,
-    /// `Some` entries in `pending`.
-    updated: usize,
+    /// Services per device: the stride of `rows`.
+    dim: usize,
+    /// Pending update per dense slot, row-major; a row means something
+    /// only while its slot's `has_update` flag is set.
+    rows: Vec<f64>,
+    /// Per slot: true when `rows` holds an update staged this epoch.
+    has_update: Vec<bool>,
     /// Slots with a pending update, in arrival order (no duplicates —
     /// last-write-wins keeps the first entry). Lets sealing enumerate the
     /// changed devices without scanning every slot; cleared when the epoch
@@ -170,10 +176,11 @@ pub(super) struct EpochState {
 }
 
 impl EpochState {
-    pub(super) fn with_capacity(capacity: usize) -> Self {
+    pub(super) fn with_capacity(capacity: usize, dim: usize) -> Self {
         EpochState {
-            pending: Vec::with_capacity(capacity),
-            updated: 0,
+            dim,
+            rows: Vec::with_capacity(capacity.saturating_mul(dim)),
+            has_update: Vec::with_capacity(capacity),
             updated_slots: Vec::new(),
             sealed: 0,
             last_reported: Vec::with_capacity(capacity),
@@ -181,39 +188,57 @@ impl EpochState {
         }
     }
 
+    /// The storage range of `slot`'s row.
+    fn span(&self, slot: usize) -> std::ops::Range<usize> {
+        slot * self.dim..(slot + 1) * self.dim
+    }
+
     /// A device joined: appends its (empty) slot with age 0.
     pub(super) fn push_slot(&mut self) {
-        self.pending.push(None);
+        self.rows.resize(self.rows.len() + self.dim, 0.0);
+        self.has_update.push(false);
         self.last_reported.push(self.sealed);
     }
 
     /// A device left: swap-removes its slot, mirroring the key vector.
     pub(super) fn remove_slot(&mut self, slot: usize) {
-        let last = self.pending.len().saturating_sub(1) as u32;
-        if self.pending.swap_remove(slot).is_some() {
-            self.updated -= 1;
+        let last = self.has_update.len().saturating_sub(1);
+        if slot != last {
+            let from = self.span(last);
+            self.rows.copy_within(from, slot * self.dim);
         }
-        let slot32 = slot as u32;
+        self.rows.truncate(last * self.dim);
+        self.has_update.swap_remove(slot);
+        let (slot32, last32) = (slot as u32, last as u32);
         // The swap-remove moved the last slot into the vacated one: drop
         // both old entries from the update list and re-key the survivor.
-        self.updated_slots.retain(|&s| s != slot32 && s != last);
-        if slot32 != last && self.pending.get(slot).is_some_and(Option::is_some) {
+        self.updated_slots.retain(|&s| s != slot32 && s != last32);
+        if slot != last && self.has_update(slot) {
             self.updated_slots.push(slot32);
         }
         self.last_reported.swap_remove(slot);
     }
 
-    /// Stages an update for a slot (last write wins).
-    pub(super) fn stage(&mut self, slot: usize, point: Point) {
-        // conformance: allow(C1, reason = "slot vectors are index-aligned with the dense key order; every slot comes from the key index")
-        if self.pending[slot].replace(point).is_none() {
-            self.updated += 1;
+    /// Stages an update for a slot (last write wins): one copy of a row
+    /// the caller validated.
+    pub(super) fn stage(&mut self, slot: usize, row: &[f64]) -> Result<(), MonitorError> {
+        let span = self.span(slot);
+        let (Some(dst), Some(flag)) = (self.rows.get_mut(span), self.has_update.get_mut(slot))
+        else {
+            return Err(MonitorError::internal(
+                "staged slot out of the pending table",
+            ));
+        };
+        dst.copy_from_slice(row);
+        if !*flag {
+            *flag = true;
             self.updated_slots.push(slot as u32);
         }
+        Ok(())
     }
 
     pub(super) fn updated(&self) -> usize {
-        self.updated
+        self.updated_slots.len()
     }
 
     /// Slots with a pending update, in arrival order.
@@ -222,17 +247,16 @@ impl EpochState {
     }
 
     pub(super) fn has_update(&self, slot: usize) -> bool {
-        // conformance: allow(C1, reason = "slot vectors are index-aligned with the dense key order; every slot comes from the key index")
-        self.pending[slot].is_some()
+        self.has_update.get(slot).copied().unwrap_or(false)
     }
 
-    pub(super) fn take(&mut self, slot: usize) -> Option<Point> {
-        // conformance: allow(C1, reason = "slot vectors are index-aligned with the dense key order; every slot comes from the key index")
-        let p = self.pending[slot].take();
-        if p.is_some() {
-            self.updated -= 1;
+    /// The update staged for `slot` this epoch, if any.
+    pub(super) fn row(&self, slot: usize) -> Option<&[f64]> {
+        if self.has_update(slot) {
+            self.rows.get(self.span(slot))
+        } else {
+            None
         }
-        p
     }
 
     pub(super) fn age(&self, slot: usize) -> u64 {
@@ -249,33 +273,34 @@ impl EpochState {
     }
 
     /// Records the outcome of a sealed epoch: every slot in `fed`
-    /// reported (age resets to 0), every other slot's age grows by one —
-    /// implicitly, via the lazy `sealed - last_reported` representation,
-    /// so the cost is O(`fed`), not O(population).
+    /// reported (age resets to 0, and its pending row is consumed), every
+    /// other slot's age grows by one — implicitly, via the lazy
+    /// `sealed - last_reported` representation, so the cost is O(`fed`),
+    /// not O(population).
     pub(super) fn settle_epoch(&mut self, fed: &[u32], population: usize) {
         self.sealed += 1;
         for &slot in fed {
             if let Some(e) = self.last_reported.get_mut(slot as usize) {
                 *e = self.sealed;
             }
+            if let Some(flag) = self.has_update.get_mut(slot as usize) {
+                *flag = false;
+            }
         }
         if fed.len() == population {
             self.stale_floor = self.sealed;
         }
-        // The epoch's pending updates were consumed by snapshot assembly.
         self.updated_slots.clear();
-        self.updated = 0;
     }
 
     /// Drops every pending update (ages are untouched).
     pub(super) fn discard(&mut self) {
         for &slot in &self.updated_slots {
-            if let Some(p) = self.pending.get_mut(slot as usize) {
-                *p = None;
+            if let Some(flag) = self.has_update.get_mut(slot as usize) {
+                *flag = false;
             }
         }
         self.updated_slots.clear();
-        self.updated = 0;
     }
 
     /// Forgets the staleness history too (used by [`Monitor::reset`]).
@@ -285,9 +310,18 @@ impl EpochState {
         self.stale_floor = self.sealed;
     }
 
-    /// Pending update per dense slot (checkpoint export).
-    pub(super) fn pending(&self) -> &[Option<Point>] {
-        &self.pending
+    /// Number of slots (checkpoint export).
+    pub(super) fn slots(&self) -> usize {
+        self.has_update.len()
+    }
+
+    /// Pending update per dense slot, `None` for a silent one (checkpoint
+    /// export).
+    pub(super) fn pending(&self) -> impl Iterator<Item = Option<&[f64]>> {
+        self.has_update
+            .iter()
+            .zip(self.rows.chunks_exact(self.dim.max(1)))
+            .map(|(&has, row)| has.then_some(row))
     }
 
     /// Number of epochs sealed so far (checkpoint export).
@@ -305,20 +339,22 @@ impl EpochState {
         self.stale_floor
     }
 
-    /// Rebuilds the open epoch from checkpointed parts; `updated` is
-    /// recomputed from `pending` so the count can never drift from the
-    /// slots it describes.
+    /// Rebuilds the open epoch from checkpointed parts: the flat pending
+    /// rows of stride `dim` and their has-update flags, already checked
+    /// against `updated_slots` by the caller.
     pub(super) fn from_state(
-        pending: Vec<Option<Point>>,
+        dim: usize,
+        rows: Vec<f64>,
+        has_update: Vec<bool>,
         updated_slots: Vec<u32>,
         sealed: u64,
         last_reported: Vec<u64>,
         stale_floor: u64,
     ) -> Self {
-        let updated = pending.iter().filter(|p| p.is_some()).count();
         EpochState {
-            pending,
-            updated,
+            dim,
+            rows,
+            has_update,
             updated_slots,
             sealed,
             last_reported,
@@ -371,9 +407,10 @@ impl Monitor {
                 actual: measurements.len(),
             });
         }
-        let point = self.space().point(measurements)?;
-        self.epoch.stage(slot, point);
-        Ok(())
+        self.space().check(&measurements)?;
+        // The row is copied into the open epoch; the caller's buffer is
+        // freed here, not at the seal.
+        self.epoch.stage(slot, &measurements)
     }
 
     /// Stages a batch of per-device updates, in order.
@@ -475,38 +512,26 @@ impl Monitor {
         // Phases 1 & 2 — resolve silent devices, then assemble the
         // epoch's snapshot. Phase 1 is read-only: a policy failure must
         // leave the epoch open and every internal structure intact.
-        let default_point: Option<Point> = match &self.staleness {
-            StalenessPolicy::Default(row) => Some(Point::new_unchecked(row.clone())),
-            _ => None,
-        };
         let stragglers = self.resolve_silent(n, &fed, &unplaced)?;
         // After a churn, the previous rows move to the current dense order
         // only once the policy has accepted the epoch.
         if let Some(targets) = targets {
             self.realign_previous(targets)?;
         }
-        let (current, changed) = self.assemble_delta(&fed, default_point.as_ref(), &unplaced)?;
+        let (current, delta) = self.assemble_delta(fed, unplaced)?;
 
         // Phase 3 — settle ages and run the shared pipeline. Only slots
         // with a real update feed their detector (frozen semantics for
-        // bridged rows — see `StalenessPolicy`); the changed rows go along
-        // so characterization can invalidate exactly the neighbourhoods
-        // they touch, and the trajectory index re-keys the ones whose key
-        // changed.
-        self.epoch.settle_epoch(&fed, n);
-        let report = self.advance(
-            current,
-            stragglers,
-            SealDelta {
-                fed,
-                changed: &changed,
-                unplaced: &unplaced,
-            },
-        )?;
+        // bridged rows — see `StalenessPolicy`); the changed rows and their
+        // cells go along so characterization can invalidate exactly the
+        // neighbourhoods they touch, and the trajectory index re-keys the
+        // ones whose key changed.
+        self.epoch.settle_epoch(&delta.fed, n);
+        let report = self.advance(current, stragglers, &delta)?;
 
         // Phase 4 — record the delta for the next epoch: the recycled
         // buffer lags the new previous snapshot by exactly `changed`.
-        self.set_spare_lag(changed);
+        self.set_spare_lag(delta.changed);
         Ok(report)
     }
 
@@ -635,101 +660,120 @@ impl Monitor {
     }
 
     /// Phase 2: recycle the spare buffer (or clone the previous snapshot
-    /// once when no spare exists yet), patch only the rows that actually
+    /// once when no spare exists yet), write only the rows that actually
     /// changed, and report the change-set.
     ///
-    /// Walks the `fed` slots only — silent rows keep their previous value
-    /// (carry-forward) and cost nothing — except under the `Default`
-    /// policy, where every silent row must be compared against the default
-    /// point too. An `unplaced` slot's row is always patched and counted as
-    /// changed, even when it equals the placeholder: that dirties its cells
-    /// now, and their echo evicts the cached verdicts around it when it
-    /// enters the trajectory index one seal later. With no previous
-    /// snapshot every slot is unplaced, and the patches are the snapshot.
+    /// One pass over the fed rows — every row under the `Default` policy,
+    /// where a silent row must be compared against the default row too;
+    /// silent rows otherwise keep their previous value and cost nothing.
+    /// Each row is compared with its previous one; a changed row is copied
+    /// into the buffer, and its before-cell, after-cell and still/moving
+    /// class ([`CellGeometry::key`](anomaly_qos::CellGeometry::key)) are
+    /// computed in the same step, giving the cache's dirty cells and the
+    /// trajectory index's re-keyed rows without a second pass. Rows were
+    /// validated at ingest and are not checked again.
+    ///
+    /// An `unplaced` slot's row is always written and counted as changed,
+    /// even when it equals the placeholder: that dirties its cells now, and
+    /// their echo evicts the cached verdicts around it when it enters the
+    /// trajectory index one seal later. With no previous snapshot every
+    /// slot is unplaced, the staged rows are the snapshot, and there are no
+    /// cells to compute.
     fn assemble_delta(
         &mut self,
-        fed: &[u32],
-        default_point: Option<&Point>,
-        unplaced: &[DeviceId],
-    ) -> Result<(Snapshot, Vec<DeviceId>), MonitorError> {
+        fed: Vec<u32>,
+        unplaced: Vec<DeviceId>,
+    ) -> Result<(Snapshot, SealDelta), MonitorError> {
         let n = self.keys().len();
-        // Collect the rows that differ from the previous snapshot.
-        let mut patches: Vec<(DeviceId, Point)> = Vec::new();
-        let mut stage_row = |this: &Self, slot: usize, p: Point| {
-            let id = DeviceId(slot as u32);
-            let changed = match this.previous_snapshot() {
-                Some(prev) => p != *prev.position(id) || unplaced.binary_search(&id).is_ok(),
-                None => true,
-            };
-            if changed {
-                patches.push((id, p));
-            }
-        };
-        match default_point {
-            None => {
-                // Reject / carry-forward: only fed rows can differ.
-                for &slot32 in fed {
-                    let slot = slot32 as usize;
-                    let p = self
-                        .epoch
-                        .take(slot)
-                        .ok_or(MonitorError::internal("fed slot has no pending update"))?;
-                    stage_row(self, slot, p);
-                }
-            }
-            Some(default) => {
-                // Default policy: silent rows become the default point, so
-                // every slot is either a fresh update or a default fill.
-                let mut next_fed = fed.iter().copied().peekable();
-                for slot in 0..n {
-                    let p = if next_fed.peek() == Some(&(slot as u32)) {
-                        next_fed.next();
-                        self.epoch
-                            .take(slot)
-                            .ok_or(MonitorError::internal("fed slot has no pending update"))?
-                    } else {
-                        default.clone()
-                    };
-                    stage_row(self, slot, p);
-                }
-            }
-        }
-        let changed: Vec<DeviceId> = patches.iter().map(|&(id, _)| id).collect();
         let spare = self.take_spare(n);
-        let lag = if spare.is_some() {
+        // The rows the spare lags by, and then the buffer of this epoch's
+        // changed rows: the same allocation, recycled every seal.
+        let mut changed = if spare.is_some() {
             self.take_spare_lag()
         } else {
             Vec::new()
         };
-        let mut current = match (spare, self.previous_snapshot()) {
+        let default_row = match &self.staleness {
+            StalenessPolicy::Default(row) => Some(row.as_slice()),
+            _ => None,
+        };
+        // A slot's row this epoch: its staged update, else the default row
+        // (without one, only fed slots have a row).
+        let rows = |slot: usize| {
+            self.epoch
+                .row(slot)
+                .or(default_row)
+                .ok_or(MonitorError::internal("fed slot has no pending update"))
+        };
+        let Some(prev) = self.previous_snapshot() else {
+            let mut flat = Vec::with_capacity(n * self.services());
+            for slot in 0..n {
+                flat.extend_from_slice(rows(slot)?);
+            }
+            let current = Snapshot::from_flat(self.space(), flat)?;
+            let delta = SealDelta {
+                fed,
+                changed: (0..n as u32).map(DeviceId).collect(),
+                cells: Vec::new(),
+                rekeyed: Vec::new(),
+                unplaced,
+            };
+            return Ok((current, delta));
+        };
+        let mut current = match spare {
             // Bring the buffer from S_{k-2} to S_{k-1}: only the rows that
             // changed last epoch differ.
-            (Some(mut buf), Some(prev)) => {
-                for id in lag {
+            Some(mut buf) => {
+                for &id in &changed {
                     buf.copy_row_from(prev, id);
                 }
                 buf
             }
             // The first seal after the first one, a restore or a churn:
-            // one full clone, then the spare ping-pong makes every later
-            // seal clone-free.
-            (None, Some(prev)) => prev.clone(),
-            // No previous snapshot: every slot was patched, in slot order.
-            (_, None) => {
-                if patches.len() != n {
-                    return Err(MonitorError::internal(
-                        "a seal without a previous snapshot writes every row",
-                    ));
-                }
-                let space = *self.space();
-                let rows = patches.into_iter().map(|(_, p)| p).collect();
-                return Ok((Snapshot::new(&space, rows)?, changed));
-            }
+            // one full copy, then the spare ping-pong makes every later
+            // seal copy-free.
+            None => prev.clone(),
         };
-        current
-            .patch_rows(patches)
-            .map_err(|_| MonitorError::internal("patched rows were validated at ingest time"))?;
-        Ok((current, changed))
+        let geometry = self.geometry();
+        let walked = if default_row.is_some() { n } else { fed.len() };
+        changed.clear();
+        changed.reserve(walked);
+        let mut cells: Vec<u32> = Vec::with_capacity(2 * walked);
+        let mut rekeyed: Vec<DeviceId> = Vec::new();
+        let mut write = |slot: usize| -> Result<(), MonitorError> {
+            let id = DeviceId(slot as u32);
+            let row = rows(slot)?;
+            let before = prev.try_position(id)?;
+            if row == before && unplaced.binary_search(&id).is_err() {
+                return Ok(());
+            }
+            current.set_row_unchecked(id, row)?;
+            let (from, to, moving) = geometry.key(before, row);
+            changed.push(id);
+            cells.push(from);
+            cells.push(to);
+            if from != to || moving {
+                rekeyed.push(id);
+            }
+            Ok(())
+        };
+        if default_row.is_some() {
+            for slot in 0..n {
+                write(slot)?;
+            }
+        } else {
+            for &slot in &fed {
+                write(slot as usize)?;
+            }
+        }
+        let delta = SealDelta {
+            fed,
+            changed,
+            cells,
+            rekeyed,
+            unplaced,
+        };
+        Ok((current, delta))
     }
 }
 
@@ -776,10 +820,7 @@ mod tests {
         assert!(m.silent_keys().is_empty());
         let r = m.seal().unwrap();
         assert_eq!(r.population(), 2);
-        assert_eq!(
-            m.last_snapshot().unwrap().position(DeviceId(0)).coords(),
-            &[0.9]
-        );
+        assert_eq!(m.last_snapshot().unwrap().position(DeviceId(0)), &[0.9]);
     }
 
     #[test]
@@ -826,10 +867,7 @@ mod tests {
             m.ingest(0u64, vec![0.9]).unwrap();
             let r = m.seal().unwrap();
             assert_eq!(r.stragglers(), &[DeviceKey(1)]);
-            assert_eq!(
-                m.last_snapshot().unwrap().position(DeviceId(1)).coords(),
-                &[0.8]
-            );
+            assert_eq!(m.last_snapshot().unwrap().position(DeviceId(1)), &[0.8]);
         }
         // The third consecutive miss exceeds max_age.
         m.ingest(0u64, vec![0.9]).unwrap();
@@ -886,10 +924,7 @@ mod tests {
         // Even the very first epoch seals with no updates at all.
         let r = m.seal().unwrap();
         assert_eq!(r.stragglers(), &[DeviceKey(0), DeviceKey(1)]);
-        assert_eq!(
-            m.last_snapshot().unwrap().position(DeviceId(0)).coords(),
-            &[0.5]
-        );
+        assert_eq!(m.last_snapshot().unwrap().position(DeviceId(0)), &[0.5]);
         m.ingest(0u64, vec![0.9]).unwrap();
         let r = m.seal().unwrap();
         assert_eq!(r.stragglers(), &[DeviceKey(1)]);

@@ -11,7 +11,7 @@ use anomaly_core::{
 };
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
-    CellGeometry, DeviceId, ExpandedCells, GridUpdate, Norm, NormKind, Point, QosSpace, Snapshot,
+    CellGeometry, CellSet, DeviceId, ExpandedCells, GridUpdate, Norm, NormKind, QosSpace, Snapshot,
     StatePair, TrajectoryIndex,
 };
 use anomaly_store::{Dec, Enc};
@@ -150,9 +150,13 @@ pub struct Monitor {
     char_cache: CharCache,
     /// Grid cells touched since the last characterized instant: cells of
     /// rows whose value changed, plus cells of devices whose detector flag
-    /// flipped. Consumed (and re-seeded with the sealing epoch's own
+    /// flipped. A [`CellSet`] — one bit per cell of `geometry` plus the
+    /// list of the cells set — so the two cells of every changed row
+    /// insert in a bit test each, and a cell is listed once however often
+    /// it is marked. Consumed (sorted for [`CellGeometry::expand_cells`], then
+    /// cleared through its list and re-seeded with the sealing epoch's own
     /// changed cells) at every characterized instant.
-    dirty_pending: BTreeSet<u32>,
+    dirty_pending: CellSet,
     instant: u64,
     /// The open streaming epoch: pending per-device updates and
     /// staleness ages (slot-aligned with `keys`).
@@ -276,19 +280,29 @@ impl CharCache {
 }
 
 /// The per-epoch change summary [`Monitor::seal`] hands to
-/// [`Monitor::advance`]: which detectors receive a fresh observation and
-/// which rows actually changed value. This is what makes the back half of
-/// `seal` scale with the churn instead of the population.
-pub(super) struct SealDelta<'a> {
-    /// Dense slots with a fresh update this epoch; the detectors of every
-    /// other slot stay frozen.
+/// [`Monitor::advance`]: which detectors receive a fresh observation,
+/// which rows actually changed value, and the cells and index keys those
+/// rows moved — all filled by the one pass that assembles the snapshot.
+/// This is what makes the back half of `seal` scale with the churn instead
+/// of the population.
+pub(super) struct SealDelta {
+    /// Dense slots with a fresh update this epoch, ascending; the detectors
+    /// of every other slot stay frozen.
     pub(super) fed: Vec<u32>,
-    /// Rows whose value changed this epoch, and every unplaced slot.
-    pub(super) changed: &'a [DeviceId],
+    /// Rows whose value changed this epoch, and every unplaced slot,
+    /// ascending.
+    pub(super) changed: Vec<DeviceId>,
+    /// The before-cell and the after-cell of every changed row, in pairs
+    /// (empty without a previous snapshot): the seed of the cache's dirty
+    /// set, and the echo that re-dirties those rows next epoch.
+    pub(super) cells: Vec<u32>,
+    /// The changed rows whose trajectory-index key moves: their cell
+    /// changed, or their move is long enough to file them as moving.
+    pub(super) rekeyed: Vec<DeviceId>,
     /// Slots with no row in the previous snapshot, ascending
     /// ([`Monitor::align_previous`]): kept out of `A_k` and of the
     /// trajectory index this seal.
-    pub(super) unplaced: &'a [DeviceId],
+    pub(super) unplaced: Vec<DeviceId>,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -320,6 +334,7 @@ impl Monitor {
         history: usize,
         debounce: u64,
     ) -> Self {
+        let geometry = CellGeometry::new(services, params.window().max(1e-6));
         Monitor {
             params,
             services,
@@ -334,13 +349,13 @@ impl Monitor {
             previous: None,
             previous_keys: None,
             trajectory_index: None,
-            geometry: CellGeometry::new(services, params.window().max(1e-6)),
+            geometry,
             flag_state: Vec::with_capacity(capacity),
             flagged_slots: BTreeSet::new(),
             char_cache: CharCache::default(),
-            dirty_pending: BTreeSet::new(),
+            dirty_pending: CellSet::new(&geometry),
             instant: epoch_start,
-            epoch: EpochState::with_capacity(capacity),
+            epoch: EpochState::with_capacity(capacity, services),
             staleness,
             spare: None,
             spare_lag: Vec::new(),
@@ -457,6 +472,11 @@ impl Monitor {
         &self.space
     }
 
+    /// The cell layout of the trajectory index and of the dirty cells.
+    pub(super) fn geometry(&self) -> CellGeometry {
+        self.geometry
+    }
+
     /// The previous sealed snapshot (internal alias used by the seal
     /// machinery in `ingest.rs`).
     pub(super) fn previous_snapshot(&self) -> Option<&Snapshot> {
@@ -495,49 +515,6 @@ impl Monitor {
         self.spare_lag.clear();
         self.index_staged.clear();
         self.index_synced = false;
-    }
-
-    /// Old and new cell of every row that changed value this epoch — the
-    /// seed of the characterization cache's dirty set, and the echo that
-    /// re-dirties those rows next epoch — plus the rows whose
-    /// trajectory-index key moves: those whose cell changed, and those
-    /// whose move is long enough to file them as moving. Pure cell
-    /// geometry, fixed for the monitor's lifetime.
-    ///
-    /// Empty when nothing would consume the result: no index exists yet
-    /// and the epoch characterizes nothing. The cache fills only once an
-    /// index exists, so until then only a characterizing epoch — the first
-    /// one, or the first after a restore — needs its echo.
-    fn changed_cells_of(
-        &self,
-        changed: &[DeviceId],
-        current: &Snapshot,
-        characterizing: bool,
-    ) -> (Vec<u32>, Vec<DeviceId>) {
-        let mut cells = Vec::new();
-        let mut rekeyed = Vec::new();
-        if changed.is_empty() || (self.trajectory_index.is_none() && !characterizing) {
-            return (cells, rekeyed);
-        }
-        let Some(prev) = self.previous.as_ref() else {
-            return (cells, rekeyed);
-        };
-        cells.reserve(changed.len() * 2);
-        for &id in changed {
-            let (Ok(old), Ok(new)) = (prev.try_position(id), current.try_position(id)) else {
-                continue;
-            };
-            let (from, to) = (
-                self.geometry.cell_index(old.coords()),
-                self.geometry.cell_index(new.coords()),
-            );
-            cells.push(from);
-            cells.push(to);
-            if from != to || self.geometry.is_moving(old.coords(), new.coords()) {
-                rekeyed.push(id);
-            }
-        }
-        (cells, rekeyed)
     }
 
     /// Adds this epoch's re-keyed rows to the devices the trajectory index
@@ -717,18 +694,14 @@ impl Monitor {
         let previous = self.previous.take().ok_or(MonitorError::internal(
             "realignment requires a previous snapshot",
         ))?;
-        let mut rows: Vec<Option<Point>> = (0..self.keys.len()).map(|_| None).collect();
-        for (point, target) in previous.into_positions().into_iter().zip(targets) {
-            if let Some(row) = target.and_then(|slot| rows.get_mut(slot as usize)) {
-                *row = Some(point);
+        let origin = vec![0.0; self.keys.len() * self.services];
+        let mut realigned = Snapshot::from_flat(&self.space, origin)?;
+        for ((_, row), target) in previous.iter().zip(targets) {
+            if let Some(slot) = target {
+                realigned.set_row_unchecked(DeviceId(slot), row)?;
             }
         }
-        let placeholder = Point::new_unchecked(vec![0.0; self.services]);
-        let rows = rows
-            .into_iter()
-            .map(|row| row.unwrap_or_else(|| placeholder.clone()))
-            .collect();
-        self.previous = Some(Snapshot::new(&self.space, rows)?);
+        self.previous = Some(realigned);
         self.previous_keys = None;
         Ok(())
     }
@@ -830,8 +803,8 @@ impl Monitor {
         }
         // Rows were validated by the snapshot's constructor: stage them
         // directly, without the per-row re-validation of `ingest`.
-        for (slot, point) in snapshot.into_positions().into_iter().enumerate() {
-            self.epoch.stage(slot, point);
+        for (id, row) in snapshot.iter() {
+            self.epoch.stage(id.index(), row)?;
         }
         self.seal()
     }
@@ -851,7 +824,7 @@ impl Monitor {
         &mut self,
         current: Snapshot,
         stragglers: Stragglers,
-        delta: SealDelta<'_>,
+        delta: &SealDelta,
     ) -> Result<Report, MonitorError> {
         self.last_grid_update = None;
         let detection_start = Stopwatch::start();
@@ -862,7 +835,7 @@ impl Monitor {
                 .detectors
                 .get_mut(i)
                 .ok_or(MonitorError::internal("fed slot out of detector range"))?
-                .observe_vector(point.coords());
+                .observe_vector(point);
             let flagged_now = verdict.is_anomalous();
             let was_flagged = self
                 .flag_state
@@ -878,8 +851,7 @@ impl Monitor {
                 // A_k membership changed at this device's position: every
                 // cached verdict in its neighbourhood is suspect.
                 if self.trajectory_index.is_some() {
-                    self.dirty_pending
-                        .insert(self.geometry.cell_index(point.coords()));
+                    self.dirty_pending.insert(self.geometry.cell_index(point));
                 }
             }
             if let Some(state) = self.flag_state.get_mut(i) {
@@ -901,12 +873,14 @@ impl Monitor {
             flagged.push((i, score));
         }
         let detection = detection_start.elapsed();
-        let (changed_cells, rekeyed) =
-            self.changed_cells_of(delta.changed, &current, !flagged.is_empty());
-        self.dirty_pending.extend(changed_cells.iter().copied());
+        // The changed rows' cells matter only to a cache, which exists once
+        // an index does, or to this epoch's echo if it characterizes.
+        if self.trajectory_index.is_some() || !flagged.is_empty() {
+            self.dirty_pending.extend(delta.cells.iter().copied());
+        }
         // The sealing epoch's own movers change their after-cell or their
         // class now.
-        self.stage_index_moves(&rekeyed);
+        self.stage_index_moves(&delta.rekeyed);
 
         let instant = self.instant;
         self.instant += 1;
@@ -922,8 +896,8 @@ impl Monitor {
                     previous,
                     current,
                     &flagged,
-                    &changed_cells,
-                    delta.unplaced,
+                    &delta.cells,
+                    &delta.unplaced,
                     &mut verdicts,
                     &mut warming,
                 )?;
@@ -932,7 +906,7 @@ impl Monitor {
                 // before-cell moves, and their move turns still, at the next
                 // instant: stage them again.
                 if self.last_grid_update.is_some() {
-                    self.stage_index_moves(&rekeyed);
+                    self.stage_index_moves(&delta.rekeyed);
                 }
                 rotated
             }
@@ -1041,10 +1015,12 @@ impl Monitor {
         // dependency neighbourhood of Definition 1's locality bound, and
         // drop every cached verdict anchored inside it; what remains is
         // provably unaffected and served without recomputation.
-        let dirty = std::mem::take(&mut self.dirty_pending);
-        if !dirty.is_empty() {
-            let doomed = self.geometry.expand_cells(&dirty, INVALIDATION_RINGS);
+        if !self.dirty_pending.is_empty() {
+            let doomed = self
+                .geometry
+                .expand_cells(self.dirty_pending.sorted(), INVALIDATION_RINGS);
             self.char_cache.evict_cells(&doomed);
+            self.dirty_pending.clear();
         }
         // Echo: rows that changed this epoch change trajectory again next
         // epoch (moving → stationary), so their cells go straight back into
@@ -1112,7 +1088,7 @@ impl Monitor {
                         "fresh device missing its precompute slice",
                     ));
                 };
-                let cell = self.geometry.cell_index(pair.after().position(j).coords());
+                let cell = self.geometry.cell_index(pair.after().position(j));
                 self.char_cache.insert(
                     j.0,
                     CacheEntry {
@@ -1136,10 +1112,9 @@ impl Monitor {
         rows.sort_unstable_by_key(|r| r.j);
         for row in rows {
             let j = row.j;
-            let displacement = self.norm.distance(
-                pair.before().position(j).coords(),
-                pair.after().position(j).coords(),
-            );
+            let displacement = self
+                .norm
+                .distance(pair.before().position(j), pair.after().position(j));
             verdicts.push(DeviceVerdict {
                 key: self.key_at(j.0)?,
                 id: j,
@@ -1190,8 +1165,8 @@ impl Monitor {
             Some(prev) => {
                 enc.bool(true);
                 enc.usize(prev.len());
-                for i in 0..prev.len() {
-                    enc.f64s(prev.position(DeviceId(i as u32)).coords());
+                for (_, row) in prev.iter() {
+                    enc.f64s(row);
                 }
             }
             None => enc.bool(false),
@@ -1204,12 +1179,12 @@ impl Monitor {
             }
             None => enc.bool(false),
         }
-        enc.usize(self.epoch.pending().len());
+        enc.usize(self.epoch.slots());
         for slot in self.epoch.pending() {
             match slot {
-                Some(point) => {
+                Some(row) => {
                     enc.bool(true);
-                    enc.f64s(point.coords());
+                    enc.f64s(row);
                 }
                 None => enc.bool(false),
             }
@@ -1282,17 +1257,23 @@ impl Monitor {
                 self.flagged_slots.insert(slot as u32);
             }
         }
+        let d = self.services;
         self.previous = if dec.bool("state.previous")? {
             let rows_n = dec.usize("state.previous")?;
-            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(rows_n.min(1 << 16));
+            let invalid = |e| MonitorError::Persist {
+                detail: format!("checkpointed snapshot is invalid: {e}"),
+            };
+            // Each row is decoded straight onto the flat buffer and checked
+            // there, in row order.
+            let mut flat: Vec<f64> = Vec::with_capacity(rows_n.min(1 << 16) * d);
             for _ in 0..rows_n {
-                rows.push(dec.f64s("state.previous")?);
+                let start = flat.len();
+                dec.f64s_into("state.previous", &mut flat)?;
+                self.space
+                    .check(flat.get(start..).unwrap_or_default())
+                    .map_err(invalid)?;
             }
-            let snapshot =
-                Snapshot::from_rows(&self.space, rows).map_err(|e| MonitorError::Persist {
-                    detail: format!("checkpointed snapshot is invalid: {e}"),
-                })?;
-            Some(snapshot)
+            Some(Snapshot::from_flat(&self.space, flat).map_err(invalid)?)
         } else {
             None
         };
@@ -1325,23 +1306,31 @@ impl Monitor {
         if pending_n != n {
             return Err(persist::shape_error("pending table", pending_n, n));
         }
-        let mut pending: Vec<Option<Point>> = Vec::with_capacity(pending_n.min(1 << 16));
+        // Pending rows decode onto one flat buffer of stride `d`; a silent
+        // slot's row is zeros under a cleared flag.
+        let mut rows: Vec<f64> = Vec::with_capacity(pending_n.min(1 << 16) * d);
+        let mut has_update: Vec<bool> = Vec::with_capacity(pending_n.min(1 << 16));
         for _ in 0..pending_n {
-            pending.push(if dec.bool("state.epoch.pending")? {
-                let row = dec.f64s("state.epoch.pending")?;
-                Some(self.space.point(row).map_err(|e| MonitorError::Persist {
-                    detail: format!("checkpointed pending update is invalid: {e}"),
-                })?)
+            let start = rows.len();
+            let has = dec.bool("state.epoch.pending")?;
+            if has {
+                dec.f64s_into("state.epoch.pending", &mut rows)?;
+                self.space
+                    .check(rows.get(start..).unwrap_or_default())
+                    .map_err(|e| MonitorError::Persist {
+                        detail: format!("checkpointed pending update is invalid: {e}"),
+                    })?;
             } else {
-                None
-            });
+                rows.resize(start + d, 0.0);
+            }
+            has_update.push(has);
         }
         let mut updated_slots: Vec<u32> = Vec::new();
         let mut seen = vec![false; n];
         for raw in dec.u64s("state.epoch.updated_slots")? {
             let slot = u32::try_from(raw).ok().map(|s| s as usize);
             let fresh = slot.is_some_and(|i| {
-                pending.get(i).is_some_and(Option::is_some) && seen.get(i).is_some_and(|b| !*b)
+                has_update.get(i) == Some(&true) && seen.get(i).is_some_and(|b| !*b)
             });
             let Some(slot) = slot.filter(|_| fresh) else {
                 return Err(MonitorError::Persist {
@@ -1353,7 +1342,7 @@ impl Monitor {
             }
             updated_slots.push(slot as u32);
         }
-        if updated_slots.len() != pending.iter().filter(|p| p.is_some()).count() {
+        if updated_slots.len() != has_update.iter().filter(|&&has| has).count() {
             return Err(MonitorError::Persist {
                 detail: "checkpointed update list disagrees with the pending table".to_string(),
             });
@@ -1373,8 +1362,15 @@ impl Monitor {
                 detail: "checkpointed staleness ages are inconsistent".to_string(),
             });
         }
-        self.epoch =
-            EpochState::from_state(pending, updated_slots, sealed, last_reported, stale_floor);
+        self.epoch = EpochState::from_state(
+            d,
+            rows,
+            has_update,
+            updated_slots,
+            sealed,
+            last_reported,
+            stale_floor,
+        );
         let next_id = dec.u64("state.events.next_id")?;
         let opened_total = dec.u64("state.events.opened_total")?;
         let closed_total = dec.u64("state.events.closed_total")?;
@@ -1535,7 +1531,7 @@ mod tests {
         let r = m.seal().unwrap();
         assert_eq!(r.population(), 2);
         let slot2 = m.id_of(DeviceKey(2)).unwrap();
-        assert_eq!(m.last_snapshot().unwrap().position(slot2).coords(), &[0.8]);
+        assert_eq!(m.last_snapshot().unwrap().position(slot2), &[0.8]);
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn schedule_of(run: &ScenarioRun, drop_seed: u64) -> Vec<Action> {
     let mut feed =
         |snapshot: &Snapshot, keys: &[u64], reported: &mut Vec<u64>, actions: &mut Vec<Action>| {
             for (slot, &key) in keys.iter().enumerate() {
-                let row = snapshot.position(DeviceId(slot as u32)).coords().to_vec();
+                let row = snapshot.position(DeviceId(slot as u32)).to_vec();
                 if reported.contains(&key) && coin() {
                     continue; // dropped report: carry-forward bridges it
                 }

@@ -188,7 +188,7 @@ fn multi_step_runs_stay_consistent() {
         assert_eq!(outcome.pair.dim(), 2);
         // All positions remain valid QoS values.
         for (_, p) in outcome.pair.after().iter() {
-            assert!(p.is_in_unit_cube(), "step {step}");
+            assert!(p.iter().all(|c| (0.0..=1.0).contains(c)), "step {step}");
         }
         let report = analyze_step(&outcome, false);
         assert_eq!(report.abnormal, outcome.abnormal().len());

@@ -1,5 +1,6 @@
 //! The incremental trajectory index and the characterization cache must
-//! be unobservable in reports: on the churn trace of `monitor_v2.rs`, on a
+//! be unobservable in reports: on the churn trace of `monitor_v2.rs` (plus
+//! a streamed churn whose joiner reports the placeholder row), on a
 //! generated large-ish fleet, and through the event tracker and the serve
 //! crate's alert stream, the monitor produces exactly the verdicts,
 //! ordering, and summary of the full-recompute [`Oracle`]. The retired
@@ -7,8 +8,11 @@
 
 mod common;
 
+use anomaly_characterization::core::AnomalyClass;
 use anomaly_characterization::core::Params;
-use anomaly_characterization::pipeline::{Engine, MonitorBuilder, Report};
+use anomaly_characterization::pipeline::{
+    DeviceKey, Engine, MonitorBuilder, Report, StalenessPolicy,
+};
 use anomaly_characterization::qos::{QosSpace, Snapshot, StatePair};
 use anomaly_characterization::simulator::fleet::{generate_fleet, FleetSpec};
 use anomaly_characterization::simulator::trace::{Trace, TraceStep};
@@ -65,16 +69,23 @@ fn assert_reports_identical(a: &Report, b: &Report, context: &str) {
     assert_eq!(normalized(a), normalized(b), "{context}: JSON summary");
 }
 
-/// Replays the monitor_v2 churn scenario on a monitor built by `builder`,
-/// returning every report produced.
+/// The churn trace's configuration: silent devices are carried forward,
+/// so its last segment can stream partial epochs.
+fn churn_builder() -> MonitorBuilder {
+    MonitorBuilder::new().staleness(StalenessPolicy::CarryForward { max_age: 1_000 })
+}
+
+/// Replays the monitor_v2 churn scenario, then a streamed churn segment,
+/// on a monitor built by `builder` (from [`churn_builder`]), returning
+/// every report produced.
 fn churn_scenario(builder: MonitorBuilder) -> Vec<Report> {
     churn_scenario_on(&mut builder.fleet(8).build().unwrap())
 }
 
 /// The same scenario on the full-recompute oracle.
 fn churn_scenario_on_the_oracle() -> Vec<Report> {
-    let monitor = MonitorBuilder::new().fleet(8).build().unwrap();
-    churn_scenario_on(&mut Oracle::new(monitor, MonitorBuilder::new))
+    let monitor = churn_builder().fleet(8).build().unwrap();
+    churn_scenario_on(&mut Oracle::new(monitor, churn_builder))
 }
 
 fn churn_scenario_on(m: &mut dyn Drive) -> Vec<Report> {
@@ -102,6 +113,28 @@ fn churn_scenario_on(m: &mut dyn Drive) -> Vec<Report> {
     let second = vec![0.45, 0.46, 0.44, 0.452, 0.458, 0.10, 0.20, 0.22];
     let seg2 = trace_from_levels(&[healthy, second]);
     reports.extend(m.run_trace(&seg2).unwrap());
+    for _ in 0..40 {
+        reports.push(m.observe_rows(vec![vec![BASELINE]; 8]).unwrap());
+    }
+
+    // Segment 3, streamed: three devices jump next to the origin and fall
+    // silent, so their flags freeze; everyone else is silent and carried
+    // forward. Then device 5 leaves and a joiner takes over its warmed
+    // detector, reporting exactly the origin — the placeholder row a
+    // joiner gets. Then nobody reports. Only the joiner's forced `changed`
+    // entry dirties its cells: the last seal puts it in A_k, and the
+    // cached verdicts around it must be recomputed with it.
+    for key in 0..3u64 {
+        m.monitor()
+            .ingest(key, vec![0.01 * (key + 1) as f64])
+            .unwrap();
+    }
+    reports.push(m.seal().unwrap());
+    let detector = m.monitor().leave(5u64).unwrap();
+    m.monitor().join_with(102u64, detector).unwrap();
+    m.monitor().ingest(102u64, vec![0.0]).unwrap();
+    reports.push(m.seal().unwrap());
+    reports.push(m.seal().unwrap());
     reports
 }
 
@@ -110,8 +143,21 @@ fn churn_scenario_on(m: &mut dyn Drive) -> Vec<Report> {
 /// match the oracle's byte for byte.
 #[test]
 fn characterization_cache_is_unobservable_on_the_churn_trace() {
-    let baseline = churn_scenario(MonitorBuilder::new());
+    let baseline = churn_scenario(churn_builder());
     assert!(baseline.iter().any(|r| !r.verdicts().is_empty()));
+    // Segment 3: the joiner warms beside the three, then joins them.
+    let joiner = DeviceKey(102);
+    let [.., at_churn, after] = baseline.as_slice() else {
+        panic!("the churn trace ends with segment 3");
+    };
+    assert_eq!(at_churn.warming(), &[joiner]);
+    assert_eq!(
+        at_churn.massive().count(),
+        0,
+        "three co-located devices are sparse"
+    );
+    assert_eq!(after.class_of(joiner), Some(AnomalyClass::Massive));
+    assert_eq!(after.massive().count(), 4, "with the joiner they are dense");
     let oracle = churn_scenario_on_the_oracle();
     assert_eq!(baseline.len(), oracle.len());
     for (a, b) in baseline.iter().zip(&oracle) {
@@ -130,7 +176,7 @@ fn threaded_engine_runs_inline_and_matches_the_oracle() {
     let oracle = churn_scenario_on_the_oracle();
     assert!(oracle.iter().any(|r| r.verdicts().len() > 1));
     for workers in [2, usize::MAX] {
-        let reports = churn_scenario(MonitorBuilder::new().engine(Engine::Threaded { workers }));
+        let reports = churn_scenario(churn_builder().engine(Engine::Threaded { workers }));
         assert_eq!(oracle.len(), reports.len());
         for (a, b) in oracle.iter().zip(&reports) {
             assert_reports_identical(a, b, &format!("workers={workers} k={}", a.instant()));

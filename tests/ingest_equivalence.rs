@@ -95,6 +95,13 @@ proptest! {
     /// under every staleness policy, produce
     /// byte-identical reports and final snapshots on the monitor and on
     /// the full-recompute oracle.
+    ///
+    /// In `placeholder` runs devices 1–3 jump next to the origin one epoch
+    /// before the churn and then fall silent where the policy allows, so
+    /// their flags freeze; the joiner takes over the leaver's warmed
+    /// detector, reports exactly the origin — the placeholder row of a
+    /// joiner — and falls silent too, so one epoch later it enters `A_k`
+    /// next to cached verdicts that only its own dirty cells evict.
     #[test]
     fn characterization_cache_is_unobservable_under_churn(
         levels in proptest::collection::vec(
@@ -102,7 +109,11 @@ proptest! {
         silence in proptest::collection::vec(
             proptest::collection::vec(0usize..3, 6), 6),
         churn_at in 1usize..5,
+        placeholder in 0usize..2,
     ) {
+        let placeholder = placeholder == 1;
+        // The cluster's jump needs an epoch before it to flag.
+        let churn_at = if placeholder { churn_at.max(2) } else { churn_at };
         let n = 6usize;
         let policies = [
             StalenessPolicy::Reject,
@@ -118,21 +129,41 @@ proptest! {
                 let mut prints = Vec::new();
                 for (e, epoch) in levels.iter().enumerate() {
                     if e == churn_at {
-                        m.monitor().leave(0u64).unwrap();
-                        m.monitor().join(1_000u64).unwrap();
+                        let detector = m.monitor().leave(0u64).unwrap();
+                        if placeholder {
+                            m.monitor().join_with(1_000u64, detector).unwrap();
+                        } else {
+                            m.monitor().join(1_000u64).unwrap();
+                        }
                     }
                     let keys = m.monitor().keys().to_vec();
                     for (i, &key) in keys.iter().enumerate() {
+                        let frozen = placeholder
+                            && match key.0 {
+                                1..=3 => e >= churn_at,
+                                1_000 => e > churn_at,
+                                _ => false,
+                            };
                         // Epoch 0 and the fresh joiner always
                         // report; under Reject everyone does.
                         let may_skip = e > 0
                             && !matches!(policy, StalenessPolicy::Reject)
-                            && (key.0 as usize) < n
-                            && silence[e][key.0 as usize] == 0;
+                            && (frozen
+                                || (key.0 as usize) < n && silence[e][key.0 as usize] == 0);
                         if may_skip {
                             continue;
                         }
-                        m.monitor().ingest(key, vec![epoch[i % epoch.len()]]).unwrap();
+                        let level = match key.0 {
+                            _ if !placeholder => epoch[i % epoch.len()],
+                            // The leaver's detector last saw 0.5, far
+                            // enough from the origin to flag the joiner.
+                            0 => 0.5,
+                            1..=3 if e + 1 < churn_at => 0.5,
+                            1..=3 if e + 1 == churn_at => 0.01 * key.0 as f64,
+                            1_000 if e == churn_at => 0.0,
+                            _ => epoch[i % epoch.len()],
+                        };
+                        m.monitor().ingest(key, vec![level]).unwrap();
                     }
                     prints.push(fingerprint(&m.seal().unwrap()));
                 }

@@ -27,7 +27,7 @@ fn detectors_build_a_k_from_network_measurements() {
     for _ in 0..30 {
         let snap = net.snapshot();
         for (j, det) in devices.iter_mut().enumerate() {
-            det.observe_vector(snap.position(DeviceId(j as u32)).coords());
+            det.observe_vector(snap.position(DeviceId(j as u32)));
         }
     }
     let dslam = net.topology().dslams()[2];
@@ -40,7 +40,7 @@ fn detectors_build_a_k_from_network_measurements() {
     for (j, det) in devices.iter_mut().enumerate() {
         let id = DeviceId(j as u32);
         if det
-            .observe_vector(outcome.pair.after().position(id).coords())
+            .observe_vector(outcome.pair.after().position(id))
             .is_anomalous()
         {
             flagged.push(id);
@@ -158,9 +158,8 @@ fn severity_below_radius_keeps_unimpacted_gateways_quiet() {
                 .pair
                 .before()
                 .position(id)
-                .coords()
                 .iter()
-                .zip(outcome.pair.after().position(id).coords())
+                .zip(outcome.pair.after().position(id))
                 .map(|(b, a)| (b - a).abs())
                 .fold(0.0f64, f64::max);
             assert!(motion < 0.02, "quiet gateway {id} moved {motion}");

@@ -42,7 +42,7 @@ fn ingest_except(m: &mut Monitor, snapshot: &Snapshot, skip: &[DeviceKey]) {
         if skip.contains(&key) {
             continue;
         }
-        m.ingest(key, p.coords().to_vec()).unwrap();
+        m.ingest(key, p.to_vec()).unwrap();
     }
 }
 
@@ -115,7 +115,6 @@ fn carry_forward_rejects_a_gateway_stale_beyond_max_age() {
         .pair
         .before()
         .position(anomaly_qos::DeviceId(40))
-        .coords()
         .to_vec();
     m.ingest(silent, row).unwrap();
     assert!(m.seal().unwrap().stragglers().is_empty());
@@ -203,13 +202,13 @@ fn leave_mid_epoch_keeps_staged_points_and_ages_with_their_device() {
     assert_eq!(r.stragglers(), &[DeviceKey(3)]);
     let slot3 = m.id_of(DeviceKey(3)).unwrap();
     assert_eq!(
-        m.last_snapshot().unwrap().position(slot3).coords(),
+        m.last_snapshot().unwrap().position(slot3),
         &[0.53],
         "the swapped-in slot must keep device 3's carried row"
     );
     // And device 0's staged point survived the churn untouched.
     let slot0 = m.id_of(DeviceKey(0)).unwrap();
-    assert_eq!(m.last_snapshot().unwrap().position(slot0).coords(), &[0.7]);
+    assert_eq!(m.last_snapshot().unwrap().position(slot0), &[0.7]);
 
     // Epoch 3: device 3's THIRD consecutive miss must cross max_age 2. If
     // the swap had mis-attributed ages (e.g. reset to the vacated slot's
@@ -250,12 +249,12 @@ fn leave_mid_epoch_drops_only_the_departing_devices_update() {
     assert_eq!(r.population(), 2);
     let slot2 = m.id_of(DeviceKey(2)).unwrap();
     assert_eq!(
-        m.last_snapshot().unwrap().position(slot2).coords(),
+        m.last_snapshot().unwrap().position(slot2),
         &[0.30],
         "device 2's staged point follows it into the swapped slot"
     );
     let slot0 = m.id_of(DeviceKey(0)).unwrap();
-    assert_eq!(m.last_snapshot().unwrap().position(slot0).coords(), &[0.10]);
+    assert_eq!(m.last_snapshot().unwrap().position(slot0), &[0.10]);
 }
 
 /// Bridged rows do not feed detectors (the pinned *frozen* semantics —
@@ -369,7 +368,6 @@ fn reject_names_every_missing_gateway() {
         .pair
         .before()
         .position(anomaly_qos::DeviceId(3))
-        .coords()
         .to_vec();
     m.ingest(DeviceKey(3), row).unwrap();
     assert!(m.seal().is_ok());
